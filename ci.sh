@@ -17,7 +17,8 @@ cd "$(dirname "$0")"
 # must be byte-identical at 1 and 4 worker threads.
 # --par adds the parallel-determinism pass: the concurrency test battery
 # plus a byte-for-byte comparison of the full-space demo's report at 1
-# and 4 worker threads — the report must not depend on thread count.
+# and 4 worker threads — the report must not depend on thread count —
+# and a check that no journal temp file or shard sidecar is left behind.
 # --perf adds the perf-trajectory ratchet: a quick microbench subset
 # diffed against the committed BENCH_seed.json baseline with
 # compare_bench. Soft by default (regressions warn, like the lint
@@ -26,10 +27,11 @@ cd "$(dirname "$0")"
 # byte-identity, 12k-case fuzz corpus, deadline/backpressure), a
 # kill-and-replay determinism check across DYNAWAVE_THREADS 1 and 4
 # with a `stats` introspection probe mid-battery (the transcript itself
-# must pass the dual-schema validator), a seeded journal-fault chaos
-# run, a traced daemon session whose obs stream must validate with the
-# `serve` stage present, and a chaos-forced flight-recorder dump that
-# must itself be a valid obs stream.
+# must pass the dual-schema validator) that leaves no journal temp file
+# behind, a seeded journal-fault chaos run, a traced daemon session
+# whose obs stream must validate with the `serve` stage present, and a
+# chaos-forced flight-recorder dump that must itself be a valid obs
+# stream.
 CHAOS=0
 OBS=0
 PAR=0
@@ -52,6 +54,19 @@ done
 # EXIT trap owning a single tree is the robust shape.
 CI_TMP="$(mktemp -d)"
 trap 'rm -rf "$CI_TMP"' EXIT
+
+# Journals are rewritten through `<path>.tmp` + rename, and a completed
+# campaign deletes its `<path>.shard<k>` sidecars: after a pass whose
+# temp dir is $CI_TMP, neither kind of file may remain there.
+assert_no_journal_leftovers() {
+  local leftovers
+  leftovers="$(find "$CI_TMP" \( -name '*.tmp' -o -name '*.shard*' \) -print)"
+  if [ -n "$leftovers" ]; then
+    echo "leftover journal files after $1:" >&2
+    echo "$leftovers" >&2
+    exit 1
+  fi
+}
 
 echo "=== cargo build --release --offline ==="
 cargo build --release --offline --workspace
@@ -95,26 +110,27 @@ if [ "$PAR" = 1 ]; then
   # journals across thread counts, kill-and-resume under 4 threads,
   # chaos degradation independence, and the seeded interleaving
   # stress harness against the sequential oracle.
-  cargo test -q --offline -p dynawave-core --test parallel
+  TMPDIR="$CI_TMP" cargo test -q --offline -p dynawave-core --test parallel
   # Hard gate: the full-space demo's stdout (the report document) must
   # be byte-identical at 1 and 4 worker threads. Small scale keeps the
   # matrix cheap; stderr (timings) is machine-dependent and discarded.
   for t in 1 4; do
-    DYNAWAVE_THREADS=$t DYNAWAVE_TRAIN=8 DYNAWAVE_TEST=3 \
+    TMPDIR="$CI_TMP" DYNAWAVE_THREADS=$t DYNAWAVE_TRAIN=8 DYNAWAVE_TEST=3 \
       DYNAWAVE_SAMPLES=8 DYNAWAVE_INTERVAL=400 \
       cargo run -q --release --offline -p dynawave-core \
       --example parallel_campaign > "$CI_TMP/par_t$t.txt" 2> /dev/null
   done
   cmp "$CI_TMP/par_t1.txt" "$CI_TMP/par_t4.txt"
   echo "parallel reports byte-identical across thread counts"
+  assert_no_journal_leftovers "the kill-and-resume battery"
 fi
 
 if [ "$SERVE" = 1 ]; then
-  echo "=== serve: crash-safe daemon chaos gate ==="
+  echo "=== serve: kill-safe daemon chaos gate ==="
   # The dedicated battery first: kill-and-replay byte-identity, chaos
   # determinism, the fuzz corpus (one well-formed response per request,
   # always), deadline budgets and backpressure.
-  cargo test -q --offline -p dynawave-core --test serve
+  TMPDIR="$CI_TMP" cargo test -q --offline -p dynawave-core --test serve
   # End-to-end kill-and-replay at small scale. A live run journals its
   # responses; the journal is torn mid-line (simulated kill -9) and the
   # daemon must rebuild it byte-for-byte from the request log — and the
@@ -152,6 +168,7 @@ if [ "$SERVE" = 1 ]; then
   cmp "$CI_TMP/serve_t1.journal" "$CI_TMP/serve_reference.journal"
   cmp "$CI_TMP/serve_replay.out" "$CI_TMP/serve_t1.out"
   echo "serve replay byte-identical across kill and thread counts"
+  assert_no_journal_leftovers "the kill-and-replay round trip"
   # Journal-fault chaos: rate-1.0 injected append faults must freeze the
   # journal at its header while every request still gets a response.
   env $SERVE_SCALE \

@@ -1,4 +1,4 @@
-//! `dynawave-serve`: the crash-safe DSE prediction daemon.
+//! `dynawave-serve`: the kill-safe DSE prediction daemon.
 //!
 //! Speaks the versioned `dynawave-serve` JSON-lines protocol on
 //! stdin/stdout (one request line in, exactly one response line out; see

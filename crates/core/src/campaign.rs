@@ -54,6 +54,7 @@
 
 use crate::dataset::{trace_for, Metric, TraceSet};
 use crate::experiment::{score_model, BenchmarkEvaluation, EnvConfigError, ExperimentConfig};
+use crate::journal::{self, Appender, HeaderError};
 use crate::predictor::WaveletNeuralPredictor;
 use dynawave_neural::ModelError;
 use dynawave_sampling::DesignPoint;
@@ -147,7 +148,7 @@ impl CampaignSpec {
     pub fn fingerprint(&self) -> u64 {
         let names: Vec<&str> = self.benchmarks.iter().map(|b| b.name()).collect();
         let metrics: Vec<&str> = self.metrics.iter().map(|m| m.name()).collect();
-        fnv1a64(&format!("{names:?}|{metrics:?}|{:?}", self.config))
+        journal::fnv1a64(&format!("{names:?}|{metrics:?}|{:?}", self.config))
     }
 
     /// Total number of work units in this campaign.
@@ -156,18 +157,6 @@ impl CampaignSpec {
             * self.metrics.len()
             * (self.config.train_points + self.config.test_points)
     }
-}
-
-/// 64-bit FNV-1a over a canonical spec description. Not cryptographic —
-/// it guards against configuration mix-ups, not adversaries. Shared with
-/// the serve module, whose response journal uses the same guard.
-pub(crate) fn fnv1a64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Errors raised while journaling or resuming a campaign.
@@ -296,13 +285,19 @@ impl From<ModelError> for CampaignError {
     }
 }
 
+impl From<std::io::Error> for CampaignError {
+    fn from(e: std::io::Error) -> Self {
+        CampaignError::Io(e.to_string())
+    }
+}
+
 /// Executes a campaign one [`WorkUnit`] at a time, tracking completion so
 /// an interrupted campaign resumes exactly where it stopped.
 ///
 /// The runner itself is storage-agnostic: [`CampaignRunner::run_next`]
 /// hands back the journal line for each completed unit and
 /// [`CampaignRunner::resume`] rebuilds state from journal text. The
-/// file-backed driver is [`run_journaled`].
+/// file-backed driver is [`run_journaled_parallel`].
 #[derive(Debug, Clone)]
 pub struct CampaignRunner {
     spec: CampaignSpec,
@@ -376,9 +371,7 @@ impl CampaignRunner {
     /// units).
     pub fn resume(spec: CampaignSpec, journal: &str) -> Result<Self, CampaignError> {
         let mut runner = CampaignRunner::new(spec);
-        let mut lines = complete_lines(journal).lines().enumerate();
-        runner.check_header(&mut lines)?;
-        for (i, l) in lines {
+        for (i, l) in runner.verify(journal)? {
             runner.ingest_unit_line(i + 1, l)?;
         }
         if dynawave_obs::is_enabled() && !runner.completed.is_empty() {
@@ -391,35 +384,28 @@ impl CampaignRunner {
         Ok(runner)
     }
 
-    /// Validates the two-line journal header (magic + fingerprint) off the
-    /// front of `lines`, leaving the iterator at the first body line.
-    fn check_header<'a>(
+    /// Validates the journal header (magic + fingerprint) and returns the
+    /// complete body lines with their 0-based line indices.
+    fn verify<'a>(
         &self,
-        lines: &mut impl Iterator<Item = (usize, &'a str)>,
-    ) -> Result<(), CampaignError> {
-        let (_, magic) = lines.next().ok_or(CampaignError::Malformed {
-            line: 1,
-            expected: "magic header",
-        })?;
-        if magic != MAGIC {
-            return Err(CampaignError::BadMagic);
-        }
-        let (_, fp_line) = lines.next().ok_or(CampaignError::Malformed {
-            line: 2,
-            expected: "fingerprint <hex>",
-        })?;
-        let found = fp_line
-            .strip_prefix("fingerprint ")
-            .and_then(|v| u64::from_str_radix(v.trim(), 16).ok())
-            .ok_or(CampaignError::Malformed {
+        text: &'a str,
+    ) -> Result<impl Iterator<Item = (usize, &'a str)>, CampaignError> {
+        let expected = self.spec.fingerprint();
+        match journal::verify(text, MAGIC, expected) {
+            Ok(verified) => Ok(verified.lines),
+            Err(HeaderError::Empty) => Err(CampaignError::Malformed {
+                line: 1,
+                expected: "magic header",
+            }),
+            Err(HeaderError::BadMagic) => Err(CampaignError::BadMagic),
+            Err(HeaderError::BadFingerprint) => Err(CampaignError::Malformed {
                 line: 2,
                 expected: "fingerprint <hex>",
-            })?;
-        let expected = self.spec.fingerprint();
-        if found != expected {
-            return Err(CampaignError::SpecMismatch { expected, found });
+            }),
+            Err(HeaderError::Mismatch(found)) => {
+                Err(CampaignError::SpecMismatch { expected, found })
+            }
         }
-        Ok(())
     }
 
     /// Parses one `unit ...` journal body line (1-based `line` for error
@@ -550,10 +536,7 @@ impl CampaignRunner {
     /// produces a journal that [`CampaignRunner::resume`] accepts and
     /// that is free of any partial tail.
     pub fn journal(&self) -> String {
-        let mut out = String::new();
-        out.push_str(MAGIC);
-        out.push('\n');
-        out.push_str(&format!("fingerprint {:016x}\n", self.spec.fingerprint()));
+        let mut out = journal::header(MAGIC, self.spec.fingerprint());
         for (&i, trace) in &self.completed {
             out.push_str(&journal_line(&self.units[i], trace));
         }
@@ -722,13 +705,7 @@ impl ShardedCampaign {
     /// a `shard <k> of <n>` declaration line, then one line per completed
     /// unit owned by the shard, in canonical order.
     pub fn shard_journal(&self, shard: usize) -> String {
-        let mut out = String::new();
-        out.push_str(MAGIC);
-        out.push('\n');
-        out.push_str(&format!(
-            "fingerprint {:016x}\n",
-            self.runner.spec.fingerprint()
-        ));
+        let mut out = journal::header(MAGIC, self.runner.spec.fingerprint());
         out.push_str(&format!("shard {shard} of {}\n", self.shards));
         if let Some(queue) = self.queues.get(shard) {
             for i in queue {
@@ -752,8 +729,7 @@ impl ShardedCampaign {
     /// [`CampaignError::Malformed`] when the declared shard index is out
     /// of range for the declared count.
     pub fn ingest_shard_journal(&mut self, text: &str) -> Result<(usize, usize), CampaignError> {
-        let mut lines = complete_lines(text).lines().enumerate();
-        self.runner.check_header(&mut lines)?;
+        let mut lines = self.runner.verify(text)?;
         let declared = lines.next().and_then(|(_, l)| parse_shard_line(l)).ok_or(
             CampaignError::Malformed {
                 line: 3,
@@ -798,27 +774,9 @@ impl ShardedCampaign {
 
 /// `shard <k> of <n>` → `(k, n)`.
 fn parse_shard_line(l: &str) -> Option<(usize, usize)> {
-    let mut parts = l.split_whitespace();
-    if parts.next() != Some("shard") {
-        return None;
-    }
-    let shard = parts.next()?.parse().ok()?;
-    if parts.next() != Some("of") {
-        return None;
-    }
-    let of = parts.next()?.parse().ok()?;
-    if parts.next().is_some() {
-        return None;
-    }
-    Some((shard, of))
-}
-
-/// Only newline-terminated lines of a journal are trustworthy: a kill
-/// mid-write leaves a partial final line, which must be ignored.
-pub(crate) fn complete_lines(journal: &str) -> &str {
-    match journal.rfind('\n') {
-        Some(last) => journal.get(..=last).unwrap_or_default(),
-        None => "",
+    match l.split_whitespace().collect::<Vec<_>>()[..] {
+        ["shard", shard, "of", of] => Some((shard.parse().ok()?, of.parse().ok()?)),
+        _ => None,
     }
 }
 
@@ -891,85 +849,69 @@ fn journal_line(unit: &WorkUnit, trace: &[f64]) -> String {
     line
 }
 
-fn io_err(e: std::io::Error) -> CampaignError {
-    CampaignError::Io(e.to_string())
-}
-
-/// Opens (or creates) the journal at `path` and runs at most `max_units`
-/// pending units, appending each completed unit's line before moving on.
-/// Returns the total number of completed units afterwards.
-///
-/// On resume the journal is first rewritten from the parsed state, which
-/// drops the partial tail a kill may have left behind.
+/// Opens (or creates) the canonical journal at `path` and runs at most
+/// `max_units` pending units on the calling thread, appending each
+/// completed unit's line to it before moving on. Returns the total number
+/// of completed units afterwards. The journal is first rewritten from the
+/// parsed state (see [`run_journaled_parallel`]), dropping a torn tail.
 ///
 /// # Errors
 ///
-/// Journal parse errors from [`CampaignRunner::resume`] and I/O failures
-/// as [`CampaignError::Io`].
+/// As [`run_journaled_parallel`], except that no worker can fail.
 pub fn advance_journaled(
     spec: &CampaignSpec,
     path: &Path,
     max_units: usize,
 ) -> Result<usize, CampaignError> {
-    let mut runner = load_runner(spec, path)?;
-    let mut appended = String::new();
+    let mut runner = load_sharded(spec, path, 1)?.into_runner();
+    // The canonical rewrite already holds shard 0's units; this driver
+    // appends to the canonical journal only.
+    let _ = std::fs::remove_file(shard_path(path, 0));
+    let mut appender = Appender::open(path)?;
     for _ in 0..max_units {
         match runner.run_next() {
-            Some((_, line)) => appended.push_str(&line),
+            Some((_, line)) => appender.append(&line)?,
             None => break,
         }
     }
-    append(path, &appended)?;
     Ok(runner.completed_count())
 }
 
 /// Runs a campaign to completion against the journal at `path` — creating
 /// it, resuming it, or simply finishing from it — and returns the scored
-/// evaluations. Killed runs resume by calling this again with the same
-/// spec and path; the final report is byte-identical either way.
+/// evaluations: the one-shard case of [`run_journaled_parallel`].
 ///
 /// # Errors
 ///
-/// Journal parse errors, I/O failures, and model-training failures under
-/// restrictive recovery policies.
+/// As [`run_journaled_parallel`].
 pub fn run_journaled(
     spec: &CampaignSpec,
     path: &Path,
 ) -> Result<Vec<BenchmarkEvaluation>, CampaignError> {
-    let _span = dynawave_obs::span("campaign.run");
-    let mut runner = load_runner(spec, path)?;
-    let mut pending_lines = String::new();
-    while let Some((_, line)) = runner.run_next() {
-        pending_lines.push_str(&line);
-        // Flush in small batches so a kill loses little work; one unit per
-        // write keeps the journal strictly ahead of anything expensive.
-        append(path, &pending_lines)?;
-        pending_lines.clear();
-    }
-    runner.finish()
+    run_journaled_parallel(spec, path, 1)
 }
 
 /// Runs a campaign to completion across `threads` worker threads, each
 /// journaling to its own `<path>.shard<k>` sidecar, then merges into the
 /// canonical journal at `path` and deletes the sidecars. The returned
 /// evaluations, the final report, and the final journal bytes are
-/// identical to [`run_journaled`]'s for every thread count; with tracing
-/// enabled, each worker records to its own recorder and the streams merge
-/// deterministically in canonical unit order (see
-/// [`dynawave_obs::absorb_workers`]).
+/// identical for every thread count; with tracing enabled, each worker
+/// records to its own recorder and the streams merge deterministically in
+/// canonical unit order (see [`dynawave_obs::absorb_workers`]).
 ///
-/// A killed parallel run resumes by calling this again with the same
-/// spec, path, and thread count; surviving sidecars (torn tails included)
-/// are replayed before new work starts. Resuming under a *different*
-/// thread count is refused with [`CampaignError::ShardMismatch`] — a
-/// completed canonical journal, however, has no sidecars and serves any
-/// thread count.
+/// A killed run resumes by calling this again with the same spec, path
+/// and thread count, to a byte-identical report; surviving sidecars (torn
+/// tails included) are replayed before new work starts. Resuming under a
+/// *different* thread count is refused with
+/// [`CampaignError::ShardMismatch`] — a completed canonical journal,
+/// however, has no sidecars and serves any thread count.
 ///
 /// # Errors
 ///
-/// Everything [`run_journaled`] can raise, plus
-/// [`CampaignError::ShardMismatch`] for foreign sidecars and
-/// [`CampaignError::Worker`] when a worker thread panics.
+/// Journal parse errors, I/O failures, model-training failures under
+/// restrictive recovery policies, [`CampaignError::ShardMismatch`] for
+/// foreign sidecars and [`CampaignError::Worker`] when a worker thread
+/// panics.
 pub fn run_journaled_parallel(
     spec: &CampaignSpec,
     path: &Path,
@@ -978,6 +920,9 @@ pub fn run_journaled_parallel(
     let _span = dynawave_obs::span("campaign.run");
     let threads = threads.max(1);
     let mut sharded = load_sharded(spec, path, threads)?;
+    for shard in 0..threads {
+        journal::rewrite(&shard_path(path, shard), &sharded.shard_journal(shard))?;
+    }
     let traced = dynawave_obs::is_enabled();
     let opts = sharded.runner.spec.config.sim_options();
     // Snapshot each shard's pending work as (canonical index, unit,
@@ -1019,14 +964,9 @@ pub fn run_journaled_parallel(
     });
     let mut recorders = Vec::new();
     for outcome in outcomes {
-        let ShardOutcome {
-            completed,
-            recorder,
-        } = outcome?;
-        for (i, trace) in completed {
-            sharded.runner.completed.insert(i, trace);
-        }
-        recorders.extend(recorder);
+        let outcome = outcome?;
+        sharded.runner.completed.extend(outcome.completed);
+        recorders.extend(outcome.recorder);
     }
     if traced {
         // Sort worker event segments into canonical unit order so the
@@ -1036,7 +976,7 @@ pub fn run_journaled_parallel(
             order.get(detail).map(|i| *i as u64).unwrap_or(u64::MAX)
         });
     }
-    std::fs::write(path, sharded.runner.journal()).map_err(io_err)?;
+    journal::rewrite(path, &sharded.runner.journal())?;
     for shard in 0..threads {
         let _ = std::fs::remove_file(shard_path(path, shard));
     }
@@ -1063,10 +1003,11 @@ fn run_shard(
     if traced {
         dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
     }
+    let mut appender = Appender::open(sidecar)?;
     let mut completed = Vec::with_capacity(units.len());
     for (i, unit, point) in units {
         let trace = trace_for(unit.benchmark, point, unit.metric, opts);
-        append(sidecar, &journal_line(unit, &trace))?;
+        appender.append(&journal_line(unit, &trace))?;
         observe_unit_done(unit);
         completed.push((*i, trace));
     }
@@ -1098,42 +1039,39 @@ pub fn shard_path(path: &Path, shard: usize) -> PathBuf {
 /// returning `(k, text)` pairs sorted by `k`.
 fn discover_sidecars(path: &Path) -> Result<Vec<(usize, String)>, CampaignError> {
     let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
     };
-    let prefix = match path.file_name().and_then(|n| n.to_str()) {
-        Some(stem) => format!("{stem}.shard"),
-        None => return Ok(Vec::new()),
+    let Some(stem) = path.file_name().and_then(|n| n.to_str()) else {
+        return Ok(Vec::new());
     };
-    let entries = match std::fs::read_dir(&parent) {
+    let prefix = format!("{stem}.shard");
+    let entries = match std::fs::read_dir(parent) {
         Ok(entries) => entries,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(io_err(e)),
+        Err(e) => return Err(e.into()),
     };
     let mut found = Vec::new();
     for entry in entries {
-        let entry = entry.map_err(io_err)?;
+        let entry = entry?;
+        // `<stem>.shard<k>` only: a stale `<stem>.shard<k>.tmp` left by a
+        // killed rewrite does not parse as a shard index.
         let name = entry.file_name();
-        let shard = match name.to_str().and_then(|n| n.strip_prefix(&prefix)) {
-            Some(suffix) => match suffix.parse::<usize>() {
-                Ok(shard) => shard,
-                Err(_) => continue,
-            },
-            None => continue,
-        };
-        let text = std::fs::read_to_string(entry.path()).map_err(io_err)?;
-        found.push((shard, text));
+        let suffix = name.to_str().and_then(|n| n.strip_prefix(&prefix));
+        if let Some(shard) = suffix.and_then(|s| s.parse::<usize>().ok()) {
+            found.push((shard, std::fs::read_to_string(entry.path())?));
+        }
     }
     found.sort_by_key(|(shard, _)| *shard);
     Ok(found)
 }
 
 /// Loads or initializes the sharded campaign from the canonical journal
-/// plus any shard sidecars, then rewrites all of them partial-tail-free
-/// before new work starts. Sidecars declaring a different shard count are
-/// refused ([`CampaignError::ShardMismatch`]); sidecars whose declared
-/// index differs from their filename are corrupt
-/// ([`CampaignError::Malformed`]).
+/// plus any shard sidecars, then rewrites the canonical journal with
+/// every completed unit, partial-tail-free, before new work starts.
+/// Sidecars declaring a different shard count are refused
+/// ([`CampaignError::ShardMismatch`]); sidecars whose declared index
+/// differs from their filename are corrupt ([`CampaignError::Malformed`]).
 fn load_sharded(
     spec: &CampaignSpec,
     path: &Path,
@@ -1142,7 +1080,7 @@ fn load_sharded(
     let runner = match std::fs::read_to_string(path) {
         Ok(text) => CampaignRunner::resume(spec.clone(), &text)?,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => CampaignRunner::new(spec.clone()),
-        Err(e) => return Err(io_err(e)),
+        Err(e) => return Err(e.into()),
     };
     let mut sharded = ShardedCampaign::from_runner(runner, threads);
     let mut sidecar_units = 0;
@@ -1163,38 +1101,8 @@ fn load_sharded(
         );
         dynawave_obs::counter_add("campaign.units_resumed", sidecar_units as u64);
     }
-    std::fs::write(path, sharded.runner.journal()).map_err(io_err)?;
-    for shard in 0..threads {
-        std::fs::write(shard_path(path, shard), sharded.shard_journal(shard)).map_err(io_err)?;
-    }
+    journal::rewrite(path, &sharded.runner.journal())?;
     Ok(sharded)
-}
-
-/// Loads or initializes the journal-backed runner and rewrites the file
-/// so it is partial-tail-free before any new work starts.
-///
-/// Sequential execution is the one-shard case: a sidecar left by a killed
-/// single-thread parallel run folds back into the canonical journal, but
-/// sidecars from a multi-thread run are refused
-/// ([`CampaignError::ShardMismatch`]) instead of silently merged.
-fn load_runner(spec: &CampaignSpec, path: &Path) -> Result<CampaignRunner, CampaignError> {
-    let sharded = load_sharded(spec, path, 1)?;
-    // The canonical rewrite above already folded shard 0 in; a sequential
-    // run appends to the canonical journal only, so drop the sidecar.
-    let _ = std::fs::remove_file(shard_path(path, 0));
-    Ok(sharded.into_runner())
-}
-
-fn append(path: &Path, text: &str) -> Result<(), CampaignError> {
-    if text.is_empty() {
-        return Ok(());
-    }
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .open(path)
-        .map_err(io_err)?;
-    f.write_all(text.as_bytes()).map_err(io_err)
 }
 
 #[cfg(test)]
@@ -1428,36 +1336,6 @@ mod tests {
             corrupt.ingest_shard_journal(&text),
             Err(CampaignError::Malformed { line: 3, .. })
         ));
-    }
-
-    #[test]
-    fn sequential_loader_rejects_sidecars_from_a_multi_thread_run() {
-        // The satellite fix: load_runner must refuse a shard-count
-        // mismatch instead of silently merging sidecar journals.
-        let spec = tiny_spec();
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "dynawave-unit-shardrefusal-{}.journal",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let mut sharded = ShardedCampaign::new(spec.clone(), 4);
-        sharded.step(2);
-        std::fs::write(shard_path(&path, 2), sharded.shard_journal(2)).unwrap();
-        let got = load_runner(&spec, &path);
-        assert!(
-            matches!(
-                got,
-                Err(CampaignError::ShardMismatch {
-                    expected: 1,
-                    found: 4,
-                })
-            ),
-            "{got:?}"
-        );
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(shard_path(&path, 2));
-        let _ = std::fs::remove_file(shard_path(&path, 0));
     }
 
     #[test]

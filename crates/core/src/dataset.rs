@@ -3,11 +3,11 @@
 use dynawave_avf::{AvfModel, Structure};
 use dynawave_power::PowerModel;
 use dynawave_sampling::DesignPoint;
-use dynawave_sim::{MachineConfig, SimOptions, Simulator};
+use dynawave_sim::{MachineConfig, RunResult, SimOptions, Simulator};
 use dynawave_workloads::Benchmark;
 
 /// Which workload-dynamics metric a trace measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Metric {
     /// Cycles per instruction (performance domain).
     Cpi,
@@ -95,17 +95,23 @@ pub fn trace_for(
 ) -> Vec<f64> {
     let config = MachineConfig::from_design_values(point.values());
     let run = Simulator::new(config.clone()).run(benchmark, opts);
+    metric_trace(&run, &config, metric)
+}
+
+/// Derives the dynamics trace for `metric` from one simulated run — the
+/// only place a metric trace is computed from a [`RunResult`].
+fn metric_trace(run: &RunResult, config: &MachineConfig, metric: Metric) -> Vec<f64> {
     match metric {
         Metric::Cpi => run.cpi_trace(),
-        Metric::Power => PowerModel::new(&config).power_trace(&run),
+        Metric::Power => PowerModel::new(config).power_trace(run),
         Metric::Avf => {
-            let avf = AvfModel::new(&config);
+            let avf = AvfModel::new(config);
             run.intervals
                 .iter()
-                .map(|i| avf.interval_report(i).combined(&config))
+                .map(|i| avf.interval_report(i).combined(config))
                 .collect()
         }
-        Metric::IqAvf => AvfModel::new(&config).avf_trace(&run, Structure::IssueQueue),
+        Metric::IqAvf => AvfModel::new(config).avf_trace(run, Structure::IssueQueue),
     }
 }
 
@@ -119,33 +125,20 @@ pub fn collect_domain_traces(
     points: &[DesignPoint],
     opts: &SimOptions,
 ) -> [TraceSet; 3] {
-    let mut cpi = Vec::with_capacity(points.len());
-    let mut power = Vec::with_capacity(points.len());
-    let mut avf = Vec::with_capacity(points.len());
-    for point in points {
-        let config = MachineConfig::from_design_values(point.values());
-        let run = Simulator::new(config.clone()).run(benchmark, opts);
-        cpi.push(run.cpi_trace());
-        power.push(PowerModel::new(&config).power_trace(&run));
-        let model = AvfModel::new(&config);
-        avf.push(
-            run.intervals
-                .iter()
-                .map(|i| model.interval_report(i).combined(&config))
-                .collect(),
-        );
-    }
-    let mk = |metric, traces| TraceSet {
+    let mut sets = Metric::DOMAINS.map(|metric| TraceSet {
         benchmark,
         metric,
         points: points.to_vec(),
-        traces,
-    };
-    [
-        mk(Metric::Cpi, cpi),
-        mk(Metric::Power, power),
-        mk(Metric::Avf, avf),
-    ]
+        traces: Vec::with_capacity(points.len()),
+    });
+    for point in points {
+        let config = MachineConfig::from_design_values(point.values());
+        let run = Simulator::new(config.clone()).run(benchmark, opts);
+        for set in &mut sets {
+            set.traces.push(metric_trace(&run, &config, set.metric));
+        }
+    }
+    sets
 }
 
 /// Simulates every design point and gathers the traces into a

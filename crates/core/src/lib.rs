@@ -54,6 +54,7 @@ pub mod cluster;
 mod dataset;
 pub mod experiment;
 pub mod importance;
+mod journal;
 pub mod persist;
 mod predictor;
 pub mod recovery;

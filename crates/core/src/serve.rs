@@ -1,4 +1,4 @@
-//! Crash-safe DSE prediction daemon: the `dynawave-serve` protocol.
+//! Kill-safe DSE prediction daemon: the `dynawave-serve` protocol.
 //!
 //! The paper's end-use is interactive design-space exploration: a trained
 //! neuro-wavelet model answering "what are the dynamics of config X"
@@ -30,9 +30,9 @@
 //!    [`ServeConfig::queue_capacity`], the daemon answers `overloaded`
 //!    with a deterministic `retry_after` hint instead of growing without
 //!    bound.
-//! 5. **Crash-safe replay.** Responses append to a fingerprinted journal
-//!    (same discipline as the campaign journal: magic line, config
-//!    fingerprint, newline-terminated records, torn tail ignored).
+//! 5. **Kill-safe replay.** Responses append to a fingerprinted journal
+//!    (the campaign journal's discipline, shared through one journal
+//!    module: magic line, config fingerprint, torn tail ignored).
 //!    [`replay`] re-runs a request log through a fresh engine, verifies
 //!    the surviving journal prefix byte-for-byte, and rewrites the
 //!    journal to what an uninterrupted run would have produced.
@@ -85,9 +85,9 @@
 //! assert!(resp.contains("bad-json"));
 //! ```
 
-use crate::campaign::{complete_lines, fnv1a64};
 use crate::dataset::{collect_traces, Metric};
 use crate::experiment::ExperimentConfig;
+use crate::journal::{self, Appender, HeaderError};
 use crate::persist;
 use crate::predictor::{PortableCoeffModel, WaveletNeuralPredictor};
 use crate::recovery::RecoveryRung;
@@ -149,7 +149,7 @@ impl ServeConfig {
     /// recorded in the journal header so [`replay`] under a different
     /// configuration is refused instead of silently diverging.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a64(&format!(
+        journal::fnv1a64(&format!(
             "{:?}|{}|{}|{}|{}|{}|{:?}",
             self.config,
             self.default_deadline,
@@ -163,7 +163,7 @@ impl ServeConfig {
 
     /// The two-line journal header for this configuration.
     pub fn journal_header(&self) -> String {
-        format!("{MAGIC}\nfingerprint {:016x}\n", self.fingerprint())
+        journal::header(MAGIC, self.fingerprint())
     }
 }
 
@@ -395,19 +395,14 @@ struct CachedModel {
 /// has no degradation report, but its persisted fallback models tell the
 /// same story.
 fn rung_of_snapshot(model: &WaveletNeuralPredictor) -> RecoveryRung {
-    let portable = model.to_portable();
-    let mut worst = RecoveryRung::Primary;
-    for m in &portable.models {
-        let rung = match m {
-            PortableCoeffModel::Rbf(_) => RecoveryRung::Primary,
-            PortableCoeffModel::Linear { .. } => RecoveryRung::LinearFallback,
-            PortableCoeffModel::Constant(_) => RecoveryRung::MeanFallback,
-        };
-        if rung.level() > worst.level() {
-            worst = rung;
-        }
-    }
-    worst
+    let rungs = model.to_portable().models.into_iter().map(|m| match m {
+        PortableCoeffModel::Rbf(_) => RecoveryRung::Primary,
+        PortableCoeffModel::Linear { .. } => RecoveryRung::LinearFallback,
+        PortableCoeffModel::Constant(_) => RecoveryRung::MeanFallback,
+    });
+    rungs
+        .max_by_key(|r| r.level())
+        .unwrap_or(RecoveryRung::Primary)
 }
 
 /// One parsed, validated request — the output of the pure validation
@@ -574,60 +569,37 @@ impl ServeStats {
     /// shape; determinism tests diff the bytes).
     fn render(&self, out: &mut String, load: u64, capacity: u64) {
         out.push_str(&format!("{{\"v\":{}", schema::SERVE_STATS_VERSION));
-        out.push_str(",\"requests\":{");
-        for (i, kind) in schema::SERVE_REQUEST_KINDS.iter().enumerate() {
-            out.push_str(&format!("\"{kind}\":{},", self.requests[i]));
-        }
-        out.push_str(&format!("\"invalid\":{}}}", self.requests_invalid));
-        out.push_str(",\"outcomes\":{");
-        let outcome_names = ["ok", "partial", "error", "overloaded", "stats"];
-        for (i, name) in outcome_names.iter().enumerate() {
-            out.push_str(&format!("\"{name}\":{},", self.outcomes[i]));
-        }
-        out.push_str(&format!("\"internal\":{}}}", self.internal_errors));
-        out.push_str(",\"latency\":{");
-        for (i, hist) in self.latency.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"bounds\":[",
-                schema::SERVE_REQUEST_KINDS[i]
-            ));
-            for (j, b) in schema::SERVE_LATENCY_BOUNDS.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{b}"));
-            }
-            out.push_str("],\"counts\":[");
-            for (j, c) in hist.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{c}"));
-            }
-            out.push_str("]}");
-        }
-        out.push('}');
+        let (requests, invalid) = (&schema::SERVE_REQUEST_KINDS, self.requests_invalid);
+        let requests = json_counts(requests, &self.requests);
+        out.push_str(&format!(
+            ",\"requests\":{{{requests},\"invalid\":{invalid}}}"
+        ));
+        let outcomes = ["ok", "partial", "error", "overloaded", "stats"];
+        let (outcomes, internal) = (json_counts(&outcomes, &self.outcomes), self.internal_errors);
+        out.push_str(&format!(
+            ",\"outcomes\":{{{outcomes},\"internal\":{internal}}}"
+        ));
+        let bounds = join(schema::SERVE_LATENCY_BOUNDS);
+        let latency = self.latency.iter().zip(schema::SERVE_REQUEST_KINDS);
+        let latency = join(latency.map(|(hist, kind)| {
+            format!(
+                "\"{kind}\":{{\"bounds\":[{bounds}],\"counts\":[{}]}}",
+                join(hist)
+            )
+        }));
+        out.push_str(&format!(",\"latency\":{{{latency}}}"));
         out.push_str(&format!(
             ",\"deadline\":{{\"granted\":{},\"used\":{},\"refused\":{}}}",
             self.deadline_granted, self.deadline_used, self.deadline_refused
         ));
-        out.push_str(",\"rungs\":{");
-        let rung_names = [
+        let rungs = [
             "primary",
             "ridge-escalated",
             "linear-fallback",
             "mean-fallback",
         ];
-        for (i, name) in rung_names.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{}", self.rungs[i]));
-        }
-        out.push('}');
+        let rungs = json_counts(&rungs, &self.rungs);
+        out.push_str(&format!(",\"rungs\":{{{rungs}}}"));
         out.push_str(&format!(
             ",\"models\":{{\"hits\":{},\"misses\":{},\"loaded\":{},\"trained\":{},\"failed\":{}}}",
             self.model_hits,
@@ -653,7 +625,7 @@ impl ServeStats {
 pub struct ServeEngine {
     config: ServeConfig,
     dims: usize,
-    cache: BTreeMap<(String, String), CacheEntry>,
+    cache: BTreeMap<(Benchmark, Metric), CacheEntry>,
     seq: u64,
     tick: u64,
     load: u64,
@@ -1044,11 +1016,7 @@ impl ServeEngine {
         };
         let uncached = metrics
             .iter()
-            .filter(|m| {
-                !self
-                    .cache
-                    .contains_key(&(benchmark.name().to_string(), m.name().to_string()))
-            })
+            .filter(|m| !self.cache.contains_key(&(benchmark, **m)))
             .count() as u64;
         let upfront = uncached * self.config.train_cost;
         let total_cost = upfront + items;
@@ -1098,12 +1066,8 @@ impl ServeEngine {
         }
         let rung = metrics
             .iter()
-            .filter_map(|m| {
-                self.cache
-                    .get(&(benchmark.name().to_string(), m.name().to_string()))
-                    .and_then(|e| e.as_ref().ok())
-                    .map(|c| c.rung)
-            })
+            .filter_map(|m| self.cache.get(&(benchmark, *m))?.as_ref().ok())
+            .map(|c| c.rung)
             .max_by_key(|r| r.level())
             .unwrap_or(RecoveryRung::Primary);
         self.stats.rungs[(rung.level() as usize).min(3)] += 1;
@@ -1341,10 +1305,7 @@ impl ServeEngine {
         benchmark: Benchmark,
         metric: Metric,
     ) -> Result<&WaveletNeuralPredictor, ServeError> {
-        match self
-            .cache
-            .get(&(benchmark.name().to_string(), metric.name().to_string()))
-        {
+        match self.cache.get(&(benchmark, metric)) {
             Some(Ok(entry)) => Ok(&entry.model),
             Some(Err(msg)) => Err(ServeError::TrainFailed(msg.clone())),
             None => Err(ServeError::TrainFailed(
@@ -1358,7 +1319,7 @@ impl ServeEngine {
     /// the fallback. Failures are cached so a broken key fails the same
     /// way on every request.
     fn ensure_model(&mut self, benchmark: Benchmark, metric: Metric) -> Result<(), ServeError> {
-        let key = (benchmark.name().to_string(), metric.name().to_string());
+        let key = (benchmark, metric);
         if self.cache.contains_key(&key) {
             self.stats.model_hits += 1;
             return Ok(());
@@ -1456,14 +1417,31 @@ impl ServeEngine {
     }
 }
 
+/// Comma-joins the displayed `items`.
+fn join<T: fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = items.into_iter().map(|x| x.to_string()).collect();
+    items.join(",")
+}
+
+/// `"name":count` pairs, comma-joined.
+fn json_counts(names: &[&str], counts: &[u64]) -> String {
+    join(
+        names
+            .iter()
+            .zip(counts)
+            .map(|(n, c)| format!("\"{n}\":{c}")),
+    )
+}
+
 /// Mean of a predicted dynamics trace.
 fn trace_mean(trace: &[f64]) -> f64 {
     trace.iter().sum::<f64>() / trace.len().max(1) as f64
 }
 
-/// Append-only response journal with the campaign journal's crash
+/// Append-only response journal with the campaign journal's kill-safe
 /// discipline: fingerprinted header, newline-terminated records, and a
-/// torn final line treated as never written.
+/// torn final line treated as never written. Not power-loss-safe: no
+/// record is fsynced (DESIGN.md §8.3).
 ///
 /// Journal faults ([`FaultSite::JournalAppend`] injection or real I/O
 /// errors) flip the journal into a broken state: the daemon keeps
@@ -1471,16 +1449,17 @@ fn trace_mean(trace: &[f64]) -> f64 {
 /// prefix of the response stream — degraded durability, never a torn
 /// middle.
 pub struct ServeJournal {
-    path: PathBuf,
+    appender: Appender,
     broken: bool,
 }
 
 impl ServeJournal {
-    /// Creates (truncating) the journal and writes the header.
+    /// Replaces any journal at `path` with a fresh header and opens it for
+    /// appending.
     pub fn create(path: &Path, config: &ServeConfig) -> Result<Self, std::io::Error> {
-        std::fs::write(path, config.journal_header())?;
+        journal::rewrite(path, &config.journal_header())?;
         Ok(ServeJournal {
-            path: path.to_path_buf(),
+            appender: Appender::open(path)?,
             broken: false,
         })
     }
@@ -1497,15 +1476,7 @@ impl ServeJournal {
             self.mark_broken("injected journal fault");
             return;
         }
-        let mut line = String::with_capacity(response.len() + 1);
-        line.push_str(response);
-        line.push('\n');
-        use std::io::Write as _;
-        let outcome = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .and_then(|mut f| f.write_all(line.as_bytes()));
-        if let Err(e) = outcome {
+        if let Err(e) = self.appender.append(&format!("{response}\n")) {
             self.mark_broken(&e.to_string());
         }
     }
@@ -1565,26 +1536,16 @@ pub fn replay(
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
         Err(e) => return Err(ReplayError::Io(e)),
     };
-    let torn_tail = !raw.is_empty() && !raw.ends_with('\n');
-    let survivors = complete_lines(&raw);
-    let mut journaled: Vec<&str> = Vec::new();
-    if !survivors.is_empty() {
-        let mut lines = survivors.lines();
-        match lines.next() {
-            Some(m) if m == MAGIC => {}
-            _ => return Err(ReplayError::BadMagic),
+    let expected = config.fingerprint();
+    let (journaled, torn_tail): (Vec<&str>, bool) = match journal::verify(&raw, MAGIC, expected) {
+        Ok(verified) => (verified.lines.map(|(_, l)| l).collect(), verified.torn_tail),
+        Err(HeaderError::Empty) => (Vec::new(), !raw.is_empty()),
+        Err(HeaderError::BadMagic) => return Err(ReplayError::BadMagic),
+        Err(HeaderError::BadFingerprint) => return Err(ReplayError::MalformedHeader),
+        Err(HeaderError::Mismatch(found)) => {
+            return Err(ReplayError::Fingerprint { expected, found })
         }
-        let found = lines
-            .next()
-            .and_then(|l| l.strip_prefix("fingerprint "))
-            .and_then(|v| u64::from_str_radix(v.trim(), 16).ok())
-            .ok_or(ReplayError::MalformedHeader)?;
-        let expected = config.fingerprint();
-        if found != expected {
-            return Err(ReplayError::Fingerprint { expected, found });
-        }
-        journaled = lines.collect();
-    }
+    };
 
     let mut engine = ServeEngine::new(config);
     // Replay always runs against a journal, so `stats` snapshots report
@@ -1612,7 +1573,7 @@ pub fn replay(
         full.push_str(r);
         full.push('\n');
     }
-    std::fs::write(journal_path, &full)?;
+    journal::rewrite(journal_path, &full)?;
     dynawave_obs::counter_add("serve.replay.responses", responses.len() as u64);
     Ok(ReplayOutcome {
         responses,

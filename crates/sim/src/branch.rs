@@ -186,59 +186,6 @@ impl Btb {
     }
 }
 
-/// A return-address stack (Table 1: 32 entries).
-///
-/// The synthetic traces do not mark calls/returns explicitly, so the
-/// pipeline does not exercise it, but it is part of the front-end model
-/// and available for richer traces.
-#[derive(Debug, Clone)]
-pub struct ReturnAddressStack {
-    stack: Vec<u64>,
-    capacity: usize,
-    overflows: u64,
-}
-
-impl ReturnAddressStack {
-    /// Creates a RAS with `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: u32) -> Self {
-        assert!(capacity > 0, "RAS needs capacity");
-        ReturnAddressStack {
-            stack: Vec::with_capacity(capacity as usize),
-            capacity: capacity as usize,
-            overflows: 0,
-        }
-    }
-
-    /// Pushes a return address; the oldest entry is dropped on overflow
-    /// (circular behaviour).
-    pub fn push(&mut self, addr: u64) {
-        if self.stack.len() == self.capacity {
-            self.stack.remove(0);
-            self.overflows += 1;
-        }
-        self.stack.push(addr);
-    }
-
-    /// Pops the predicted return address.
-    pub fn pop(&mut self) -> Option<u64> {
-        self.stack.pop()
-    }
-
-    /// Current depth.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// Number of overflow-induced drops.
-    pub fn overflows(&self) -> u64 {
-        self.overflows
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,18 +259,5 @@ mod tests {
         assert!(!b.access(0x1000));
         assert!(b.access(0x1000));
         assert_eq!(b.misses(), 1);
-    }
-
-    #[test]
-    fn ras_lifo_and_overflow() {
-        let mut r = ReturnAddressStack::new(2);
-        r.push(1);
-        r.push(2);
-        r.push(3); // drops 1
-        assert_eq!(r.overflows(), 1);
-        assert_eq!(r.pop(), Some(3));
-        assert_eq!(r.pop(), Some(2));
-        assert_eq!(r.pop(), None);
-        assert_eq!(r.depth(), 0);
     }
 }

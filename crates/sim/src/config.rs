@@ -70,7 +70,8 @@ pub struct MachineConfig {
     pub btb_entries: u32,
     /// BTB associativity.
     pub btb_ways: u32,
-    /// Return-address-stack entries.
+    /// Return-address-stack entries. Reported in Table 1 but not
+    /// modelled: the synthetic traces mark no calls or returns.
     pub ras_entries: u32,
     /// L1 instruction-cache associativity.
     pub il1_ways: u32,

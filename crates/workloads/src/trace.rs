@@ -66,8 +66,6 @@ pub struct TraceGenerator {
     // Code walk: execution cycles inside a loop body for a number of
     // iterations, then moves on to another region of the code.
     pc: u64,
-    #[allow(dead_code)] // retained for diagnostics; loops derive from it
-    code_bytes: u64,
     loop_start: u64,
     loop_len: u64,
     loop_iters_left: u32,
@@ -141,7 +139,6 @@ impl TraceGenerator {
             mix_cdf,
             sites,
             pc: CODE_BASE,
-            code_bytes,
             loop_start: CODE_BASE,
             loop_len: 256,
             loop_iters_left: 8,
@@ -282,7 +279,7 @@ impl TraceGenerator {
     /// covering the whole code footprint. Hot bodies re-execute often (and
     /// stay cache-resident); the tail sweeps the rest of the footprint, so
     /// instruction-cache capacity gates how much of the reuse is captured.
-    fn advance_pc(&mut self, _branch_taken: bool) {
+    fn advance_pc(&mut self) {
         self.pc += 4;
         if self.pc >= self.loop_start + self.loop_len {
             if self.loop_iters_left > 0 {
@@ -354,7 +351,7 @@ impl Iterator for TraceGenerator {
         };
         let dead_p = (self.profile.dead_fraction * self.knob_dead).clamp(0.0, 0.8);
         let dead = self.rng.next_bool_with(dead_p);
-        self.advance_pc(class == OpClass::Branch && taken);
+        self.advance_pc();
         self.index += 1;
         Some(Instruction {
             pc,

@@ -2,7 +2,7 @@
 //!
 //! Drives a [`ServeEngine`] through one serving session — prediction,
 //! Pareto frontier, a deliberately malformed request, a starved deadline
-//! — then demonstrates crash-safe replay: the journal is torn mid-line
+//! — then demonstrates kill-safe replay: the journal is torn mid-line
 //! (a simulated `kill -9`) and rebuilt byte-for-byte from the request
 //! log.
 //!

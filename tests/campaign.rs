@@ -2,12 +2,15 @@
 //! kills (partial journal writes) and resume to a byte-identical report,
 //! and must refuse journals written under a different configuration.
 
-use dynawave_core::campaign::{advance_journaled, run_journaled, CampaignError, CampaignSpec};
+use dynawave_core::campaign::{
+    advance_journaled, run_journaled, run_journaled_parallel, shard_path, CampaignError,
+    CampaignSpec, ShardedCampaign,
+};
 use dynawave_core::experiment::ExperimentConfig;
 use dynawave_core::{report, Metric};
 use dynawave_workloads::Benchmark;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tiny_spec(seed: u64) -> CampaignSpec {
     CampaignSpec::single(
@@ -24,7 +27,15 @@ fn tiny_spec(seed: u64) -> CampaignSpec {
     )
 }
 
-/// A collision-free scratch path that cleans itself up on drop.
+/// `path` with `.tmp` appended: where a journal rewrite stages its bytes.
+fn temp_of(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(".tmp");
+    PathBuf::from(name)
+}
+
+/// A collision-free scratch path that cleans itself (and any shard
+/// sidecars and rewrite temp files) up on drop.
 struct Scratch(PathBuf);
 
 impl Scratch {
@@ -41,6 +52,11 @@ impl Scratch {
 impl Drop for Scratch {
     fn drop(&mut self) {
         let _ = fs::remove_file(&self.0);
+        let _ = fs::remove_dir(temp_of(&self.0));
+        for shard in 0..4 {
+            let _ = fs::remove_file(shard_path(&self.0, shard));
+            let _ = fs::remove_file(temp_of(&shard_path(&self.0, shard)));
+        }
     }
 }
 
@@ -131,4 +147,48 @@ fn chaos_journaled_campaign_completes_under_injected_faults() {
     let doc = report::full_report("chaos campaign", &evals);
     assert!(doc.contains("Model health:"));
     assert!(doc.contains("fallback") || doc.contains("ridge-escalated"));
+}
+
+#[test]
+fn failed_rewrite_leaves_journal_and_sidecar_byte_identical() {
+    let spec = tiny_spec(37);
+    let reference = Scratch::new("atomic-ref");
+    let want = report::full_report("campaign", &run_journaled(&spec, &reference.0).unwrap());
+
+    // A killed one-thread run: a torn canonical journal plus a sidecar.
+    let victim = Scratch::new("atomic-victim");
+    advance_journaled(&spec, &victim.0, 4).unwrap();
+    let text = fs::read_to_string(&victim.0).unwrap();
+    fs::write(&victim.0, &text[..text.len() - 5]).unwrap();
+    let mut partial = ShardedCampaign::new(spec.clone(), 1);
+    for _ in 0..6 {
+        partial.step(0);
+    }
+    let sidecar = shard_path(&victim.0, 0);
+    fs::write(&sidecar, partial.shard_journal(0)).unwrap();
+    // A stale temp file from a killed four-thread rewrite: parsed as a
+    // sidecar it would be refused as a shard-count mismatch.
+    let stale = temp_of(&shard_path(&victim.0, 3));
+    let stale_text = ShardedCampaign::new(spec.clone(), 4).shard_journal(3);
+    fs::write(&stale, &stale_text).unwrap();
+
+    // A directory at the canonical rewrite's temp path makes it fail.
+    let blocker = temp_of(&victim.0);
+    fs::create_dir_all(&blocker).unwrap();
+    let journal_before = fs::read(&victim.0).unwrap();
+    let sidecar_before = fs::read(&sidecar).unwrap();
+    match run_journaled_parallel(&spec, &victim.0, 1) {
+        Err(CampaignError::Io(_)) => {}
+        other => panic!("expected Io, got {other:?}"),
+    }
+    assert_eq!(fs::read(&victim.0).unwrap(), journal_before);
+    assert_eq!(fs::read(&sidecar).unwrap(), sidecar_before);
+
+    // Unblocked, the resume completes to the reference report and leaves
+    // no sidecar or temp file of its own behind.
+    fs::remove_dir(&blocker).unwrap();
+    let evals = run_journaled_parallel(&spec, &victim.0, 1).unwrap();
+    assert_eq!(report::full_report("campaign", &evals), want);
+    assert!(!sidecar.exists() && !blocker.exists());
+    assert_eq!(fs::read_to_string(&stale).unwrap(), stale_text);
 }

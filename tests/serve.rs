@@ -148,6 +148,35 @@ fn kill_and_replay_reproduces_byte_identical_journal() {
 }
 
 #[test]
+fn failed_replay_rewrite_leaves_the_journal_untouched() {
+    let cfg = tiny_config();
+    let request_log: String = session_requests()
+        .iter()
+        .map(|r| format!("{r}\n"))
+        .collect();
+    let path = tmp_path("blocked.journal");
+    let torn = format!("{}{{\"torn", cfg.journal_header());
+    std::fs::write(&path, &torn).expect("write torn journal");
+    // A directory at the rewrite's temp path makes the rewrite fail.
+    let blocker = tmp_path("blocked.journal.tmp");
+    std::fs::create_dir_all(&blocker).expect("create blocker");
+    match replay(cfg.clone(), &request_log, &path) {
+        Err(ReplayError::Io(_)) => {}
+        other => panic!("a failed rewrite must surface as Io, got {other:?}"),
+    }
+    assert_eq!(
+        std::fs::read_to_string(&path).expect("read journal"),
+        torn,
+        "a failed replay must leave the old bytes"
+    );
+    std::fs::remove_dir(&blocker).expect("remove blocker");
+    let outcome = replay(cfg, &request_log, &path).expect("replay succeeds");
+    assert!(outcome.torn_tail);
+    assert!(!blocker.exists(), "the rewrite leaves no temp file behind");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn chaos_solver_faults_keep_transcripts_deterministic() {
     let plan = FaultPlan::new(0xC4A0)
         .rate(0.5)

@@ -31,7 +31,8 @@ cd "$(dirname "$0")"
 # behind, a seeded journal-fault chaos run, a traced daemon session
 # whose obs stream must validate with the `serve` stage present, and a
 # chaos-forced flight-recorder dump that must itself be a valid obs
-# stream.
+# stream, and a start-up with DYNAWAVE_SAMPLES=0 that must exit 2
+# naming the variable instead of panicking.
 CHAOS=0
 OBS=0
 PAR=0
@@ -204,6 +205,20 @@ if [ "$SERVE" = 1 ]; then
   cargo run -q --release --offline -p dynawave-obs --bin obs_validate -- \
     --require-stages serve < "$CI_TMP/serve_flight.jsonl"
   echo "serve flight-recorder dump validates"
+  # A scale the simulator cannot run is refused at start-up: exit status
+  # 2 with the variable named on stderr, never a panic on first predict.
+  status=0
+  env $SERVE_SCALE DYNAWAVE_SAMPLES=0 \
+    cargo run -q --release --offline -p dynawave-core --bin serve -- \
+    < "$CI_TMP/serve_requests.jsonl" > /dev/null 2> "$CI_TMP/serve_badenv.err" \
+    || status=$?
+  [ "$status" = 2 ]
+  grep -q 'DYNAWAVE_SAMPLES' "$CI_TMP/serve_badenv.err"
+  if grep -q 'panicked' "$CI_TMP/serve_badenv.err"; then
+    echo "serve panicked on DYNAWAVE_SAMPLES=0" >&2
+    exit 1
+  fi
+  echo "serve refuses an invalid DYNAWAVE_SAMPLES before serving"
   mkdir -p results
   cp "$CI_TMP/serve_t1.journal" results/serve_replay.jsonl
 fi

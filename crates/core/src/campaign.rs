@@ -6,12 +6,15 @@
 //! and restarting a multi-hour campaign from scratch is the difference
 //! between "ran the full Table 2 sweep" and "gave up".
 //!
-//! This module decomposes an [`ExperimentConfig`] campaign into
-//! [`WorkUnit`]s — one simulated trace per `(benchmark, metric, role,
-//! design-point)` — and journals every completed unit to an append-only,
-//! human-inspectable text file. A killed campaign resumes by replaying the
-//! journal: completed units are never re-simulated, a partially written
-//! trailing line (the kill signature) is dropped, and the final report is
+//! This module schedules an [`ExperimentConfig`] campaign by design
+//! point: each `(benchmark, role, point)` is simulated **once**, and every
+//! requested metric's trace is derived from that one run. Each trace is a
+//! [`WorkUnit`] — `(benchmark, metric, role, point)` — journaled as one
+//! line of an append-only, human-inspectable text file. A killed campaign
+//! resumes by replaying the journal: completed units are never
+//! re-simulated, a partially written trailing line (the kill signature)
+//! is dropped, a point whose units are only partly journaled is
+//! simulated again for the missing ones, and the final report is
 //! **byte-identical** to an uninterrupted run because traces round-trip
 //! through the journal with Rust's shortest-exact float formatting.
 //!
@@ -21,12 +24,13 @@
 //!
 //! # Parallel execution
 //!
-//! Work units are independent by construction, so campaigns shard across
-//! worker threads ([`run_journaled_parallel`]; `std::thread` only — the
-//! workspace is hermetic). Unit `i` always belongs to shard `i % N`, each
-//! worker appends to its own `<journal>.shard<k>` sidecar in the same
-//! fingerprinted format, and completed traces merge back into canonical
-//! unit order — so the final report and the final journal are
+//! Design points are independent by construction — simulation is pure
+//! per point — so campaigns shard across worker threads
+//! ([`run_journaled_parallel`]; `std::thread` only — the workspace is
+//! hermetic). Design point `p` always belongs to shard `p % N`, each
+//! worker appends a point's lines to its own `<journal>.shard<k>` sidecar
+//! in the same fingerprinted format, and completed traces merge back into
+//! canonical unit order — so the final report and the final journal are
 //! **byte-identical for any thread count**, including under kill-and-resume
 //! and fault injection (all fault-injection sites live in training, which
 //! stays sequential on the caller's thread). Sidecars record their shard
@@ -52,7 +56,7 @@
 //! # Ok::<(), dynawave_core::campaign::CampaignError>(())
 //! ```
 
-use crate::dataset::{trace_for, Metric, TraceSet};
+use crate::dataset::{simulate_metrics, Metric, TraceSet};
 use crate::experiment::{score_model, BenchmarkEvaluation, EnvConfigError, ExperimentConfig};
 use crate::journal::{self, Appender, HeaderError};
 use crate::predictor::WaveletNeuralPredictor;
@@ -95,7 +99,9 @@ impl UnitRole {
     }
 }
 
-/// The atomic unit of campaign progress: one simulated dynamics trace.
+/// The atomic unit of journaled campaign progress: one metric's dynamics
+/// trace at one design point. A campaign simulates each design point once
+/// and derives every metric's unit from that one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkUnit {
     /// Benchmark to simulate.
@@ -118,6 +124,17 @@ impl WorkUnit {
             self.role.name(),
             self.point_index
         )
+    }
+
+    /// Inverse of [`WorkUnit::key`] over a key's whitespace-separated
+    /// fields; `None` when one does not parse.
+    fn parse<'a>(fields: &mut impl Iterator<Item = &'a str>) -> Option<WorkUnit> {
+        Some(WorkUnit {
+            benchmark: Benchmark::from_name(fields.next()?)?,
+            metric: Metric::parse(fields.next()?)?,
+            role: UnitRole::parse(fields.next()?)?,
+            point_index: fields.next()?.parse().ok()?,
+        })
     }
 }
 
@@ -291,63 +308,38 @@ impl From<std::io::Error> for CampaignError {
     }
 }
 
-/// Executes a campaign one [`WorkUnit`] at a time, tracking completion so
-/// an interrupted campaign resumes exactly where it stopped.
+/// Executes a campaign one design point at a time, tracking completion
+/// per [`WorkUnit`] so an interrupted campaign resumes exactly where it
+/// stopped.
+///
+/// Design points are numbered benchmark by benchmark, training design
+/// first. Units keep their canonical order — benchmark, metric, role,
+/// point index — in which the journal and the report list them.
 ///
 /// The runner itself is storage-agnostic: [`CampaignRunner::run_next`]
-/// hands back the journal line for each completed unit and
+/// hands back the journal lines of each completed point and
 /// [`CampaignRunner::resume`] rebuilds state from journal text. The
 /// file-backed driver is [`run_journaled_parallel`].
 #[derive(Debug, Clone)]
 pub struct CampaignRunner {
     spec: CampaignSpec,
-    units: Vec<WorkUnit>,
-    /// Journal key → index into `units` (BTreeMap keeps iteration and
-    /// therefore behavior deterministic; workspace rule D004 bans
-    /// HashMap in library code).
-    index: BTreeMap<String, usize>,
-    /// Completed unit index → simulated trace.
+    /// Completed canonical unit index → simulated trace.
     completed: BTreeMap<usize, Vec<f64>>,
     train_design: Vec<DesignPoint>,
     test_design: Vec<DesignPoint>,
-    /// Index of the next pending unit (units complete in order on a
-    /// single runner; resume may leave arbitrary holes, which
-    /// `next_pending` skips over).
+    /// First design point that may still have pending units (points
+    /// complete in order on a single runner; resume may leave arbitrary
+    /// holes, which `run_next` skips over).
     cursor: usize,
 }
 
 impl CampaignRunner {
     /// Starts a fresh campaign with every unit pending.
     pub fn new(spec: CampaignSpec) -> Self {
-        let mut units = Vec::with_capacity(spec.unit_count());
-        for &benchmark in &spec.benchmarks {
-            for &metric in &spec.metrics {
-                for (role, count) in [
-                    (UnitRole::Train, spec.config.train_points),
-                    (UnitRole::Test, spec.config.test_points),
-                ] {
-                    for point_index in 0..count {
-                        units.push(WorkUnit {
-                            benchmark,
-                            metric,
-                            role,
-                            point_index,
-                        });
-                    }
-                }
-            }
-        }
-        let index = units
-            .iter()
-            .enumerate()
-            .map(|(i, u)| (u.key(), i))
-            .collect();
         let train_design = spec.config.train_design();
         let test_design = spec.config.test_design();
         CampaignRunner {
             spec,
-            units,
-            index,
             completed: BTreeMap::new(),
             train_design,
             test_design,
@@ -421,25 +413,8 @@ impl CampaignRunner {
                 expected: "unit <benchmark> <metric> <train|test> <index> <samples...>",
             });
         }
-        let (bench, metric, role, idx) = match (
-            parts.next().and_then(Benchmark::from_name),
-            parts.next().and_then(Metric::parse),
-            parts.next().and_then(UnitRole::parse),
-            parts.next().and_then(|v| v.parse::<usize>().ok()),
-        ) {
-            (Some(b), Some(m), Some(r), Some(i)) => (b, m, r, i),
-            _ => return Err(CampaignError::UnknownUnit { line }),
-        };
-        let key = WorkUnit {
-            benchmark: bench,
-            metric,
-            role,
-            point_index: idx,
-        }
-        .key();
-        let unit_index = *self
-            .index
-            .get(&key)
+        let (point, metric) = WorkUnit::parse(&mut parts)
+            .and_then(|unit| self.locate(&unit))
             .ok_or(CampaignError::UnknownUnit { line })?;
         let mut trace = Vec::with_capacity(self.spec.config.samples);
         for p in parts {
@@ -459,18 +434,13 @@ impl CampaignRunner {
                 got: trace.len(),
             });
         }
-        self.completed.insert(unit_index, trace);
+        self.completed.insert(self.unit_index(point, metric), trace);
         Ok(())
     }
 
     /// The campaign spec this runner executes.
     pub fn spec(&self) -> &CampaignSpec {
         &self.spec
-    }
-
-    /// All work units, in execution order.
-    pub fn units(&self) -> &[WorkUnit] {
-        &self.units
     }
 
     /// Number of completed units.
@@ -480,65 +450,140 @@ impl CampaignRunner {
 
     /// Number of still-pending units.
     pub fn remaining(&self) -> usize {
-        self.units.len() - self.completed.len()
+        self.spec.unit_count() - self.completed.len()
     }
 
     /// `true` when every unit has a trace.
     pub fn is_complete(&self) -> bool {
-        self.completed.len() == self.units.len()
+        self.remaining() == 0
     }
 
-    fn next_pending(&self) -> Option<usize> {
-        (self.cursor..self.units.len()).find(|i| !self.completed.contains_key(i))
+    /// Design points per benchmark: the training design, then the test
+    /// design.
+    fn points_per_benchmark(&self) -> usize {
+        self.spec.config.train_points + self.spec.config.test_points
     }
 
-    fn design_point(&self, unit: &WorkUnit) -> &DesignPoint {
-        match unit.role {
-            UnitRole::Train => &self.train_design[unit.point_index],
-            UnitRole::Test => &self.test_design[unit.point_index],
+    /// Number of design points across all benchmarks.
+    fn point_count(&self) -> usize {
+        self.spec.benchmarks.len() * self.points_per_benchmark()
+    }
+
+    /// Benchmark, role and index within its design of design point
+    /// `point`.
+    fn point(&self, point: usize) -> (Benchmark, UnitRole, usize) {
+        let per = self.points_per_benchmark();
+        let train = self.spec.config.train_points;
+        let (role, index) = match point % per {
+            i if i < train => (UnitRole::Train, i),
+            i => (UnitRole::Test, i - train),
+        };
+        (self.spec.benchmarks[point / per], role, index)
+    }
+
+    /// Canonical index of the unit for `spec.metrics[metric]` at design
+    /// point `point`.
+    fn unit_index(&self, point: usize, metric: usize) -> usize {
+        let per = self.points_per_benchmark();
+        (point / per * self.spec.metrics.len() + metric) * per + point % per
+    }
+
+    /// The unit at canonical index `index` and its design point: the
+    /// inverse of [`CampaignRunner::unit_index`].
+    fn unit(&self, index: usize) -> (usize, WorkUnit) {
+        let (per, metrics) = (self.points_per_benchmark(), self.spec.metrics.len());
+        let point = index / (per * metrics) * per + index % per;
+        let (benchmark, role, point_index) = self.point(point);
+        let metric = self.spec.metrics[index / per % metrics];
+        let unit = WorkUnit {
+            benchmark,
+            metric,
+            role,
+            point_index,
+        };
+        (point, unit)
+    }
+
+    /// `(design point, metric position)` of `unit`, or `None` when it lies
+    /// outside this campaign.
+    fn locate(&self, unit: &WorkUnit) -> Option<(usize, usize)> {
+        let spec = &self.spec;
+        let benchmark = spec.benchmarks.iter().position(|&b| b == unit.benchmark)?;
+        let metric = spec.metrics.iter().position(|&m| m == unit.metric)?;
+        let (train, test) = (spec.config.train_points, spec.config.test_points);
+        let offset = match unit.role {
+            UnitRole::Train if unit.point_index < train => 0,
+            UnitRole::Test if unit.point_index < test => train,
+            _ => return None,
+        };
+        let point = benchmark * self.points_per_benchmark() + offset + unit.point_index;
+        Some((point, metric))
+    }
+
+    /// `true` while any metric's unit at design point `point` is pending.
+    fn is_pending(&self, point: usize) -> bool {
+        (0..self.spec.metrics.len())
+            .any(|metric| !self.completed.contains_key(&self.unit_index(point, metric)))
+    }
+
+    /// The one executor body: simulates design point `point` once and
+    /// derives the trace of every metric still pending there. Returns the
+    /// `(canonical unit index, trace)` pairs and their newline-terminated
+    /// journal lines, in metric order. Records nothing, so worker threads
+    /// can share the runner; the caller appends the lines in one write
+    /// and then records the traces.
+    fn run_point(&self, point: usize) -> (Vec<(usize, Vec<f64>)>, String) {
+        let (benchmark, role, point_index) = self.point(point);
+        let design = match role {
+            UnitRole::Train => &self.train_design[point_index],
+            UnitRole::Test => &self.test_design[point_index],
+        };
+        let (indices, metrics): (Vec<usize>, Vec<Metric>) = (self.spec.metrics.iter().enumerate())
+            .map(|(m, &metric)| (self.unit_index(point, m), metric))
+            .filter(|(i, _)| !self.completed.contains_key(i))
+            .unzip();
+        let traces = simulate_metrics(benchmark, design, &metrics, &self.spec.config.sim_options());
+        let mut lines = String::new();
+        for (metric, trace) in metrics.into_iter().zip(&traces) {
+            let unit = WorkUnit {
+                benchmark,
+                metric,
+                role,
+                point_index,
+            };
+            lines.push_str(&journal_line(&unit, trace));
+            observe_unit_done(&unit);
         }
+        (indices.into_iter().zip(traces).collect(), lines)
     }
 
-    /// Simulates the next pending unit and records its trace. Returns the
-    /// unit and its newline-terminated journal line, or `None` when the
-    /// campaign is complete. Append the line to durable storage *before*
-    /// acting on the result to keep the journal ahead of the computation.
-    pub fn run_next(&mut self) -> Option<(WorkUnit, String)> {
-        let i = self.next_pending()?;
-        self.cursor = i;
-        self.run_unit(i)
+    /// Runs design point `point` and records its traces; returns its lines.
+    fn record(&mut self, point: usize) -> String {
+        let (traces, lines) = self.run_point(point);
+        self.completed.extend(traces);
+        lines
     }
 
-    /// Simulates the unit at `index` if it is still pending, recording its
-    /// trace. Returns the unit and its newline-terminated journal line, or
-    /// `None` when `index` is out of range or already completed. This is
-    /// the random-access sibling of [`CampaignRunner::run_next`] that
-    /// sharded executors drive.
-    pub fn run_unit(&mut self, index: usize) -> Option<(WorkUnit, String)> {
-        if index >= self.units.len() || self.completed.contains_key(&index) {
-            return None;
-        }
-        let unit = self.units[index];
-        let trace = trace_for(
-            unit.benchmark,
-            self.design_point(&unit),
-            unit.metric,
-            &self.spec.config.sim_options(),
-        );
-        let line = journal_line(&unit, &trace);
-        self.completed.insert(index, trace);
-        observe_unit_done(&unit);
-        Some((unit, line))
+    /// Simulates the next design point with pending units and records its
+    /// traces. Returns the point's newline-terminated journal lines — one
+    /// per metric still pending there — or `None` when the campaign is
+    /// complete. Append the lines to durable storage, in one write,
+    /// *before* acting on the result to keep the journal ahead of the
+    /// computation.
+    pub fn run_next(&mut self) -> Option<String> {
+        let point = (self.cursor..self.point_count()).find(|&p| self.is_pending(p))?;
+        self.cursor = point;
+        Some(self.record(point))
     }
 
     /// The full journal text for the current state: header plus one line
-    /// per completed unit, in execution order. Writing this to disk
+    /// per completed unit, in canonical order. Writing this to disk
     /// produces a journal that [`CampaignRunner::resume`] accepts and
     /// that is free of any partial tail.
     pub fn journal(&self) -> String {
         let mut out = journal::header(MAGIC, self.spec.fingerprint());
         for (&i, trace) in &self.completed {
-            out.push_str(&journal_line(&self.units[i], trace));
+            out.push_str(&journal_line(&self.unit(i).1, trace));
         }
         out
     }
@@ -560,24 +605,23 @@ impl CampaignRunner {
             });
         }
         let cfg = &self.spec.config;
+        let per = self.points_per_benchmark();
         let mut evals = Vec::new();
-        for &benchmark in &self.spec.benchmarks {
-            for &metric in &self.spec.metrics {
-                let gather = |role: UnitRole| -> Vec<Vec<f64>> {
-                    self.units
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, u)| {
-                            u.benchmark == benchmark && u.metric == metric && u.role == role
-                        })
-                        .filter_map(|(i, _)| self.completed.get(&i).cloned())
+        for (b, &benchmark) in self.spec.benchmarks.iter().enumerate() {
+            for (m, &metric) in self.spec.metrics.iter().enumerate() {
+                // A pair's units are contiguous in canonical order: its
+                // training traces, then its test traces.
+                let first = self.unit_index(b * per, m);
+                let gather = |units: std::ops::Range<usize>| -> Vec<Vec<f64>> {
+                    units
+                        .filter_map(|i| self.completed.get(&i).cloned())
                         .collect()
                 };
                 let train = TraceSet {
                     benchmark,
                     metric,
                     points: self.train_design.clone(),
-                    traces: gather(UnitRole::Train),
+                    traces: gather(first..first + cfg.train_points),
                 };
                 let (model, degradation) = match WaveletNeuralPredictor::train_resilient(
                     &train,
@@ -594,7 +638,7 @@ impl CampaignRunner {
                     benchmark,
                     metric,
                     points: self.test_design.clone(),
-                    traces: gather(UnitRole::Test),
+                    traces: gather(first + cfg.train_points..first + per),
                 };
                 let mut eval = score_model(benchmark, metric, model, test);
                 eval.degradation = degradation;
@@ -605,8 +649,8 @@ impl CampaignRunner {
     }
 }
 
-/// A campaign partitioned into shards: unit `i` belongs to shard
-/// `i % shards`, always — the assignment depends only on the spec, never
+/// A campaign partitioned into shards: design point `p` belongs to shard
+/// `p % shards`, always — the assignment depends only on the spec, never
 /// on thread scheduling, which is the first half of the determinism
 /// argument (DESIGN.md §10). The second half is the merge:
 /// completed traces land in the runner's `BTreeMap` keyed by canonical
@@ -614,9 +658,9 @@ impl CampaignRunner {
 /// [`ShardedCampaign::finish`] are byte-identical for any shard count.
 ///
 /// Like [`CampaignRunner`] this is storage-agnostic — [`ShardedCampaign::step`]
-/// advances one shard by one unit and hands back the journal line, and
-/// [`ShardedCampaign::ingest_shard_journal`] rebuilds progress from
-/// sidecar text — which is what lets the `dynawave-testkit` stress
+/// advances one shard by one design point and hands back its journal
+/// lines, and [`ShardedCampaign::ingest_shard_journal`] rebuilds progress
+/// from sidecar text — which is what lets the `dynawave-testkit` stress
 /// harness drive it through arbitrary interleavings and mid-run kills
 /// in-memory. The file-backed threaded driver is
 /// [`run_journaled_parallel`].
@@ -624,8 +668,6 @@ impl CampaignRunner {
 pub struct ShardedCampaign {
     runner: CampaignRunner,
     shards: usize,
-    /// Unit indices owned by each shard, in canonical order.
-    queues: Vec<Vec<usize>>,
 }
 
 impl ShardedCampaign {
@@ -637,31 +679,15 @@ impl ShardedCampaign {
 
     /// Partitions an existing (possibly partially complete) runner.
     pub fn from_runner(runner: CampaignRunner, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let mut queues = vec![Vec::new(); shards];
-        for i in 0..runner.units.len() {
-            queues[i % shards].push(i);
-        }
         ShardedCampaign {
             runner,
-            shards,
-            queues,
+            shards: shards.max(1),
         }
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// The underlying runner.
-    pub fn runner(&self) -> &CampaignRunner {
-        &self.runner
-    }
-
-    /// Unwraps the underlying runner.
-    pub fn into_runner(self) -> CampaignRunner {
-        self.runner
     }
 
     /// Number of completed units across all shards.
@@ -674,31 +700,21 @@ impl ShardedCampaign {
         self.runner.is_complete()
     }
 
-    /// Pending unit indices owned by `shard`, in canonical order.
-    pub fn pending_for_shard(&self, shard: usize) -> Vec<usize> {
-        self.queues
-            .get(shard)
-            .map(|q| {
-                q.iter()
-                    .copied()
-                    .filter(|i| !self.runner.completed.contains_key(i))
-                    .collect()
-            })
-            .unwrap_or_default()
+    /// Design points owned by `shard` that still have pending units, in
+    /// order; none for an out-of-range shard.
+    fn pending_points(&self, shard: usize) -> impl Iterator<Item = usize> + '_ {
+        (shard..self.runner.point_count())
+            .step_by(self.shards)
+            .filter(move |&p| shard < self.shards && self.runner.is_pending(p))
     }
 
-    /// Runs `shard`'s next pending unit. Returns the unit and its journal
-    /// line (append it to the shard's sidecar before acting on the
-    /// result), or `None` when the shard index is out of range or the
-    /// shard has no pending work.
-    pub fn step(&mut self, shard: usize) -> Option<(WorkUnit, String)> {
-        let next = self
-            .queues
-            .get(shard)?
-            .iter()
-            .copied()
-            .find(|i| !self.runner.completed.contains_key(i))?;
-        self.runner.run_unit(next)
+    /// Runs `shard`'s next design point with pending units. Returns the
+    /// point's journal lines (append them to the shard's sidecar in one
+    /// write before acting on the result), or `None` when the shard index
+    /// is out of range or the shard has no pending work.
+    pub fn step(&mut self, shard: usize) -> Option<String> {
+        let point = self.pending_points(shard).next()?;
+        Some(self.runner.record(point))
     }
 
     /// The full sidecar journal text for one shard: the canonical header,
@@ -707,11 +723,10 @@ impl ShardedCampaign {
     pub fn shard_journal(&self, shard: usize) -> String {
         let mut out = journal::header(MAGIC, self.runner.spec.fingerprint());
         out.push_str(&format!("shard {shard} of {}\n", self.shards));
-        if let Some(queue) = self.queues.get(shard) {
-            for i in queue {
-                if let Some(trace) = self.runner.completed.get(i) {
-                    out.push_str(&journal_line(&self.runner.units[*i], trace));
-                }
+        for (&i, trace) in &self.runner.completed {
+            let (point, unit) = self.runner.unit(i);
+            if point % self.shards == shard {
+                out.push_str(&journal_line(&unit, trace));
             }
         }
         out
@@ -730,13 +745,12 @@ impl ShardedCampaign {
     /// of range for the declared count.
     pub fn ingest_shard_journal(&mut self, text: &str) -> Result<(usize, usize), CampaignError> {
         let mut lines = self.runner.verify(text)?;
-        let declared = lines.next().and_then(|(_, l)| parse_shard_line(l)).ok_or(
+        let (shard, of) = lines.next().and_then(|(_, l)| parse_shard_line(l)).ok_or(
             CampaignError::Malformed {
                 line: 3,
                 expected: "shard <k> of <n>",
             },
         )?;
-        let (shard, of) = declared;
         if of != self.shards {
             return Err(CampaignError::ShardMismatch {
                 expected: self.shards,
@@ -792,9 +806,11 @@ const UNIT_LATENCY_BOUNDS: [f64; 6] = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 /// the parallel merge sorts worker segments by. The tick delta since the
 /// previous heartbeat lands in the `campaign.unit_latency` histogram, so
 /// `obs_report` gets a latency distribution without re-deriving it from
-/// raw spans. Deltas count recorder activity per unit, which is
-/// identical for every worker split of the same unit set — histograms
-/// with matching bounds sum across workers at merge time.
+/// raw spans. A point's simulation lands in the delta of its first
+/// pending unit; its other units' deltas cover their heartbeat alone.
+/// Deltas count recorder activity per point, which is identical for
+/// every worker split of the same point set — histograms with matching
+/// bounds sum across workers at merge time.
 fn observe_unit_done(unit: &WorkUnit) {
     if dynawave_obs::is_enabled() {
         dynawave_obs::marker_latency(
@@ -850,10 +866,11 @@ fn journal_line(unit: &WorkUnit, trace: &[f64]) -> String {
 }
 
 /// Opens (or creates) the canonical journal at `path` and runs at most
-/// `max_units` pending units on the calling thread, appending each
-/// completed unit's line to it before moving on. Returns the total number
-/// of completed units afterwards. The journal is first rewritten from the
-/// parsed state (see [`run_journaled_parallel`]), dropping a torn tail.
+/// `max_points` design points with pending units on the calling thread,
+/// appending each point's lines to it before moving on. Returns the total
+/// number of completed units afterwards. The journal is first rewritten
+/// from the parsed state (see [`run_journaled_parallel`]), dropping a
+/// torn tail.
 ///
 /// # Errors
 ///
@@ -861,20 +878,15 @@ fn journal_line(unit: &WorkUnit, trace: &[f64]) -> String {
 pub fn advance_journaled(
     spec: &CampaignSpec,
     path: &Path,
-    max_units: usize,
+    max_points: usize,
 ) -> Result<usize, CampaignError> {
-    let mut runner = load_sharded(spec, path, 1)?.into_runner();
+    let sharded = load_sharded(spec, path, 1)?;
     // The canonical rewrite already holds shard 0's units; this driver
     // appends to the canonical journal only.
     let _ = std::fs::remove_file(shard_path(path, 0));
-    let mut appender = Appender::open(path)?;
-    for _ in 0..max_units {
-        match runner.run_next() {
-            Some((_, line)) => appender.append(&line)?,
-            None => break,
-        }
-    }
-    Ok(runner.completed_count())
+    let points: Vec<usize> = sharded.pending_points(0).take(max_points).collect();
+    let outcome = run_points(&sharded.runner, &points, path, false)?;
+    Ok(sharded.completed_count() + outcome.completed.len())
 }
 
 /// Runs a campaign to completion against the journal at `path` — creating
@@ -897,7 +909,7 @@ pub fn run_journaled(
 /// evaluations, the final report, and the final journal bytes are
 /// identical for every thread count; with tracing enabled, each worker
 /// records to its own recorder and the streams merge deterministically in
-/// canonical unit order (see [`dynawave_obs::absorb_workers`]).
+/// design-point order (see [`dynawave_obs::absorb_workers`]).
 ///
 /// A killed run resumes by calling this again with the same spec, path
 /// and thread count, to a byte-identical report; surviving sidecars (torn
@@ -924,29 +936,13 @@ pub fn run_journaled_parallel(
         journal::rewrite(&shard_path(path, shard), &sharded.shard_journal(shard))?;
     }
     let traced = dynawave_obs::is_enabled();
-    let opts = sharded.runner.spec.config.sim_options();
-    // Snapshot each shard's pending work as (canonical index, unit,
-    // design point) so workers never touch shared state.
-    let work: Vec<Vec<(usize, WorkUnit, DesignPoint)>> = (0..threads)
-        .map(|shard| {
-            sharded
-                .pending_for_shard(shard)
-                .into_iter()
-                .map(|i| {
-                    let unit = sharded.runner.units[i];
-                    (i, unit, sharded.runner.design_point(&unit).clone())
-                })
-                .collect()
-        })
-        .collect();
+    let runner = &sharded.runner;
     let outcomes: Vec<Result<ShardOutcome, CampaignError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = work
-            .iter()
-            .enumerate()
-            .map(|(shard, units)| {
-                let opts = &opts;
+        let handles: Vec<_> = (0..threads)
+            .map(|shard| {
+                let points: Vec<usize> = sharded.pending_points(shard).collect();
                 let sidecar = shard_path(path, shard);
-                scope.spawn(move || run_shard(units, opts, &sidecar, traced))
+                scope.spawn(move || run_points(runner, &points, &sidecar, traced))
             })
             .collect();
         handles
@@ -969,11 +965,17 @@ pub fn run_journaled_parallel(
         recorders.extend(outcome.recorder);
     }
     if traced {
-        // Sort worker event segments into canonical unit order so the
-        // merged stream is byte-identical for any thread count.
-        let order: BTreeMap<String, usize> = sharded.runner.index.clone();
-        dynawave_obs::absorb_workers(recorders, "campaign.heartbeat", move |detail| {
-            order.get(detail).map(|i| *i as u64).unwrap_or(u64::MAX)
+        // Sort worker event segments by (design point, metric) — the
+        // order one worker runs them in — so the merged stream is
+        // byte-identical for any thread count.
+        let runner = &sharded.runner;
+        let metrics = runner.spec.metrics.len() as u64;
+        dynawave_obs::absorb_workers(recorders, "campaign.heartbeat", |detail| {
+            WorkUnit::parse(&mut detail.split_whitespace())
+                .and_then(|unit| runner.locate(&unit))
+                .map_or(u64::MAX, |(point, metric)| {
+                    point as u64 * metrics + metric as u64
+                })
         });
     }
     journal::rewrite(path, &sharded.runner.journal())?;
@@ -983,37 +985,38 @@ pub fn run_journaled_parallel(
     sharded.runner.finish()
 }
 
-/// What one worker thread hands back to the merge.
+/// What one executor run hands back to the merge.
 struct ShardOutcome {
-    /// `(canonical unit index, trace)` for every unit the worker ran.
+    /// `(canonical unit index, trace)` for every unit it ran.
     completed: Vec<(usize, Vec<f64>)>,
     /// The worker's thread-local recorder, when tracing was on.
     recorder: Option<dynawave_obs::Recorder>,
 }
 
-/// Worker body: simulate each assigned unit, appending its journal line
-/// to the shard's sidecar *before* moving on so the journal stays ahead
-/// of the computation.
-fn run_shard(
-    units: &[(usize, WorkUnit, DesignPoint)],
-    opts: &dynawave_sim::SimOptions,
-    sidecar: &Path,
+/// Executor body of both file-backed drivers: runs each design point in
+/// `points`, appending the point's journal lines to `journal` in one
+/// write *before* moving on so the journal stays ahead of the
+/// computation. A `traced` worker thread records to its own recorder and
+/// hands it back; untraced, events go to the calling thread's recorder.
+fn run_points(
+    runner: &CampaignRunner,
+    points: &[usize],
+    journal: &Path,
     traced: bool,
 ) -> Result<ShardOutcome, CampaignError> {
     if traced {
         dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
     }
-    let mut appender = Appender::open(sidecar)?;
-    let mut completed = Vec::with_capacity(units.len());
-    for (i, unit, point) in units {
-        let trace = trace_for(unit.benchmark, point, unit.metric, opts);
-        appender.append(&journal_line(unit, &trace))?;
-        observe_unit_done(unit);
-        completed.push((*i, trace));
+    let mut appender = Appender::open(journal)?;
+    let mut completed = Vec::new();
+    for &point in points {
+        let (traces, lines) = runner.run_point(point);
+        appender.append(&lines)?;
+        completed.extend(traces);
     }
     Ok(ShardOutcome {
         completed,
-        recorder: dynawave_obs::take(),
+        recorder: if traced { dynawave_obs::take() } else { None },
     })
 }
 
@@ -1129,13 +1132,42 @@ mod tests {
     fn fresh_campaign_enumerates_units_in_order() {
         let spec = tiny_spec();
         let runner = CampaignRunner::new(spec.clone());
-        assert_eq!(runner.units().len(), 16);
-        assert_eq!(runner.units().len(), spec.unit_count());
-        assert_eq!(runner.units()[0].role, UnitRole::Train);
-        assert_eq!(runner.units()[12].role, UnitRole::Test);
-        assert_eq!(runner.units()[3].key(), "eon cpi train 3");
+        assert_eq!(spec.unit_count(), 16);
+        assert_eq!(runner.unit(0).1.role, UnitRole::Train);
+        assert_eq!(runner.unit(12).1.role, UnitRole::Test);
+        assert_eq!(runner.unit(3).1.key(), "eon cpi train 3");
         assert_eq!(runner.remaining(), 16);
         assert!(!runner.is_complete());
+    }
+
+    #[test]
+    fn point_and_unit_numberings_are_inverse() {
+        let mut spec = tiny_spec();
+        spec.benchmarks.push(Benchmark::Mcf);
+        spec.metrics.extend([Metric::Power, Metric::Avf]);
+        let runner = CampaignRunner::new(spec.clone());
+        assert_eq!(runner.point_count(), 32);
+        let mut seen = vec![false; spec.unit_count()];
+        for point in 0..runner.point_count() {
+            for metric in 0..spec.metrics.len() {
+                let index = runner.unit_index(point, metric);
+                assert!(!std::mem::replace(&mut seen[index], true), "{index} twice");
+                let (of, unit) = runner.unit(index);
+                assert_eq!(of, point);
+                assert_eq!(runner.locate(&unit), Some((point, metric)));
+                let key = unit.key();
+                assert_eq!(WorkUnit::parse(&mut key.split_whitespace()), Some(unit));
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
+        // Canonical order: benchmark, metric, role, point index.
+        assert_eq!(runner.unit(16).1.key(), "eon power train 0");
+        assert_eq!(runner.unit(60).1.key(), "mcf cpi test 0");
+        let outside = WorkUnit {
+            point_index: 4,
+            ..runner.unit(12).1
+        };
+        assert_eq!(runner.locate(&outside), None);
     }
 
     #[test]

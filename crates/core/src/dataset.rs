@@ -3,7 +3,7 @@
 use dynawave_avf::{AvfModel, Structure};
 use dynawave_power::PowerModel;
 use dynawave_sampling::DesignPoint;
-use dynawave_sim::{MachineConfig, RunResult, SimOptions, Simulator};
+use dynawave_sim::{MachineConfig, SimOptions, Simulator};
 use dynawave_workloads::Benchmark;
 
 /// Which workload-dynamics metric a trace measures.
@@ -93,26 +93,33 @@ pub fn trace_for(
     metric: Metric,
     opts: &SimOptions,
 ) -> Vec<f64> {
-    let config = MachineConfig::from_design_values(point.values());
-    let run = Simulator::new(config.clone()).run(benchmark, opts);
-    metric_trace(&run, &config, metric)
+    simulate_metrics(benchmark, point, &[metric], opts).swap_remove(0)
 }
 
-/// Derives the dynamics trace for `metric` from one simulated run — the
-/// only place a metric trace is computed from a [`RunResult`].
-fn metric_trace(run: &RunResult, config: &MachineConfig, metric: Metric) -> Vec<f64> {
-    match metric {
-        Metric::Cpi => run.cpi_trace(),
-        Metric::Power => PowerModel::new(config).power_trace(run),
-        Metric::Avf => {
-            let avf = AvfModel::new(config);
-            run.intervals
-                .iter()
-                .map(|i| avf.interval_report(i).combined(config))
-                .collect()
-        }
-        Metric::IqAvf => AvfModel::new(config).avf_trace(run, Structure::IssueQueue),
-    }
+/// Simulates one design point **once** and derives the trace of each of
+/// `metrics` from that run, in order: the one simulate path behind
+/// [`trace_for`], [`collect_domain_traces`] and campaign design points,
+/// and the only place a metric trace is computed from a run.
+pub(crate) fn simulate_metrics(
+    benchmark: Benchmark,
+    point: &DesignPoint,
+    metrics: &[Metric],
+    opts: &SimOptions,
+) -> Vec<Vec<f64>> {
+    let config = MachineConfig::from_design_values(point.values());
+    let run = Simulator::new(config.clone()).run(benchmark, opts);
+    let avf = AvfModel::new(&config);
+    metrics
+        .iter()
+        .map(|metric| match metric {
+            Metric::Cpi => run.cpi_trace(),
+            Metric::Power => PowerModel::new(&config).power_trace(&run),
+            Metric::Avf => (run.intervals.iter())
+                .map(|i| avf.interval_report(i).combined(&config))
+                .collect(),
+            Metric::IqAvf => avf.avf_trace(&run, Structure::IssueQueue),
+        })
+        .collect()
 }
 
 /// Simulates every design point **once** and extracts all three domain
@@ -132,10 +139,9 @@ pub fn collect_domain_traces(
         traces: Vec::with_capacity(points.len()),
     });
     for point in points {
-        let config = MachineConfig::from_design_values(point.values());
-        let run = Simulator::new(config.clone()).run(benchmark, opts);
-        for set in &mut sets {
-            set.traces.push(metric_trace(&run, &config, set.metric));
+        let traces = simulate_metrics(benchmark, point, &Metric::DOMAINS, opts);
+        for (set, trace) in sets.iter_mut().zip(traces) {
+            set.traces.push(trace);
         }
     }
     sets

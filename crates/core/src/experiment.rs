@@ -91,36 +91,52 @@ impl ExperimentConfig {
     /// # Errors
     ///
     /// [`EnvConfigError`] naming the variable, its value and the expected
-    /// type if a variable is **set but unparseable**. A typo like
-    /// `DYNAWAVE_TRAIN=2OO` must abort the campaign loudly, not silently
-    /// run at paper scale.
+    /// type if a variable is **set but unparseable or out of range**. A
+    /// typo like `DYNAWAVE_TRAIN=2OO` must abort the campaign loudly, not
+    /// silently run at paper scale, and `DYNAWAVE_SAMPLES` (a power of two
+    /// of at least 2, as wavelet decomposition needs) or
+    /// `DYNAWAVE_INTERVAL` (positive) values the simulator cannot run
+    /// must be refused here, not deep inside a later simulation.
     pub fn from_env() -> Result<Self, EnvConfigError> {
         fn env<T: std::str::FromStr>(
             name: &'static str,
             expected: &'static str,
             default: T,
+            valid: fn(&T) -> bool,
         ) -> Result<T, EnvConfigError> {
             // dynalint:allow(D004) -- from_env() is the documented, explicit config entry point
             match std::env::var(name) {
-                Ok(value) => value.parse().map_err(|_| EnvConfigError {
-                    name,
-                    value,
-                    expected,
-                }),
+                Ok(value) => match value.parse() {
+                    Ok(parsed) if valid(&parsed) => Ok(parsed),
+                    _ => Err(EnvConfigError {
+                        name,
+                        value,
+                        expected,
+                    }),
+                },
                 Err(_) => Ok(default),
             }
         }
+        fn any<T>(_: &T) -> bool {
+            true
+        }
         let d = ExperimentConfig::default();
         Ok(ExperimentConfig {
-            train_points: env("DYNAWAVE_TRAIN", "a point count", d.train_points)?,
-            test_points: env("DYNAWAVE_TEST", "a point count", d.test_points)?,
-            samples: env("DYNAWAVE_SAMPLES", "a power-of-two sample count", d.samples)?,
+            train_points: env("DYNAWAVE_TRAIN", "a point count", d.train_points, any)?,
+            test_points: env("DYNAWAVE_TEST", "a point count", d.test_points, any)?,
+            samples: env(
+                "DYNAWAVE_SAMPLES",
+                "a power-of-two sample count of at least 2",
+                d.samples,
+                |&n| n >= 2 && n.is_power_of_two(),
+            )?,
             interval_instructions: env(
                 "DYNAWAVE_INTERVAL",
-                "an instruction count",
+                "a positive instruction count",
                 d.interval_instructions,
+                |&n| n > 0,
             )?,
-            seed: env("DYNAWAVE_SEED", "a 64-bit seed", d.seed)?,
+            seed: env("DYNAWAVE_SEED", "a 64-bit seed", d.seed, any)?,
             ..d
         })
     }
@@ -392,6 +408,23 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("DYNAWAVE_TRAIN"), "{msg}");
         assert!(msg.contains("2OO"), "{msg}");
+        std::env::remove_var("DYNAWAVE_TRAIN");
+        // Parseable but out of range: refused before any simulation.
+        for (name, value) in [
+            ("DYNAWAVE_SAMPLES", "0"),
+            ("DYNAWAVE_SAMPLES", "1"),
+            ("DYNAWAVE_SAMPLES", "100"),
+            ("DYNAWAVE_INTERVAL", "0"),
+        ] {
+            std::env::set_var(name, value);
+            let err = ExperimentConfig::from_env().unwrap_err();
+            assert_eq!((err.name, err.value.as_str()), (name, value));
+            std::env::remove_var(name);
+        }
+        std::env::set_var("DYNAWAVE_SAMPLES", "64");
+        std::env::set_var("DYNAWAVE_INTERVAL", "1");
+        let cfg = ExperimentConfig::from_env().unwrap();
+        assert_eq!((cfg.samples, cfg.interval_instructions), (64, 1));
         for v in vars {
             std::env::remove_var(v);
         }

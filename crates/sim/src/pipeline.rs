@@ -86,14 +86,7 @@ impl Simulator {
     ///
     /// Panics if `opts.samples == 0` or `opts.interval_instructions == 0`.
     pub fn run(&self, benchmark: Benchmark, opts: &SimOptions) -> RunResult {
-        assert!(opts.samples > 0, "need at least one sample interval");
-        assert!(
-            opts.interval_instructions > 0,
-            "need a positive interval length"
-        );
-        let total = opts.samples as u64 * opts.interval_instructions;
-        let trace = TraceGenerator::new(benchmark, total, opts.seed);
-        self.run_trace(trace, opts)
+        self.run_with_warmup(benchmark, opts, 0)
     }
 
     /// As [`Simulator::run`], but executes `warmup_instructions` first
@@ -117,17 +110,10 @@ impl Simulator {
         );
         let total = warmup_instructions + opts.samples as u64 * opts.interval_instructions;
         let mut trace = TraceGenerator::new(benchmark, total, opts.seed);
-        if warmup_instructions == 0 {
-            return self.run_trace(trace, opts);
-        }
-        // Run the warm-up through a throwaway engine pass by splitting the
-        // generator: consume the prefix through the same engine, then keep
-        // sampling. run_trace cannot express "discard prefix", so inline.
-        let c = &self.config;
-        let mut engine = Engine::new(c);
+        // Warm the engine on the generator's prefix, discarding its
+        // statistics, then sample the rest of the stream on the same engine.
+        let mut engine = Engine::new(&self.config);
         let mut scratch = IntervalStats::default();
-        // The generator produces warmup + samples * interval instructions,
-        // so this prefix always exists; take() makes that panic-free.
         for instr in trace.by_ref().take(warmup_instructions as usize) {
             engine.step(&instr, &mut scratch);
         }

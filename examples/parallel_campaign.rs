@@ -2,9 +2,10 @@
 //! domain (3), sharded across worker threads with a deterministic merge.
 //!
 //! This is the paper's Table-2-style sweep run the way a cluster would
-//! run it — embarrassingly parallel over (benchmark, metric, role,
-//! design-point) work units — with the guarantee the sequential driver
-//! gives: the report is **byte-identical for any thread count**. stdout
+//! run it — embarrassingly parallel over (benchmark, role, design-point)
+//! points, each simulated once for all three metrics — with the
+//! guarantee the sequential driver gives: the report is
+//! **byte-identical for any thread count**. stdout
 //! carries only that deterministic report (`ci.sh --par` byte-compares it
 //! between 1 and 4 threads); progress and wall-clock timing go to stderr.
 //!

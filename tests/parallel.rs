@@ -8,10 +8,11 @@
 
 use dynawave_core::campaign::{
     run_journaled, run_journaled_parallel, shard_path, threads_from_env, CampaignError,
-    CampaignRunner, CampaignSpec, ShardedCampaign,
+    CampaignRunner, CampaignSpec, ShardedCampaign, UnitRole,
 };
 use dynawave_core::experiment::ExperimentConfig;
-use dynawave_core::{report, Metric};
+use dynawave_core::{report, trace_for, Metric};
+use dynawave_obs::EventKind;
 use dynawave_testkit::stress::{stress_parallel, StressOp};
 use dynawave_workloads::Benchmark;
 use std::fs;
@@ -108,6 +109,108 @@ fn reports_and_journals_byte_identical_across_thread_counts() {
     }
 }
 
+/// Runs `f` under a fresh tick-clock recorder and returns its result with
+/// the number of simulator runs (`sim.run_trace` spans) it made.
+fn counting_sim_runs<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let prior = dynawave_obs::take();
+    dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
+    let out = f();
+    let events = dynawave_obs::drain().expect("recorder was installed");
+    if let Some(prior) = prior {
+        dynawave_obs::install(prior);
+    }
+    let runs = events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanEnter && e.name == "sim.run_trace")
+        .count();
+    (out, runs)
+}
+
+/// The canonical journal built unit by unit: one `trace_for` simulation
+/// per (benchmark, metric, role, point), in canonical order.
+fn per_unit_oracle_journal(spec: &CampaignSpec) -> String {
+    let cfg = &spec.config;
+    let opts = cfg.sim_options();
+    let mut out = CampaignRunner::new(spec.clone()).journal();
+    for &benchmark in &spec.benchmarks {
+        for &metric in &spec.metrics {
+            for (role, design) in [
+                (UnitRole::Train, cfg.train_design()),
+                (UnitRole::Test, cfg.test_design()),
+            ] {
+                for (i, point) in design.iter().enumerate() {
+                    out.push_str(&format!(
+                        "unit {} {metric} {} {i}",
+                        benchmark.name(),
+                        role.name()
+                    ));
+                    for v in trace_for(benchmark, point, metric, &opts) {
+                        out.push_str(&format!(" {v}"));
+                    }
+                    out.push('\n');
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn one_simulation_per_design_point_at_any_thread_count() {
+    let spec = wide_spec(47);
+    let points = spec.benchmarks.len() * (spec.config.train_points + spec.config.test_points);
+    let oracle = per_unit_oracle_journal(&spec);
+    for threads in [1, 2, 4, 8] {
+        let scratch = Scratch::new(&format!("once-{threads}"));
+        let (evals, runs) =
+            counting_sim_runs(|| run_journaled_parallel(&spec, &scratch.0, threads));
+        evals.unwrap();
+        assert_eq!(runs, points, "simulator runs at {threads} threads");
+        assert_eq!(
+            fs::read_to_string(&scratch.0).unwrap(),
+            oracle,
+            "journal diverged from the per-unit oracle at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn resuming_a_partly_journaled_point_simulates_it_once_for_the_missing_metric() {
+    let spec = wide_spec(53);
+    let reference = Scratch::new("partial-point-ref");
+    run_journaled(&spec, &reference.0).unwrap();
+    let want_journal = fs::read_to_string(&reference.0).unwrap();
+
+    // The first point journals its cpi and power lines in one append; a
+    // kill tears the power line.
+    let mut first = CampaignRunner::new(spec.clone());
+    let lines = first.run_next().unwrap();
+    assert!(lines.starts_with("unit eon cpi train 0 "));
+    let journal = first.journal();
+    let power_line = lines.lines().nth(1).unwrap();
+    assert!(power_line.starts_with("unit eon power train 0 "));
+    assert!(journal.ends_with(&format!("{power_line}\n")));
+    let torn = &journal[..journal.len() - 7];
+
+    // In memory: the resumed point runs once and yields the power line only.
+    let mut resumed = CampaignRunner::resume(spec.clone(), torn).unwrap();
+    assert_eq!(resumed.completed_count(), 1);
+    let (lines, runs) = counting_sim_runs(|| resumed.run_next().unwrap());
+    assert_eq!(runs, 1);
+    assert_eq!(lines.lines().count(), 1);
+    assert!(lines.starts_with("unit eon power train 0 "), "{lines}");
+
+    // On disk: the resume simulates every point once and ends on the
+    // reference bytes.
+    let victim = Scratch::new("partial-point");
+    fs::write(&victim.0, torn).unwrap();
+    let (evals, runs) = counting_sim_runs(|| run_journaled(&spec, &victim.0));
+    evals.unwrap();
+    let points = spec.benchmarks.len() * (spec.config.train_points + spec.config.test_points);
+    assert_eq!(runs, points);
+    assert_eq!(fs::read_to_string(&victim.0).unwrap(), want_journal);
+}
+
 #[test]
 fn kill_and_resume_under_4_threads_is_byte_identical() {
     let spec = tiny_spec(43);
@@ -186,12 +289,18 @@ fn chaos_under_4_threads_degrades_identically_to_1_thread() {
 
 #[test]
 fn obs_streams_byte_identical_across_thread_counts_and_runs() {
-    let spec = tiny_spec(59);
+    for (tag, spec) in [("tiny", tiny_spec(59)), ("wide", wide_spec(59))] {
+        obs_streams_byte_identical(tag, &spec);
+    }
+}
+
+fn obs_streams_byte_identical(spec_tag: &str, spec: &CampaignSpec) {
     let traced_run = |threads: usize, tag: &str| {
-        let scratch = Scratch::new(tag);
+        let tag = format!("{spec_tag}-{tag}");
+        let scratch = Scratch::new(&tag);
         let prior = dynawave_obs::take();
         dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
-        let evals = run_journaled_parallel(&spec, &scratch.0, threads).unwrap();
+        let evals = run_journaled_parallel(spec, &scratch.0, threads).unwrap();
         let events = dynawave_obs::drain().expect("recorder was installed");
         if let Some(prior) = prior {
             dynawave_obs::install(prior);
@@ -203,20 +312,19 @@ fn obs_streams_byte_identical_across_thread_counts_and_runs() {
     let (evals_4, stream_4) = traced_run(4, "obs-4");
     let (_, stream_8) = traced_run(8, "obs-8");
     let (_, stream_4b) = traced_run(4, "obs-4b");
+    for (threads, stream) in [(4, &stream_4), (2, &stream_2), (8, &stream_8)] {
+        assert_eq!(
+            &stream_1, stream,
+            "{spec_tag}: stream diverged between 1 and {threads} threads"
+        );
+    }
     assert_eq!(
-        stream_1, stream_4,
-        "stream diverged between 1 and 4 threads"
+        stream_4, stream_4b,
+        "{spec_tag}: 4-thread stream diverged across runs"
     );
-    assert_eq!(
-        stream_1, stream_2,
-        "stream diverged between 1 and 2 threads"
-    );
-    assert_eq!(
-        stream_1, stream_8,
-        "stream diverged between 1 and 8 threads"
-    );
-    assert_eq!(stream_4, stream_4b, "4-thread stream diverged across runs");
-    assert_eq!(evals_1[0].nmse_per_test, evals_4[0].nmse_per_test);
+    for (one, four) in evals_1.iter().zip(&evals_4) {
+        assert_eq!(one.nmse_per_test, four.nmse_per_test);
+    }
     let summary = dynawave_obs::validate_stream(&stream_4);
     assert!(summary.is_clean(), "{:?}", summary.errors);
 }
@@ -309,18 +417,31 @@ fn parallel_resume_refuses_foreign_shard_counts() {
 
 #[test]
 fn stress_randomized_schedules_match_the_sequential_oracle() {
-    let spec = tiny_spec(73);
+    // The wide spec journals two lines per step, so its kills also tear
+    // a design point's append between its metrics.
+    for (label, spec) in [
+        ("sharded campaign vs sequential oracle", tiny_spec(73)),
+        (
+            "multi-metric sharded campaign vs sequential oracle",
+            wide_spec(73),
+        ),
+    ] {
+        stress_against_sequential_oracle(label, &spec);
+    }
+}
+
+fn stress_against_sequential_oracle(label: &str, spec: &CampaignSpec) {
     // Sequential oracle, computed once.
     let mut oracle = CampaignRunner::new(spec.clone());
     while oracle.run_next().is_some() {}
     let oracle_journal = oracle.journal();
     let oracle_report = report::full_report("campaign", &oracle.finish().unwrap());
 
-    stress_parallel("sharded campaign vs sequential oracle", 3, 12, |plan| {
+    stress_parallel(label, 3, 12, |plan| {
         let shards = plan.shards;
         let mut campaign = ShardedCampaign::new(spec.clone(), shards);
         // Shadow "disk": the persisted sidecar text per shard. Steps
-        // append their journal line, as the file-backed driver does.
+        // append their journal lines, as the file-backed driver does.
         let mut journals: Vec<String> = (0..shards)
             .map(|shard| campaign.shard_journal(shard))
             .collect();
@@ -329,8 +450,8 @@ fn stress_randomized_schedules_match_the_sequential_oracle() {
             match *op {
                 StressOp::Step(shard) => {
                     let shard = shard % shards;
-                    if let Some((_, line)) = campaign.step(shard) {
-                        journals[shard].push_str(&line);
+                    if let Some(lines) = campaign.step(shard) {
+                        journals[shard].push_str(&lines);
                     }
                 }
                 StressOp::Kill { shard, drop_bytes } => {

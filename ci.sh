@@ -144,6 +144,7 @@ if [ "$SERVE" = 1 ]; then
     echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c2\",\"kind\":\"sweep\",\"benchmark\":\"gcc\",\"metric\":\"cpi\",\"base\":$P1,\"axis\":0,\"values\":[2,4,8]}"
     echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c-stats\",\"kind\":\"stats\"}"
     echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c3\",\"kind\":\"predict\",\"benchmark\":\"nope\"}"
+    echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c4\",\"kind\":\"pareto\",\"benchmark\":\"gcc\",\"points\":[$P1,$P2]}"
   } > "$CI_TMP/serve_requests.jsonl"
   for t in 1 4; do
     env $SERVE_SCALE DYNAWAVE_THREADS=$t \
@@ -188,6 +189,14 @@ if [ "$SERVE" = 1 ]; then
     < "$CI_TMP/serve_requests.jsonl" > /dev/null 2> "$CI_TMP/serve_trace.jsonl"
   cargo run -q --release --offline -p dynawave-obs --bin obs_validate -- \
     --require-stages serve < "$CI_TMP/serve_trace.jsonl"
+  # One simulation per training point: gcc's CPI, power and AVF models
+  # all train from a single simulation of its DYNAWAVE_TRAIN=12 points.
+  runs=$(grep -c '"kind":"span_enter","name":"sim.run_trace"' "$CI_TMP/serve_trace.jsonl" || true)
+  if [ "$runs" != 12 ]; then
+    echo "serve simulated $runs training points, want 12" >&2
+    exit 1
+  fi
+  echo "serve: one simulator run per training point"
   # SLO soft gate: the traced session's predict tail latency, checked by
   # obs_report --slo. Soft like the perf ratchet — a violation warns.
   cargo run -q --release --offline -p dynawave-obs --bin obs_report -- \

@@ -98,7 +98,7 @@ pub fn trace_for(
 
 /// Simulates one design point **once** and derives the trace of each of
 /// `metrics` from that run, in order: the one simulate path behind
-/// [`trace_for`], [`collect_domain_traces`] and campaign design points,
+/// [`trace_for`], [`collect_metric_traces`] and campaign design points,
 /// and the only place a metric trace is computed from a run.
 pub(crate) fn simulate_metrics(
     benchmark: Benchmark,
@@ -122,29 +122,47 @@ pub(crate) fn simulate_metrics(
         .collect()
 }
 
+/// Simulates every design point **once** and derives the trace of each
+/// of `metrics` from the same runs: one [`TraceSet`] per metric, in
+/// order. The trace-set collector behind [`collect_traces`],
+/// [`collect_domain_traces`] and the serve model cache.
+pub(crate) fn collect_metric_traces(
+    benchmark: Benchmark,
+    points: &[DesignPoint],
+    metrics: &[Metric],
+    opts: &SimOptions,
+) -> Vec<TraceSet> {
+    let mut sets: Vec<TraceSet> = metrics
+        .iter()
+        .map(|&metric| TraceSet {
+            benchmark,
+            metric,
+            points: points.to_vec(),
+            traces: Vec::with_capacity(points.len()),
+        })
+        .collect();
+    for point in points {
+        let traces = simulate_metrics(benchmark, point, metrics, opts);
+        for (set, trace) in sets.iter_mut().zip(traces) {
+            set.traces.push(trace);
+        }
+    }
+    sets
+}
+
 /// Simulates every design point **once** and extracts all three domain
 /// traces (CPI, power, combined AVF) from the same runs.
 ///
-/// Equivalent to three [`collect_traces`] calls at a third of the
+/// The same traces as three [`collect_traces`] calls at a third of the
 /// simulation cost; used by the Figure 8/9/10 harnesses.
 pub fn collect_domain_traces(
     benchmark: Benchmark,
     points: &[DesignPoint],
     opts: &SimOptions,
 ) -> [TraceSet; 3] {
-    let mut sets = Metric::DOMAINS.map(|metric| TraceSet {
-        benchmark,
-        metric,
-        points: points.to_vec(),
-        traces: Vec::with_capacity(points.len()),
-    });
-    for point in points {
-        let traces = simulate_metrics(benchmark, point, &Metric::DOMAINS, opts);
-        for (set, trace) in sets.iter_mut().zip(traces) {
-            set.traces.push(trace);
-        }
-    }
-    sets
+    let sets = collect_metric_traces(benchmark, points, &Metric::DOMAINS, opts);
+    // dynalint:allow(D001) -- collect_metric_traces returns one set per metric asked for
+    sets.try_into().expect("one set per domain metric")
 }
 
 /// Simulates every design point and gathers the traces into a
@@ -159,16 +177,7 @@ pub fn collect_traces(
     metric: Metric,
     opts: &SimOptions,
 ) -> TraceSet {
-    let traces = points
-        .iter()
-        .map(|p| trace_for(benchmark, p, metric, opts))
-        .collect();
-    TraceSet {
-        benchmark,
-        metric,
-        points: points.to_vec(),
-        traces,
-    }
+    collect_metric_traces(benchmark, points, &[metric], opts).swap_remove(0)
 }
 
 #[cfg(test)]
@@ -194,6 +203,21 @@ mod tests {
         for t in &set.traces {
             assert_eq!(t.len(), 16);
             assert!(t.iter().all(|&v| v > 0.0));
+        }
+    }
+
+    #[test]
+    fn one_pass_collects_the_per_metric_traces_in_order() {
+        let space = DesignSpace::micro2007();
+        let pts = lhs::sample(&space, 3, 4);
+        let metrics = [Metric::IqAvf, Metric::Cpi, Metric::Power];
+        let sets = collect_metric_traces(Benchmark::Mcf, &pts, &metrics, &opts());
+        assert_eq!(sets.len(), metrics.len());
+        for (set, metric) in sets.iter().zip(metrics) {
+            let alone = collect_traces(Benchmark::Mcf, &pts, metric, &opts());
+            assert_eq!(set.metric, metric);
+            assert_eq!(set.points, alone.points);
+            assert_eq!(set.traces, alone.traces, "{metric}");
         }
     }
 

@@ -24,7 +24,12 @@
 //!    configured [`RecoveryPolicy`](crate::RecoveryPolicy) ladder
 //!    (Rbf → ridge escalation → Linear → Constant), and every
 //!    model-backed response reports the worst recovery rung that served
-//!    it — a degraded answer is visible, never silent.
+//!    it — a degraded answer is visible, never silent. Lazy training
+//!    simulates a benchmark's training design once for all its domain
+//!    metrics: the traces of metrics not yet needed are parked until
+//!    their own miss (or a snapshot load) takes them, so at most two
+//!    training sets per benchmark are held (three after an `iq_avf`
+//!    miss on a benchmark with no domain model yet).
 //! 4. **Backpressure.** Admitted work accumulates in a leaky-bucket
 //!    load counter; when a request would overflow
 //!    [`ServeConfig::queue_capacity`], the daemon answers `overloaded`
@@ -85,7 +90,7 @@
 //! assert!(resp.contains("bad-json"));
 //! ```
 
-use crate::dataset::{collect_traces, Metric};
+use crate::dataset::{collect_metric_traces, Metric, TraceSet};
 use crate::experiment::ExperimentConfig;
 use crate::journal::{self, Appender, HeaderError};
 use crate::persist;
@@ -626,6 +631,9 @@ pub struct ServeEngine {
     config: ServeConfig,
     dims: usize,
     cache: BTreeMap<(Benchmark, Metric), CacheEntry>,
+    /// Training sets simulated alongside another metric's miss, waiting
+    /// for their own (see [`Self::ensure_model`]).
+    parked: BTreeMap<(Benchmark, Metric), TraceSet>,
     seq: u64,
     tick: u64,
     load: u64,
@@ -651,6 +659,7 @@ impl ServeEngine {
             config,
             dims,
             cache: BTreeMap::new(),
+            parked: BTreeMap::new(),
             seq: 0,
             tick: 0,
             load: 0,
@@ -1136,8 +1145,7 @@ impl ServeEngine {
                         out.push(',');
                     }
                     let trace = model.predict(p);
-                    let n = trace.len().max(1) as f64;
-                    let mean = trace.iter().sum::<f64>() / n;
+                    let mean = trace_mean(&trace);
                     let lo = trace.iter().cloned().fold(f64::INFINITY, f64::min);
                     let hi = trace.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                     out.push_str("{\"mean\":");
@@ -1318,6 +1326,12 @@ impl ServeEngine {
     /// `models_dir` first, lazy training under the recovery policy as
     /// the fallback. Failures are cached so a broken key fails the same
     /// way on every request.
+    ///
+    /// Training simulates the benchmark's training design once for
+    /// every domain metric still without a model and parks the other
+    /// metrics' traces until their own miss (or a snapshot load) takes
+    /// them, so at most two sets per benchmark stay parked (three after
+    /// an [`Metric::IqAvf`] miss on a benchmark with no domain model).
     fn ensure_model(&mut self, benchmark: Benchmark, metric: Metric) -> Result<(), ServeError> {
         let key = (benchmark, metric);
         if self.cache.contains_key(&key) {
@@ -1336,6 +1350,7 @@ impl ServeEngine {
                     let rung = rung_of_snapshot(&model);
                     self.stats.models_loaded += 1;
                     dynawave_obs::counter_add("serve.models.loaded", 1);
+                    self.parked.remove(&key);
                     self.cache.insert(key, Ok(CachedModel { model, rung }));
                     return Ok(());
                 }
@@ -1345,8 +1360,11 @@ impl ServeEngine {
                 }
             }
         }
+        let train = match self.parked.remove(&key) {
+            Some(set) => set,
+            None => self.simulate_training_sets(benchmark, metric),
+        };
         let cfg = &self.config.config;
-        let train = collect_traces(benchmark, &cfg.train_design(), metric, &cfg.sim_options());
         let entry =
             match WaveletNeuralPredictor::train_resilient(&train, &cfg.predictor, &cfg.recovery) {
                 Ok((model, degradation)) => {
@@ -1372,6 +1390,25 @@ impl ServeEngine {
             Some(msg) => Err(ServeError::TrainFailed(msg)),
             None => Ok(()),
         }
+    }
+
+    /// Simulates the training design of `benchmark` once, returns the
+    /// training set of `metric` and parks the set of each other domain
+    /// metric that has neither a model nor a parked set yet.
+    fn simulate_training_sets(&mut self, benchmark: Benchmark, metric: Metric) -> TraceSet {
+        let mut metrics = vec![metric];
+        metrics.extend(Metric::DOMAINS.into_iter().filter(|&m| {
+            let key = (benchmark, m);
+            m != metric && !self.cache.contains_key(&key) && !self.parked.contains_key(&key)
+        }));
+        let cfg = &self.config.config;
+        let mut sets =
+            collect_metric_traces(benchmark, &cfg.train_design(), &metrics, &cfg.sim_options());
+        let train = sets.swap_remove(0);
+        for set in sets {
+            self.parked.insert((benchmark, set.metric), set);
+        }
+        train
     }
 
     /// Common response prefix: schema, version, seq, tick, id, kind.
@@ -2177,5 +2214,44 @@ mod tests {
         let mut other = tiny_config();
         other.models_dir = Some(PathBuf::from("/tmp/models"));
         assert_ne!(base, other.fingerprint());
+    }
+
+    #[test]
+    fn parked_training_sets_drain_as_their_models_arrive() {
+        let cfg = tiny_config();
+        let exp = &cfg.config;
+        let dir = std::env::temp_dir().join("dynawave_serve_parked_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let power = crate::dataset::collect_traces(
+            Benchmark::Gcc,
+            &exp.train_design(),
+            Metric::Power,
+            &exp.sim_options(),
+        );
+        let (model, _) =
+            WaveletNeuralPredictor::train_resilient(&power, &exp.predictor, &exp.recovery).unwrap();
+        std::fs::write(dir.join("gcc_power.dynawave"), persist::to_string(&model)).unwrap();
+        let mut engine = ServeEngine::new(ServeConfig {
+            models_dir: Some(dir),
+            ..cfg
+        });
+        let parked = |e: &ServeEngine| e.parked.keys().map(|k| k.1).collect::<Vec<_>>();
+
+        // A CPI miss parks the other two domain sets.
+        engine.ensure_model(Benchmark::Gcc, Metric::Cpi).unwrap();
+        assert_eq!(parked(&engine), [Metric::Power, Metric::Avf]);
+        // A snapshot fills power and drops its parked set.
+        engine.ensure_model(Benchmark::Gcc, Metric::Power).unwrap();
+        assert_eq!(engine.stats.models_loaded, 1);
+        assert_eq!(parked(&engine), [Metric::Avf]);
+        // AVF trains from its parked set; nothing stays behind.
+        engine.ensure_model(Benchmark::Gcc, Metric::Avf).unwrap();
+        assert_eq!(engine.stats.models_trained, 2);
+        assert!(engine.parked.is_empty());
+        // A metric outside the domains parks only what has no model yet.
+        engine.ensure_model(Benchmark::Gcc, Metric::IqAvf).unwrap();
+        assert!(engine.parked.is_empty());
+        engine.ensure_model(Benchmark::Mcf, Metric::IqAvf).unwrap();
+        assert_eq!(engine.parked.len(), 3);
     }
 }

@@ -109,15 +109,8 @@ impl Simulator {
             "need a positive interval length"
         );
         let total = warmup_instructions + opts.samples as u64 * opts.interval_instructions;
-        let mut trace = TraceGenerator::new(benchmark, total, opts.seed);
-        // Warm the engine on the generator's prefix, discarding its
-        // statistics, then sample the rest of the stream on the same engine.
-        let mut engine = Engine::new(&self.config);
-        let mut scratch = IntervalStats::default();
-        for instr in trace.by_ref().take(warmup_instructions as usize) {
-            engine.step(&instr, &mut scratch);
-        }
-        self.run_trace_on_engine(engine, trace, opts)
+        let trace = TraceGenerator::new(benchmark, total, opts.seed);
+        self.run_stream(trace, opts, warmup_instructions)
     }
 
     /// Runs an explicit instruction stream (custom workloads / tests).
@@ -125,21 +118,25 @@ impl Simulator {
     where
         I: IntoIterator<Item = Instruction>,
     {
-        self.run_trace_on_engine(Engine::new(&self.config), trace, opts)
+        self.run_stream(trace, opts, 0)
     }
 
     /// Shared core of [`Simulator::run_trace`] and
-    /// [`Simulator::run_with_warmup`]: samples `trace` on an existing
-    /// (possibly pre-warmed) engine.
-    fn run_trace_on_engine<I>(&self, mut engine: Engine, trace: I, opts: &SimOptions) -> RunResult
+    /// [`Simulator::run_with_warmup`]: one pass over `trace` on a fresh
+    /// engine that executes the first `warmup` instructions with their
+    /// statistics discarded and samples the rest.
+    fn run_stream<I>(&self, trace: I, opts: &SimOptions, warmup: u64) -> RunResult
     where
         I: IntoIterator<Item = Instruction>,
     {
         let _span = dynawave_obs::span("sim.run_trace");
         let c = &self.config;
+        let mut engine = Engine::new(c);
         let mut intervals = Vec::with_capacity(opts.samples);
         let mut current = IntervalStats::default();
         let mut in_interval = 0u64;
+        let mut warming = warmup;
+        let mut discarded = IntervalStats::default();
         let mut interval_start_cycle = engine.last_commit;
         // DVM trigger evaluation period: sample_interval / 5, in committed
         // instructions (a cycle-domain proxy with bounded skew).
@@ -147,7 +144,13 @@ impl Simulator {
         let mut since_dvm_update = 0u64;
 
         for instr in trace {
-            engine.step(&instr, &mut current);
+            let warm = warming > 0;
+            engine.step(&instr, if warm { &mut discarded } else { &mut current });
+            if warm {
+                warming -= 1;
+                interval_start_cycle = engine.last_commit;
+                continue;
+            }
             in_interval += 1;
             since_dvm_update += 1;
 

@@ -1,12 +1,16 @@
 //! Integration tests for the `dynawave-serve` daemon: crash-safe replay,
-//! chaos determinism, fuzzed request handling, deadline budgets and
-//! backpressure — the acceptance gates of the serving layer.
+//! chaos determinism, fuzzed request handling, deadline budgets,
+//! backpressure and one training simulation per benchmark — the
+//! acceptance gates of the serving layer.
 
 use dynawave_core::experiment::ExperimentConfig;
 use dynawave_core::serve::{replay, ReplayError, ServeConfig, ServeEngine, ServeJournal};
+use dynawave_core::{collect_traces, persist, Metric, WaveletNeuralPredictor};
 use dynawave_numeric::fault::{self, FaultKind, FaultPlan, FaultSite};
-use dynawave_obs::json;
+use dynawave_obs::{json, EventKind};
+use dynawave_sampling::DesignPoint;
 use dynawave_testkit::{check, gen};
+use dynawave_workloads::Benchmark;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -333,6 +337,186 @@ fn backpressure_sheds_load_with_retry_hints() {
         last_ok > first_over,
         "service must recover after shedding: {kinds:?}"
     );
+}
+
+// ---------------------------------------------------------------------
+// Model cache: one simulation of the training design per benchmark.
+// ---------------------------------------------------------------------
+
+/// Runs `f` under a tick recorder and counts the simulator runs it made
+/// (`sim.run_trace` span enters).
+fn counting_sim_runs<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let prior = dynawave_obs::take();
+    dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
+    let out = f();
+    let events = dynawave_obs::drain().expect("recorder was installed");
+    if let Some(prior) = prior {
+        dynawave_obs::install(prior);
+    }
+    let runs = events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanEnter && e.name == "sim.run_trace")
+        .count();
+    (out, runs)
+}
+
+/// A request of `kind` on `benchmark`; `fields` carries the rest of the
+/// body, each field preceded by a comma.
+fn request(id: &str, kind: &str, benchmark: &str, fields: &str) -> String {
+    format!(
+        "{{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"{id}\",\
+         \"kind\":\"{kind}\",\"benchmark\":\"{benchmark}\"{fields}}}"
+    )
+}
+
+fn pareto_request(id: &str, benchmark: &str) -> String {
+    let points = format!(",\"points\":[{},{}]", point_json(2.0), point_json(3.0));
+    request(id, "pareto", benchmark, &points)
+}
+
+fn assert_ok(responses: &[String]) {
+    for r in responses {
+        assert!(r.contains("\"kind\":\"ok\""), "{r}");
+    }
+}
+
+#[test]
+fn one_simulation_per_training_point_serves_every_metric() {
+    let cfg = tiny_config();
+    let points = cfg.config.train_points;
+
+    // One pareto trains gcc's CPI, power and AVF models from one pass.
+    let mut engine = ServeEngine::new(cfg.clone());
+    let (resp, runs) = counting_sim_runs(|| engine.handle_line(&pareto_request("p", "gcc")));
+    assert_ok(&[resp]);
+    assert_eq!(runs, points, "simulator runs for one pareto");
+
+    // Separate single-metric misses share the same pass.
+    let mut engine = ServeEngine::new(cfg.clone());
+    let sweep = format!(
+        ",\"metric\":\"avf\",\"base\":{},\"axis\":1,\"values\":[2,4]",
+        point_json(2.0)
+    );
+    let separate = [
+        request(
+            "c",
+            "predict",
+            "gcc",
+            &format!(",\"metric\":\"cpi\",\"points\":[{}]", point_json(2.0)),
+        ),
+        request(
+            "w",
+            "predict",
+            "gcc",
+            &format!(",\"metric\":\"power\",\"points\":[{}]", point_json(2.0)),
+        ),
+        request("s", "sweep", "gcc", &sweep),
+    ];
+    let (resps, runs) = counting_sim_runs(|| {
+        separate
+            .iter()
+            .map(|r| engine.handle_line(r))
+            .collect::<Vec<_>>()
+    });
+    assert_ok(&resps);
+    assert_eq!(
+        runs, points,
+        "simulator runs for predict cpi, predict power, sweep avf"
+    );
+
+    // A second benchmark pays for its own design once; cached models
+    // pay nothing.
+    let (resp, runs) = counting_sim_runs(|| engine.handle_line(&pareto_request("m", "mcf")));
+    assert_ok(&[resp]);
+    assert_eq!(runs, points, "simulator runs for a second benchmark");
+    let (resp, runs) = counting_sim_runs(|| engine.handle_line(&pareto_request("g", "gcc")));
+    assert_ok(&[resp]);
+    assert_eq!(runs, 0, "simulator runs with every model cached");
+}
+
+/// The model a per-metric oracle trains: `collect_traces` on the
+/// training design, then `train_resilient`.
+fn oracle_model(cfg: &ExperimentConfig, metric: Metric) -> WaveletNeuralPredictor {
+    let set = collect_traces(
+        Benchmark::Gcc,
+        &cfg.train_design(),
+        metric,
+        &cfg.sim_options(),
+    );
+    WaveletNeuralPredictor::train_resilient(&set, &cfg.predictor, &cfg.recovery)
+        .expect("oracle trains")
+        .0
+}
+
+#[test]
+fn served_traces_equal_a_per_metric_oracle_bit_for_bit() {
+    let cfg = tiny_config();
+    let knobs: Vec<Vec<f64>> = [2.0, 5.0]
+        .iter()
+        .map(|&base| (0..dims()).map(|i| base + i as f64).collect())
+        .collect();
+    let mut engine = ServeEngine::new(cfg.clone());
+    for metric in Metric::DOMAINS {
+        let fields = format!(
+            ",\"metric\":\"{metric}\",\"trace\":true,\"points\":[{},{}]",
+            point_json(2.0),
+            point_json(5.0)
+        );
+        let resp = engine.handle_line(&request("t", "predict", "gcc", &fields));
+        let obj = json::parse(&resp).expect("valid JSON");
+        let results = obj.as_object().expect("object")["results"]
+            .as_array()
+            .expect("results array");
+        let model = oracle_model(&cfg.config, metric);
+        assert_eq!(results.len(), knobs.len(), "{resp}");
+        for (result, values) in results.iter().zip(&knobs) {
+            let served: Vec<u64> = result.as_object().expect("result object")["trace"]
+                .as_array()
+                .expect("trace array")
+                .iter()
+                .map(|v| v.as_f64().expect("number").to_bits())
+                .collect();
+            let want: Vec<u64> = model
+                .predict(&DesignPoint::new(values.clone()))
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(served, want, "{metric} trace at {values:?}");
+        }
+    }
+}
+
+#[test]
+fn cpi_snapshot_loads_and_power_and_avf_train_from_one_simulation() {
+    let cfg = tiny_config();
+    let dir = tmp_path("cpi-snapshot");
+    std::fs::create_dir_all(&dir).expect("snapshot dir");
+    let _ = std::fs::remove_file(dir.join("gcc_power.dynawave"));
+    let _ = std::fs::remove_file(dir.join("gcc_avf.dynawave"));
+    std::fs::write(
+        dir.join("gcc_cpi.dynawave"),
+        persist::to_string(&oracle_model(&cfg.config, Metric::Cpi)),
+    )
+    .expect("write snapshot");
+    let mut engine = ServeEngine::new(ServeConfig {
+        models_dir: Some(dir),
+        ..cfg.clone()
+    });
+    let (resp, runs) = counting_sim_runs(|| engine.handle_line(&pareto_request("p", "gcc")));
+    assert_ok(&[resp.clone()]);
+    assert_eq!(
+        runs, cfg.config.train_points,
+        "one simulation of the design"
+    );
+    let stats = engine.handle_line(&stats_request("st"));
+    assert!(
+        stats.contains("\"misses\":3,\"loaded\":1,\"trained\":2,\"failed\":0"),
+        "{stats}"
+    );
+    // The snapshot holds the model training would have built, so the
+    // answer is the one a snapshot-less engine gives.
+    let mut fresh = ServeEngine::new(cfg);
+    assert_eq!(resp, fresh.handle_line(&pareto_request("p", "gcc")));
 }
 
 // ---------------------------------------------------------------------

@@ -135,7 +135,9 @@ if [ "$SERVE" = 1 ]; then
   # End-to-end kill-and-replay at small scale. A live run journals its
   # responses; the journal is torn mid-line (simulated kill -9) and the
   # daemon must rebuild it byte-for-byte from the request log — and the
-  # transcript must not depend on DYNAWAVE_THREADS.
+  # transcript must not depend on DYNAWAVE_THREADS. The request log
+  # covers every model-backed kind (predict, sweep, pareto, topk) and a
+  # partial answer, all on gcc's three models.
   SERVE_SCALE="DYNAWAVE_TRAIN=12 DYNAWAVE_TEST=2 DYNAWAVE_SAMPLES=16 DYNAWAVE_INTERVAL=300"
   {
     P1="[2,3,4,5,6,7,8,9,10]"; P2="[3.5,4,5,6,7,8,9,10,11]"
@@ -145,6 +147,9 @@ if [ "$SERVE" = 1 ]; then
     echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c-stats\",\"kind\":\"stats\"}"
     echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c3\",\"kind\":\"predict\",\"benchmark\":\"nope\"}"
     echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c4\",\"kind\":\"pareto\",\"benchmark\":\"gcc\",\"points\":[$P1,$P2]}"
+    echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c5\",\"kind\":\"topk\",\"benchmark\":\"gcc\",\"k\":1,\"power_budget\":1e9,\"points\":[$P1,$P2]}"
+    # A one-tick budget covers one of the two cached predictions: partial.
+    echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c6\",\"kind\":\"predict\",\"benchmark\":\"gcc\",\"metric\":\"cpi\",\"deadline\":1,\"points\":[$P1,$P2]}"
   } > "$CI_TMP/serve_requests.jsonl"
   for t in 1 4; do
     env $SERVE_SCALE DYNAWAVE_THREADS=$t \

@@ -5,11 +5,9 @@
 //! **once** at the finest granularity (1024 samples) and the coarser
 //! sampling rates are derived exactly with [`RunResult::coarsen`].
 
-use dynawave_avf::AvfModel;
 use dynawave_bench::{fmt, print_table, start};
 use dynawave_core::experiment::score_model;
-use dynawave_core::{Metric, TraceSet, WaveletNeuralPredictor};
-use dynawave_power::PowerModel;
+use dynawave_core::{metric_traces, Metric, TraceSet, WaveletNeuralPredictor};
 use dynawave_sampling::DesignPoint;
 use dynawave_sim::{MachineConfig, RunResult, SimOptions, Simulator};
 use dynawave_workloads::Benchmark;
@@ -32,20 +30,6 @@ fn simulate(
             seed,
         },
     )
-}
-
-/// Extracts the three domain traces from a (possibly coarsened) run.
-fn traces_of(run: &RunResult) -> [Vec<f64>; 3] {
-    let config = &run.config;
-    let cpi = run.cpi_trace();
-    let power = PowerModel::new(config).power_trace(run);
-    let avf_model = AvfModel::new(config);
-    let avf = run
-        .intervals
-        .iter()
-        .map(|i| avf_model.interval_report(i).combined(config))
-        .collect();
-    [cpi, power, avf]
 }
 
 fn main() {
@@ -71,23 +55,14 @@ fn main() {
             .collect();
         for (si, &samples) in sample_counts.iter().enumerate() {
             let factor = FINEST / samples;
-            let metrics = [Metric::Cpi, Metric::Power, Metric::Avf];
-            for (slot, &metric) in metrics.iter().enumerate() {
+            for (slot, &metric) in Metric::DOMAINS.iter().enumerate() {
                 let gather = |runs: &[RunResult], points: &[DesignPoint]| TraceSet {
                     benchmark: bench,
                     metric,
                     points: points.to_vec(),
                     traces: runs
                         .iter()
-                        .map(|r| {
-                            let coarse = r.coarsen(factor);
-                            let [cpi, power, avf] = traces_of(&coarse);
-                            match slot {
-                                0 => cpi,
-                                1 => power,
-                                _ => avf,
-                            }
-                        })
+                        .map(|r| metric_traces(&r.coarsen(factor), &[metric]).swap_remove(0))
                         .collect(),
                 };
                 let train = gather(&train_runs, &train_design);

@@ -3,7 +3,7 @@
 use dynawave_avf::{AvfModel, Structure};
 use dynawave_power::PowerModel;
 use dynawave_sampling::DesignPoint;
-use dynawave_sim::{MachineConfig, SimOptions, Simulator};
+use dynawave_sim::{MachineConfig, RunResult, SimOptions, Simulator};
 use dynawave_workloads::Benchmark;
 
 /// Which workload-dynamics metric a trace measures.
@@ -98,8 +98,7 @@ pub fn trace_for(
 
 /// Simulates one design point **once** and derives the trace of each of
 /// `metrics` from that run, in order: the one simulate path behind
-/// [`trace_for`], [`collect_metric_traces`] and campaign design points,
-/// and the only place a metric trace is computed from a run.
+/// [`trace_for`], [`collect_metric_traces`] and campaign design points.
 pub(crate) fn simulate_metrics(
     benchmark: Benchmark,
     point: &DesignPoint,
@@ -107,17 +106,24 @@ pub(crate) fn simulate_metrics(
     opts: &SimOptions,
 ) -> Vec<Vec<f64>> {
     let config = MachineConfig::from_design_values(point.values());
-    let run = Simulator::new(config.clone()).run(benchmark, opts);
-    let avf = AvfModel::new(&config);
+    let run = Simulator::new(config).run(benchmark, opts);
+    metric_traces(&run, metrics)
+}
+
+/// Derives the trace of each of `metrics` from one simulator run, in
+/// order: the only place a metric trace is computed from a run.
+pub fn metric_traces(run: &RunResult, metrics: &[Metric]) -> Vec<Vec<f64>> {
+    let config = &run.config;
+    let avf = AvfModel::new(config);
     metrics
         .iter()
         .map(|metric| match metric {
             Metric::Cpi => run.cpi_trace(),
-            Metric::Power => PowerModel::new(&config).power_trace(&run),
+            Metric::Power => PowerModel::new(config).power_trace(run),
             Metric::Avf => (run.intervals.iter())
-                .map(|i| avf.interval_report(i).combined(&config))
+                .map(|i| avf.interval_report(i).combined(config))
                 .collect(),
-            Metric::IqAvf => avf.avf_trace(&run, Structure::IssueQueue),
+            Metric::IqAvf => avf.avf_trace(run, Structure::IssueQueue),
         })
         .collect()
 }

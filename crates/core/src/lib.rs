@@ -62,7 +62,9 @@ pub mod report;
 pub mod serve;
 
 pub use campaign::{run_journaled, run_journaled_parallel, threads_from_env, ShardedCampaign};
-pub use dataset::{collect_domain_traces, collect_traces, trace_for, Metric, TraceSet};
+pub use dataset::{
+    collect_domain_traces, collect_traces, metric_traces, trace_for, Metric, TraceSet,
+};
 pub use predictor::{
     CoefficientSelection, ModelKind, PortableCoeffModel, PortableModel, PredictorParams,
     WaveletNeuralPredictor,

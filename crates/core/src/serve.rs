@@ -410,47 +410,59 @@ fn rung_of_snapshot(model: &WaveletNeuralPredictor) -> RecoveryRung {
         .unwrap_or(RecoveryRung::Primary)
 }
 
-/// One parsed, validated request — the output of the pure validation
-/// stage, before any budget or model work happens.
-enum Request {
+/// One validated request that does model work — the output of the pure
+/// validation stage, before any budget or model work happens. The
+/// `stats` probe is not a job: it never reaches admission.
+struct Job {
+    benchmark: Benchmark,
+    work: Work,
+}
+
+/// The per-kind payload of a [`Job`].
+enum Work {
     Predict {
-        benchmark: Benchmark,
         metric: Metric,
         points: Vec<DesignPoint>,
         with_trace: bool,
     },
     Pareto {
-        benchmark: Benchmark,
         points: Vec<DesignPoint>,
     },
     TopK {
-        benchmark: Benchmark,
         k: usize,
         power_budget: f64,
         points: Vec<DesignPoint>,
     },
     Sweep {
-        benchmark: Benchmark,
         metric: Metric,
         base: Vec<f64>,
         axis: usize,
         values: Vec<f64>,
     },
-    /// The introspection probe: no benchmark, no model, no work ticks.
-    Stats,
 }
 
-impl Request {
+impl Work {
     /// The canonical request-kind name (see
     /// [`schema::SERVE_REQUEST_KINDS`]).
     fn kind_name(&self) -> &'static str {
         match self {
-            Request::Predict { .. } => "predict",
-            Request::Pareto { .. } => "pareto",
-            Request::TopK { .. } => "topk",
-            Request::Sweep { .. } => "sweep",
-            Request::Stats => "stats",
+            Work::Predict { .. } => "predict",
+            Work::Pareto { .. } => "pareto",
+            Work::TopK { .. } => "topk",
+            Work::Sweep { .. } => "sweep",
         }
+    }
+
+    /// The models this work needs and its item count, under the one cost
+    /// rule: one tick per (metric, point) prediction.
+    fn cost(&self) -> (&[Metric], u64) {
+        let (metrics, points): (&[Metric], usize) = match self {
+            Work::Predict { metric, points, .. } => (std::slice::from_ref(metric), points.len()),
+            Work::Pareto { points } => (&Metric::DOMAINS, points.len()),
+            Work::TopK { points, .. } => (&[Metric::Cpi, Metric::Power], points.len()),
+            Work::Sweep { metric, values, .. } => (std::slice::from_ref(metric), values.len()),
+        };
+        (metrics, (metrics.len() * points) as u64)
     }
 }
 
@@ -476,9 +488,20 @@ impl JournalStatus {
     }
 }
 
-/// Index of `kind` in [`schema::SERVE_REQUEST_KINDS`].
-fn request_kind_index(kind: &str) -> Option<usize> {
-    schema::SERVE_REQUEST_KINDS.iter().position(|k| *k == kind)
+/// One event the engine counts: see [`ServeStats::tally`].
+#[derive(Clone, Copy)]
+enum Tally {
+    Ok,
+    Partial,
+    Error,
+    Overloaded,
+    Stats,
+    DeadlineRefused,
+    /// A model-backed response served at this worst rung.
+    Rung(RecoveryRung),
+    ModelLoaded,
+    ModelTrained,
+    ModelFailed,
 }
 
 /// Always-on engine telemetry, snapshotted by the `stats` request kind.
@@ -508,7 +531,8 @@ pub struct ServeStats {
     /// shared [`schema::SERVE_LATENCY_BOUNDS`] bounds plus an overflow
     /// bucket.
     latency: [[u64; 10]; 4],
-    /// Sum of tick budgets granted to requests that were admitted.
+    /// Sum of tick budgets granted to requests that were admitted,
+    /// saturating at `u64::MAX` like every other budget sum.
     deadline_granted: u64,
     /// Ticks actually consumed by admitted requests.
     deadline_used: u64,
@@ -536,18 +560,69 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Classifies one request by its raw `kind` field (None = the line
-    /// never produced one) and remembers it for latency attribution.
+    /// Counts one request under its raw `kind` field when that is a
+    /// canonical kind and remembers it for latency attribution.
     fn classify(&mut self, kind: Option<&str>) {
-        match kind.and_then(request_kind_index) {
-            Some(idx) => {
-                self.requests[idx] += 1;
-                self.in_flight = Some(idx);
-            }
-            None => self.requests_invalid += 1,
+        let kinds = schema::SERVE_REQUEST_KINDS;
+        self.in_flight = kind.and_then(|kind| kinds.iter().position(|k| *k == kind));
+        if let Some(idx) = self.in_flight {
+            self.requests[idx] += 1;
         }
     }
 
+    /// Counts one engine event in its [`ServeStats`] field and in its obs
+    /// counter, together.
+    fn tally(&mut self, tally: Tally) {
+        use dynawave_obs::counter_add;
+        let slot = match tally {
+            Tally::Ok => {
+                counter_add("serve.responses.ok", 1);
+                &mut self.outcomes[0]
+            }
+            Tally::Partial => {
+                counter_add("serve.responses.partial", 1);
+                &mut self.outcomes[1]
+            }
+            Tally::Error => {
+                counter_add("serve.responses.error", 1);
+                &mut self.outcomes[2]
+            }
+            Tally::Overloaded => {
+                counter_add("serve.responses.overloaded", 1);
+                &mut self.outcomes[3]
+            }
+            Tally::Stats => {
+                counter_add("serve.responses.stats", 1);
+                &mut self.outcomes[4]
+            }
+            Tally::DeadlineRefused => {
+                counter_add("serve.responses.deadline_exceeded", 1);
+                &mut self.deadline_refused
+            }
+            Tally::Rung(rung) => {
+                if rung.level() > 0 {
+                    counter_add("serve.responses.degraded", 1);
+                }
+                &mut self.rungs[(rung.level() as usize).min(3)]
+            }
+            Tally::ModelLoaded => {
+                counter_add("serve.models.loaded", 1);
+                &mut self.models_loaded
+            }
+            Tally::ModelTrained => {
+                counter_add("serve.models.trained", 1);
+                &mut self.models_trained
+            }
+            Tally::ModelFailed => {
+                counter_add("serve.models.failed", 1);
+                &mut self.models_failed
+            }
+        };
+        *slot += 1;
+    }
+
+    /// Counts `ticks` into the latency histogram of the request kind at
+    /// `kind_idx`, here and in obs (`stats` has neither).
     fn observe_latency(&mut self, kind_idx: usize, ticks: u64) {
         if let Some(hist) = self.latency.get_mut(kind_idx) {
             let bucket = schema::SERVE_LATENCY_BOUNDS
@@ -556,17 +631,23 @@ impl ServeStats {
                 .unwrap_or(schema::SERVE_LATENCY_BOUNDS.len());
             hist[bucket] += 1;
         }
+        if !dynawave_obs::is_enabled() {
+            return;
+        }
+        let kind = schema::SERVE_REQUEST_KINDS.get(kind_idx).copied();
+        if let Some(hist) = kind.and_then(schema::serve_latency_histogram) {
+            let bounds: Vec<f64> = schema::SERVE_LATENCY_BOUNDS
+                .iter()
+                .map(|&b| b as f64)
+                .collect();
+            dynawave_obs::histogram_observe(hist, &bounds, ticks as f64);
+        }
     }
 
     /// Total internal-class errors so far (the serve binary's flight-
     /// recorder trigger).
     pub fn internal_errors(&self) -> u64 {
         self.internal_errors
-    }
-
-    /// Requests classified so far (canonical kinds plus invalid).
-    fn classified_total(&self) -> u64 {
-        self.requests.iter().sum::<u64>() + self.requests_invalid
     }
 
     /// Renders the versioned snapshot object. Field order is fixed —
@@ -640,17 +721,6 @@ pub struct ServeEngine {
     stats: ServeStats,
 }
 
-/// Outcome indices into [`ServeStats::outcomes`].
-const OUT_OK: usize = 0;
-const OUT_PARTIAL: usize = 1;
-const OUT_ERROR: usize = 2;
-const OUT_OVERLOADED: usize = 3;
-const OUT_STATS: usize = 4;
-
-/// Kind index of the `stats` probe in [`schema::SERVE_REQUEST_KINDS`]
-/// (the only kind without a latency histogram).
-const KIND_STATS: usize = 4;
-
 impl ServeEngine {
     /// A fresh engine with an empty model cache and zeroed clocks.
     pub fn new(config: ServeConfig) -> Self {
@@ -708,41 +778,21 @@ impl ServeEngine {
         self.seq += 1;
         self.load = self.load.saturating_sub(self.config.drain_per_request);
         let tick_before = self.tick;
-        let classified_before = self.stats.classified_total();
         let response = match self.process(line) {
             Ok(ok) => ok,
-            Err((id, e)) => {
-                if e.is_internal() {
-                    self.stats.internal_errors += 1;
-                }
-                self.error_response(&id, &e)
-            }
+            Err((id, e)) => self.error_response(&id, &e),
         };
-        // Lines that failed before their `kind` could classify (byte
-        // soup, wrong schema, oversize...) tally as invalid, keeping
-        // sum(requests) + invalid == seq.
-        if self.stats.classified_total() == classified_before {
-            self.stats.requests_invalid += 1;
-        }
         // Latency attribution: the ticks this request consumed, into its
         // kind's histogram. Refused/errored requests count as zero-tick —
-        // a shed request is latency the client *didn't* pay.
-        if let Some(kind_idx) = self.stats.in_flight.take() {
-            if kind_idx != KIND_STATS {
-                let delta = self.tick - tick_before;
-                self.stats.observe_latency(kind_idx, delta);
-                if dynawave_obs::is_enabled() {
-                    if let Some(hist) =
-                        schema::serve_latency_histogram(schema::SERVE_REQUEST_KINDS[kind_idx])
-                    {
-                        let bounds: Vec<f64> = schema::SERVE_LATENCY_BOUNDS
-                            .iter()
-                            .map(|&b| b as f64)
-                            .collect();
-                        dynawave_obs::histogram_observe(hist, &bounds, delta as f64);
-                    }
-                }
-            }
+        // a shed request is latency the client *didn't* pay. Lines without
+        // a canonical kind (byte soup, wrong schema, unknown kind,
+        // oversize...) tally as invalid, keeping sum(requests) + invalid
+        // == seq.
+        match self.stats.in_flight.take() {
+            Some(kind_idx) => self
+                .stats
+                .observe_latency(kind_idx, self.tick - tick_before),
+            None => self.stats.requests_invalid += 1,
         }
         if dynawave_obs::is_enabled() {
             dynawave_obs::gauge_set("serve.load", self.load as f64);
@@ -753,7 +803,7 @@ impl ServeEngine {
     /// Everything that can fail, with the request id recovered as early
     /// as possible so even deep failures echo it back.
     fn process(&mut self, line: &str) -> Result<String, (String, ServeError)> {
-        let (id, request, deadline) = {
+        let (id, job, deadline) = {
             let _span = dynawave_obs::span("serve.parse");
             if line.len() > self.config.max_request_bytes {
                 return Err((
@@ -798,7 +848,7 @@ impl ServeEngine {
             // The line has a classifiable kind from here on: tally it
             // (even if deeper validation rejects the payload).
             self.stats.classify(obj.get("kind").and_then(Value::as_str));
-            let request = self.validate(obj).map_err(&fail)?;
+            let job = self.validate(obj).map_err(&fail)?;
             let deadline = match obj.get("deadline") {
                 None => self.config.default_deadline,
                 Some(v) => match v.as_u64() {
@@ -811,20 +861,21 @@ impl ServeEngine {
                     }
                 },
             };
-            (id, request, deadline)
+            (id, job, deadline)
         };
+        let kind = job.as_ref().map_or("stats", |job| job.work.kind_name());
         if dynawave_obs::is_enabled() {
-            dynawave_obs::marker_with_detail(
-                "serve.request_id",
-                &format!("id={id} kind={}", request.kind_name()),
-            );
+            dynawave_obs::marker_with_detail("serve.request_id", &format!("id={id} kind={kind}"));
         }
-        let fail = |e: ServeError| (id.clone(), e);
-        self.execute(&id, &request, deadline).map_err(fail)
+        match job {
+            Some(job) => self.execute(&id, &job, deadline).map_err(|e| (id, e)),
+            None => Ok(self.stats_response(&id)),
+        }
     }
 
     /// Pure structural validation: no budget, no models, no state.
-    fn validate(&self, obj: &BTreeMap<String, Value>) -> Result<Request, ServeError> {
+    /// `None` is the `stats` probe.
+    fn validate(&self, obj: &BTreeMap<String, Value>) -> Result<Option<Job>, ServeError> {
         let kind = obj
             .get("kind")
             .ok_or(ServeError::MissingField("kind"))?
@@ -836,7 +887,7 @@ impl ServeEngine {
         // The introspection probe carries no benchmark or payload, so it
         // dispatches before the benchmark requirement below.
         if kind == "stats" {
-            return Ok(Request::Stats);
+            return Ok(None);
         }
         let benchmark = {
             let name = obj
@@ -850,9 +901,8 @@ impl ServeEngine {
             Benchmark::from_name(name)
                 .ok_or_else(|| ServeError::UnknownBenchmark(name.to_string()))?
         };
-        match kind {
-            "predict" => Ok(Request::Predict {
-                benchmark,
+        let work = match kind {
+            "predict" => Work::Predict {
                 metric: self.metric_field(obj)?,
                 points: self.points_field(obj, "points")?,
                 with_trace: match obj.get("trace") {
@@ -865,11 +915,10 @@ impl ServeEngine {
                         })
                     }
                 },
-            }),
-            "pareto" => Ok(Request::Pareto {
-                benchmark,
+            },
+            "pareto" => Work::Pareto {
                 points: self.points_field(obj, "points")?,
-            }),
+            },
             "topk" => {
                 let k = obj
                     .get("k")
@@ -889,12 +938,11 @@ impl ServeEngine {
                         field: "power_budget",
                         expected: "a finite number",
                     })?;
-                Ok(Request::TopK {
-                    benchmark,
+                Work::TopK {
                     k,
                     power_budget,
                     points: self.points_field(obj, "points")?,
-                })
+                }
             }
             "sweep" => {
                 let base = self.point_values(
@@ -928,16 +976,16 @@ impl ServeEngine {
                 if values.is_empty() {
                     return Err(ServeError::EmptyBatch);
                 }
-                Ok(Request::Sweep {
-                    benchmark,
+                Work::Sweep {
                     metric: self.metric_field(obj)?,
                     base,
                     axis,
                     values,
-                })
+                }
             }
-            other => Err(ServeError::UnknownKind(other.to_string())),
-        }
+            other => return Err(ServeError::UnknownKind(other.to_string())),
+        };
+        Ok(Some(Job { benchmark, work }))
     }
 
     fn metric_field(&self, obj: &BTreeMap<String, Value>) -> Result<Metric, ServeError> {
@@ -994,51 +1042,25 @@ impl ServeEngine {
             .collect()
     }
 
-    /// Cost model, admission control and dispatch for a valid request.
-    fn execute(
-        &mut self,
-        id: &str,
-        request: &Request,
-        deadline: u64,
-    ) -> Result<String, ServeError> {
-        // The stats probe is side-effect free: no admission, no models,
-        // no ticks — just a snapshot of the telemetry as it stands.
-        if let Request::Stats = request {
-            return Ok(self.stats_response(id));
-        }
-        let (metrics, items): (Vec<Metric>, u64) = match request {
-            Request::Predict { metric, points, .. } => (vec![*metric], points.len() as u64),
-            Request::Pareto { points, .. } => (Metric::DOMAINS.to_vec(), 3 * points.len() as u64),
-            Request::TopK { points, .. } => {
-                (vec![Metric::Cpi, Metric::Power], 2 * points.len() as u64)
-            }
-            Request::Sweep { metric, values, .. } => (vec![*metric], values.len() as u64),
-            Request::Stats => (Vec::new(), 0),
-        };
-        let benchmark = match request {
-            Request::Predict { benchmark, .. }
-            | Request::Pareto { benchmark, .. }
-            | Request::TopK { benchmark, .. }
-            | Request::Sweep { benchmark, .. } => *benchmark,
-            // Answered above; a benign default keeps the match total.
-            Request::Stats => Benchmark::Gcc,
-        };
+    /// Admission control, model resolution and dispatch for a job.
+    fn execute(&mut self, id: &str, job: &Job, deadline: u64) -> Result<String, ServeError> {
+        let benchmark = job.benchmark;
+        let (metrics, items) = job.work.cost();
         let uncached = metrics
             .iter()
             .filter(|m| !self.cache.contains_key(&(benchmark, **m)))
             .count() as u64;
-        let upfront = uncached * self.config.train_cost;
-        let total_cost = upfront + items;
+        let upfront = uncached.saturating_mul(self.config.train_cost);
+        let total_cost = upfront.saturating_add(items);
         {
             let _span = dynawave_obs::span("serve.admission");
             // Backpressure before any work: the leaky bucket was drained
             // on entry; if this request's full cost would overflow it,
             // refuse with a deterministic retry hint.
-            if self.load + total_cost > self.config.queue_capacity {
+            let level = self.load.saturating_add(total_cost);
+            if level > self.config.queue_capacity {
                 let drain = self.config.drain_per_request.max(1);
-                let excess = self.load + total_cost - self.config.queue_capacity;
-                let retry_after = excess.div_ceil(drain);
-                dynawave_obs::counter_add("serve.responses.overloaded", 1);
+                let retry_after = (level - self.config.queue_capacity).div_ceil(drain);
                 if dynawave_obs::is_enabled() {
                     dynawave_obs::marker_with_detail(
                         "serve.overloaded",
@@ -1052,24 +1074,28 @@ impl ServeEngine {
             // need budget for training plus one item; the rank/frontier
             // endpoints need the whole batch, because a frontier over
             // half the candidates is not a partial answer, it is a wrong
-            // one.
-            let splittable = matches!(request, Request::Predict { .. } | Request::Sweep { .. });
-            let needed = if splittable { upfront + 1 } else { total_cost };
-            if deadline < needed {
-                dynawave_obs::counter_add("serve.responses.deadline_exceeded", 1);
-                self.stats.deadline_refused += 1;
+            // one. Costs saturate, and a saturated cost never fits: the
+            // budget must also exceed the training ticks.
+            let splittable = matches!(job.work, Work::Predict { .. } | Work::Sweep { .. });
+            let needed = if splittable {
+                upfront.saturating_add(1)
+            } else {
+                total_cost
+            };
+            if deadline < needed || deadline <= upfront {
+                self.stats.tally(Tally::DeadlineRefused);
                 return Err(ServeError::DeadlineExceeded {
                     budget: deadline,
                     needed,
                 });
             }
-            self.stats.deadline_granted += deadline;
+            self.stats.deadline_granted = self.stats.deadline_granted.saturating_add(deadline);
         }
 
         // Acquire the models (cache hit, snapshot load, or lazy train).
         {
             let _span = dynawave_obs::span("serve.model_resolve");
-            for m in &metrics {
+            for m in metrics {
                 self.ensure_model(benchmark, *m)?;
             }
         }
@@ -1079,45 +1105,39 @@ impl ServeEngine {
             .map(|c| c.rung)
             .max_by_key(|r| r.level())
             .unwrap_or(RecoveryRung::Primary);
-        self.stats.rungs[(rung.level() as usize).min(3)] += 1;
-        if rung.level() > 0 {
-            dynawave_obs::counter_add("serve.responses.degraded", 1);
-            if dynawave_obs::is_enabled() {
-                dynawave_obs::marker_with_detail(
-                    "serve.degraded",
-                    &format!("id={id} rung={}", rung.name()),
-                );
-            }
+        self.stats.tally(Tally::Rung(rung));
+        if rung.level() > 0 && dynawave_obs::is_enabled() {
+            dynawave_obs::marker_with_detail(
+                "serve.degraded",
+                &format!("id={id} rung={}", rung.name()),
+            );
         }
 
-        // Execute within the remaining item budget.
-        let item_budget = deadline - upfront;
-        let (results, completed, total) = {
+        // Execute within the remaining item budget; admission left the
+        // all-or-nothing kinds a budget for every item.
+        let completed = (deadline - upfront).min(items);
+        let results = {
             let _span = dynawave_obs::span("serve.solve");
-            self.run(request, item_budget)?
+            self.run(job, metrics, completed)?
         };
-        let consumed = upfront + completed.min(items);
-        self.tick += consumed;
+        let consumed = upfront + completed;
+        self.tick = self.tick.saturating_add(consumed);
         self.load += consumed;
-        self.stats.deadline_used += consumed;
+        self.stats.deadline_used = self.stats.deadline_used.saturating_add(consumed);
 
-        let partial = completed < total;
-        let kind = if partial { "partial" } else { "ok" };
-        self.stats.outcomes[if partial { OUT_PARTIAL } else { OUT_OK }] += 1;
-        dynawave_obs::counter_add(
-            if partial {
-                "serve.responses.partial"
-            } else {
-                "serve.responses.ok"
-            },
-            1,
-        );
+        let partial = completed < items;
+        let (kind, tally) = if partial {
+            ("partial", Tally::Partial)
+        } else {
+            ("ok", Tally::Ok)
+        };
+        self.stats.tally(tally);
         let mut out = self.response_head(id, kind);
         out.push_str(",\"rung\":");
         push_json_string(&mut out, rung.name());
         if partial {
             out.push_str(&format!(
-                ",\"error\":\"deadline-exceeded\",\"completed\":{completed},\"total\":{total}"
+                ",\"error\":\"deadline-exceeded\",\"completed\":{completed},\"total\":{items}"
             ));
         }
         out.push_str(",\"results\":");
@@ -1126,21 +1146,20 @@ impl ServeEngine {
         Ok(out)
     }
 
-    /// Runs the request's prediction work under `item_budget` ticks.
-    /// Returns the encoded results array, items completed, items total.
-    fn run(&self, request: &Request, item_budget: u64) -> Result<(String, u64, u64), ServeError> {
-        match request {
-            Request::Predict {
-                benchmark,
+    /// Runs the job's first `items` predictions (all of them for pareto
+    /// and topk) with the models of `metrics` and returns the encoded
+    /// results array.
+    fn run(&self, job: &Job, metrics: &[Metric], items: u64) -> Result<String, ServeError> {
+        let benchmark = job.benchmark;
+        let mut out = String::from("[");
+        match &job.work {
+            Work::Predict {
                 metric,
                 points,
                 with_trace,
             } => {
-                let model = self.cached(*benchmark, *metric)?;
-                let total = points.len() as u64;
-                let take = (item_budget.min(total)) as usize;
-                let mut out = String::from("[");
-                for (i, p) in points.iter().take(take).enumerate() {
+                let model = self.cached(benchmark, *metric)?;
+                for (i, p) in points.iter().take(items as usize).enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
@@ -1166,87 +1185,42 @@ impl ServeEngine {
                     }
                     out.push('}');
                 }
-                out.push(']');
-                Ok((out, take as u64, total))
             }
-            Request::Pareto { benchmark, points } => {
-                let means = self.domain_means(*benchmark, points)?;
-                let mut out = String::from("[");
-                let mut first = true;
-                for (i, a) in means.iter().enumerate() {
-                    let dominated = means.iter().enumerate().any(|(j, b)| {
+            Work::Pareto { points } => {
+                let means = self.means(benchmark, metrics, points)?;
+                let frontier = means.iter().enumerate().filter(|&(i, a)| {
+                    !means.iter().enumerate().any(|(j, b)| {
                         j != i
                             && b.iter().zip(a).all(|(x, y)| x <= y)
                             && b.iter().zip(a).any(|(x, y)| x < y)
-                    });
-                    if dominated {
-                        continue;
-                    }
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    out.push_str(&format!("{{\"index\":{i},\"cpi\":"));
-                    push_json_number(&mut out, a[0]);
-                    out.push_str(",\"power\":");
-                    push_json_number(&mut out, a[1]);
-                    out.push_str(",\"avf\":");
-                    push_json_number(&mut out, a[2]);
-                    out.push('}');
-                }
-                out.push(']');
-                let total = 3 * points.len() as u64;
-                Ok((out, total, total))
+                    })
+                });
+                push_rows(&mut out, metrics, frontier);
             }
-            Request::TopK {
-                benchmark,
+            Work::TopK {
                 k,
                 power_budget,
                 points,
             } => {
-                let cpi_model = self.cached(*benchmark, Metric::Cpi)?;
-                let power_model = self.cached(*benchmark, Metric::Power)?;
-                let mut ranked: Vec<(usize, f64, f64)> = points
+                // Rows are [cpi, power], the order of `Work::cost`.
+                let means = self.means(benchmark, metrics, points)?;
+                let mut ranked: Vec<(usize, &Vec<f64>)> = means
                     .iter()
                     .enumerate()
-                    .map(|(i, p)| {
-                        (
-                            i,
-                            trace_mean(&cpi_model.predict(p)),
-                            trace_mean(&power_model.predict(p)),
-                        )
-                    })
-                    .filter(|(_, _, power)| power <= power_budget)
+                    .filter(|(_, m)| matches!(m[..], [_, power] if power <= *power_budget))
                     .collect();
                 // Deterministic order: CPI ascending, index as tiebreak.
-                ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                let mut out = String::from("[");
-                for (n, (i, cpi, power)) in ranked.iter().take(*k).enumerate() {
-                    if n > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("{{\"index\":{i},\"cpi\":"));
-                    push_json_number(&mut out, *cpi);
-                    out.push_str(",\"power\":");
-                    push_json_number(&mut out, *power);
-                    out.push('}');
-                }
-                out.push(']');
-                let total = 2 * points.len() as u64;
-                Ok((out, total, total))
+                ranked.sort_by(|(i, a), (j, b)| a[0].total_cmp(&b[0]).then(i.cmp(j)));
+                push_rows(&mut out, metrics, ranked.into_iter().take(*k));
             }
-            Request::Sweep {
-                benchmark,
+            Work::Sweep {
                 metric,
                 base,
                 axis,
                 values,
             } => {
-                let model = self.cached(*benchmark, *metric)?;
-                let total = values.len() as u64;
-                let take = (item_budget.min(total)) as usize;
-                let mut out = String::from("[");
-                for (i, v) in values.iter().take(take).enumerate() {
+                let model = self.cached(benchmark, *metric)?;
+                for (i, v) in values.iter().take(items as usize).enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
@@ -1261,21 +1235,17 @@ impl ServeEngine {
                     push_json_number(&mut out, mean);
                     out.push('}');
                 }
-                out.push(']');
-                Ok((out, take as u64, total))
             }
-            // Dispatched in `execute` before any budget work; this arm
-            // only keeps the match total.
-            Request::Stats => Ok((String::from("[]"), 0, 0)),
         }
+        out.push(']');
+        Ok(out)
     }
 
     /// Answers the `stats` probe: the versioned telemetry snapshot,
     /// including this very response in its own outcome counters (so
     /// `sum(outcomes) == seq` holds for every snapshot).
     fn stats_response(&mut self, id: &str) -> String {
-        self.stats.outcomes[OUT_STATS] += 1;
-        dynawave_obs::counter_add("serve.responses.stats", 1);
+        self.stats.tally(Tally::Stats);
         let mut out = self.response_head(id, "stats");
         out.push_str(",\"stats\":");
         self.stats
@@ -1284,25 +1254,21 @@ impl ServeEngine {
         out
     }
 
-    /// Mean CPI/power/AVF per point (order of [`Metric::DOMAINS`]).
-    fn domain_means(
+    /// Mean of each metric's predicted trace per point, point-major and
+    /// metric-minor (the order the chaos fault draws follow).
+    fn means(
         &self,
         benchmark: Benchmark,
+        metrics: &[Metric],
         points: &[DesignPoint],
-    ) -> Result<Vec<[f64; 3]>, ServeError> {
-        let models: Vec<&WaveletNeuralPredictor> = Metric::DOMAINS
+    ) -> Result<Vec<Vec<f64>>, ServeError> {
+        let models: Vec<&WaveletNeuralPredictor> = metrics
             .iter()
             .map(|m| self.cached(benchmark, *m))
             .collect::<Result<_, _>>()?;
         Ok(points
             .iter()
-            .map(|p| {
-                let mut means = [0.0; 3];
-                for (slot, model) in means.iter_mut().zip(&models) {
-                    *slot = trace_mean(&model.predict(p));
-                }
-                means
-            })
+            .map(|p| models.iter().map(|m| trace_mean(&m.predict(p))).collect())
             .collect())
     }
 
@@ -1348,8 +1314,7 @@ impl ServeEngine {
             {
                 Ok(model) => {
                     let rung = rung_of_snapshot(&model);
-                    self.stats.models_loaded += 1;
-                    dynawave_obs::counter_add("serve.models.loaded", 1);
+                    self.stats.tally(Tally::ModelLoaded);
                     self.parked.remove(&key);
                     self.cache.insert(key, Ok(CachedModel { model, rung }));
                     return Ok(());
@@ -1374,13 +1339,11 @@ impl ServeEngine {
                         .map(|r| r.rung)
                         .max_by_key(|r| r.level())
                         .unwrap_or(RecoveryRung::Primary);
-                    self.stats.models_trained += 1;
-                    dynawave_obs::counter_add("serve.models.trained", 1);
+                    self.stats.tally(Tally::ModelTrained);
                     Ok(CachedModel { model, rung })
                 }
                 Err(e) => {
-                    self.stats.models_failed += 1;
-                    dynawave_obs::counter_add("serve.models.failed", 1);
+                    self.stats.tally(Tally::ModelFailed);
                     Err(e.to_string())
                 }
             };
@@ -1431,15 +1394,13 @@ impl ServeEngine {
     /// its own response kind (clients treat it as "try again", not
     /// "request was wrong"); everything else is kind `error`.
     fn error_response(&mut self, id: &str, e: &ServeError) -> String {
-        let kind = match e {
-            ServeError::Overloaded { .. } => "overloaded",
-            _ => "error",
+        let (kind, tally) = match e {
+            ServeError::Overloaded { .. } => ("overloaded", Tally::Overloaded),
+            _ => ("error", Tally::Error),
         };
-        if kind == "error" {
-            self.stats.outcomes[OUT_ERROR] += 1;
-            dynawave_obs::counter_add("serve.responses.error", 1);
-        } else {
-            self.stats.outcomes[OUT_OVERLOADED] += 1;
+        self.stats.tally(tally);
+        if e.is_internal() {
+            self.stats.internal_errors += 1;
         }
         let mut out = self.response_head(id, kind);
         out.push_str(",\"error\":");
@@ -1468,6 +1429,28 @@ fn json_counts(names: &[&str], counts: &[u64]) -> String {
             .zip(counts)
             .map(|(n, c)| format!("\"{n}\":{c}")),
     )
+}
+
+/// Appends one `{"index":i,"<metric>":mean,...}` object per row,
+/// comma-separated.
+fn push_rows<'a>(
+    out: &mut String,
+    metrics: &[Metric],
+    rows: impl IntoIterator<Item = (usize, &'a Vec<f64>)>,
+) {
+    for (n, (i, means)) in rows.into_iter().enumerate() {
+        if n > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!("{{\"index\":{i}"));
+        for (m, v) in metrics.iter().zip(means) {
+            out.push_str(",\"");
+            out.push_str(m.name());
+            out.push_str("\":");
+            push_json_number(out, *v);
+        }
+        out.push('}');
+    }
 }
 
 /// Mean of a predicted dynamics trace.
@@ -1829,6 +1812,24 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn saturated_costs_are_refused_not_wrapped() {
+        let cfg = ServeConfig {
+            queue_capacity: u64::MAX,
+            train_cost: u64::MAX,
+            ..tiny_config()
+        };
+        let mut engine = ServeEngine::new(cfg);
+        let req = predict_request("m", 2).replacen(
+            "\"kind\"",
+            &format!("\"deadline\":{},\"kind\"", u64::MAX),
+            1,
+        );
+        let obj = parse_resp(&engine.handle_line(&req));
+        assert_eq!(obj["error"].as_str(), Some("deadline-exceeded"));
+        assert_eq!(engine.tick(), 0, "a refused request must not train");
     }
 
     #[test]

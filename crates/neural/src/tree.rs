@@ -50,9 +50,6 @@ pub(crate) struct Node {
     pub(crate) extent: Vec<f64>,
     /// Mean target value of the node's samples.
     pub(crate) mean_y: f64,
-    /// Number of training samples in the node (diagnostics/tests only).
-    #[allow(dead_code)]
-    pub(crate) count: usize,
     /// Sum of squared errors of the node's samples around `mean_y`.
     pub(crate) sse: f64,
     split: Option<SplitInfo>,
@@ -246,7 +243,7 @@ impl RegressionTree {
         new_idx
     }
 
-    /// Iterates over `(center, extent, mean_y, count)` for every node; the
+    /// Iterates over `(center, extent, mean_y, sse)` for every node; the
     /// raw material for RBF unit placement.
     pub(crate) fn nodes(&self) -> &[Node] {
         &self.nodes
@@ -321,7 +318,6 @@ fn make_leaf(x: &Matrix, y: &[f64], samples: &[usize]) -> Node {
         center,
         extent,
         mean_y,
-        count: samples.len(),
         sse,
         split: None,
         left: None,
@@ -542,6 +538,8 @@ mod tests {
         let root = &tree.nodes()[0];
         let mean: f64 = (0..20).map(|i| x[(i, 0)]).sum::<f64>() / 20.0;
         assert!((root.center[0] - mean).abs() < 1e-12);
-        assert_eq!(root.count, 20);
+        // The root holds all 20 samples, so its target mean is theirs.
+        let mean_y: f64 = y.iter().sum::<f64>() / 20.0;
+        assert!((root.mean_y - mean_y).abs() < 1e-12);
     }
 }

@@ -11,6 +11,7 @@ use dynawave_obs::{json, EventKind};
 use dynawave_sampling::DesignPoint;
 use dynawave_testkit::{check, gen};
 use dynawave_workloads::Benchmark;
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -337,6 +338,147 @@ fn backpressure_sheds_load_with_retry_hints() {
         last_ok > first_over,
         "service must recover after shedding: {kinds:?}"
     );
+}
+
+/// Parses one response line into its top-level object.
+fn parse_object(line: &str) -> BTreeMap<String, json::Value> {
+    json::parse(line)
+        .expect("valid JSON")
+        .as_object()
+        .cloned()
+        .expect("a JSON object")
+}
+
+/// `field` of the object `value`, as an object.
+fn object_field<'a>(
+    value: &'a BTreeMap<String, json::Value>,
+    field: &str,
+) -> &'a BTreeMap<String, json::Value> {
+    value[field].as_object().expect("an object field")
+}
+
+#[test]
+fn max_deadlines_saturate_the_stats_budget_sums() {
+    let mut engine = ServeEngine::new(tiny_config());
+    let max = predict_request("x", 1).replacen(
+        "\"kind\"",
+        &format!("\"deadline\":{},\"kind\"", u64::MAX),
+        1,
+    );
+    let responses = [
+        engine.handle_line(&max),
+        engine.handle_line(&max),
+        engine.handle_line(&stats_request("s")),
+    ];
+    assert_ok(&responses[..2]);
+    let snapshot = parse_object(&responses[2]);
+    assert_eq!(snapshot["kind"].as_str(), Some("stats"));
+    let deadline = object_field(object_field(&snapshot, "stats"), "deadline");
+    assert_eq!(deadline["granted"].as_u64(), Some(u64::MAX));
+    assert_eq!(deadline["used"].as_u64(), Some(engine.tick()));
+}
+
+/// The `stats` snapshot field that each `serve.responses.*` and
+/// `serve.models.*` obs counter tallies, as (section, field); the
+/// degraded counter tallies every rung but `primary`.
+const COUNTER_FIELDS: [(&str, &str, &str); 9] = [
+    ("serve.responses.ok", "outcomes", "ok"),
+    ("serve.responses.partial", "outcomes", "partial"),
+    ("serve.responses.error", "outcomes", "error"),
+    ("serve.responses.overloaded", "outcomes", "overloaded"),
+    ("serve.responses.stats", "outcomes", "stats"),
+    ("serve.responses.deadline_exceeded", "deadline", "refused"),
+    ("serve.models.loaded", "models", "loaded"),
+    ("serve.models.trained", "models", "trained"),
+    ("serve.models.failed", "models", "failed"),
+];
+
+#[test]
+fn obs_counters_equal_the_final_stats_snapshot() {
+    let cfg = ServeConfig {
+        queue_capacity: 200,
+        drain_per_request: 10,
+        train_cost: 64,
+        ..tiny_config()
+    };
+    let pareto = pareto_request("p", "gcc");
+    let session = [
+        predict_request("a", 2),
+        // Budget for 3 of 5 cached predictions: partial.
+        predict_request("b", 5).replacen("\"kind\"", "\"deadline\":3,\"kind\"", 1),
+        "not json".to_string(),
+        // Two trains cannot fit 5 ticks: a deadline refusal.
+        pareto.replacen("\"kind\"", "\"deadline\":5,\"kind\"", 1),
+        pareto,
+        // 60 items on a bucket holding 163 of 200: overloaded.
+        predict_request("c", 60),
+        stats_request("s"),
+    ];
+    let plans = [
+        None,
+        Some(
+            FaultPlan::new(0xC4A0)
+                .rate(0.5)
+                .targeting(&FaultSite::SOLVER_SITES)
+                .kinds(&[FaultKind::Singular, FaultKind::NonFinite]),
+        ),
+    ];
+    for plan in plans {
+        let mut engine = ServeEngine::new(cfg.clone());
+        let mut serve = || {
+            let prior = dynawave_obs::take();
+            dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
+            let responses: Vec<String> = session.iter().map(|r| engine.handle_line(r)).collect();
+            let events = dynawave_obs::drain().expect("recorder was installed");
+            if let Some(prior) = prior {
+                dynawave_obs::install(prior);
+            }
+            (responses, events)
+        };
+        let ((responses, events), chaos) = match plan.clone() {
+            None => (serve(), false),
+            Some(plan) => (fault::with_plan(plan, serve).0, true),
+        };
+        let kinds: Vec<String> = responses
+            .iter()
+            .map(|r| parse_object(r)["kind"].as_str().unwrap_or("").to_string())
+            .collect();
+        for kind in ["ok", "partial", "error", "overloaded", "stats"] {
+            assert!(kinds.iter().any(|k| k == kind), "no {kind}: {kinds:?}");
+        }
+        let snapshot = parse_object(responses.last().expect("a stats response"));
+        let stats = object_field(&snapshot, "stats");
+        let counter = |name: &str| {
+            events
+                .iter()
+                .find(|e| e.kind == EventKind::Counter && e.name == name)
+                .map_or(0, |e| e.count.expect("counter value"))
+        };
+        for (name, section, field) in COUNTER_FIELDS {
+            let tally = object_field(stats, section)[field].as_u64();
+            assert_eq!(Some(counter(name)), tally, "{name} (chaos {chaos})");
+        }
+        let rungs = object_field(stats, "rungs");
+        let degraded: u64 = rungs
+            .iter()
+            .filter(|(rung, _)| rung.as_str() != "primary")
+            .map(|(_, n)| n.as_u64().expect("a count"))
+            .sum();
+        assert_eq!(
+            counter("serve.responses.degraded"),
+            degraded,
+            "chaos {chaos}"
+        );
+        assert_eq!(object_field(stats, "deadline")["refused"].as_u64(), Some(1));
+        // Every counter of the two families has a snapshot field.
+        for e in events.iter().filter(|e| e.kind == EventKind::Counter) {
+            let family =
+                e.name.starts_with("serve.responses.") || e.name.starts_with("serve.models.");
+            let known = e.name == "serve.responses.degraded"
+                || COUNTER_FIELDS.iter().any(|(name, ..)| *name == e.name);
+            assert!(!family || known, "{} has no stats field", e.name);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

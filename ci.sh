@@ -70,7 +70,10 @@ assert_no_journal_leftovers() {
 }
 
 echo "=== cargo build --release --offline ==="
-cargo build --release --offline --workspace
+# --all-targets also compiles the microbench, which `cargo test` never
+# builds; the benchmark driver under dsebench/ is its own package.
+cargo build --release --offline --workspace --all-targets
+cargo build --release --offline --manifest-path dsebench/Cargo.toml
 
 echo "=== cargo test -q --offline ==="
 cargo test -q --offline --workspace

@@ -152,6 +152,28 @@ mod tests {
         assert_eq!(err(&header(MAGIC, 7)), None);
     }
 
+    /// Pins the campaign and serve journal fingerprints of fixed
+    /// configurations. Both hash the `Debug` form of `ExperimentConfig`,
+    /// so renaming, adding or removing any field of it or of a nested
+    /// params struct changes them. Changing either value makes every
+    /// existing journal unresumable: a resume or replay is refused with a
+    /// fingerprint mismatch. Update the literals only together with a
+    /// CHANGELOG entry that says so.
+    #[test]
+    fn journal_fingerprints_are_pinned() {
+        use crate::campaign::CampaignSpec;
+        use crate::dataset::Metric;
+        use crate::experiment::ExperimentConfig;
+        use crate::serve::ServeConfig;
+        use dynawave_workloads::Benchmark;
+
+        let spec = CampaignSpec::single(Benchmark::Gcc, Metric::Cpi, ExperimentConfig::default());
+        assert_eq!(format!("{:016x}", spec.fingerprint()), "8c88e85fc695daf6");
+        // `ServeConfig::default()` wraps `ExperimentConfig::default()`.
+        let serve = ServeConfig::default();
+        assert_eq!(format!("{:016x}", serve.fingerprint()), "51b6ef386523c04d");
+    }
+
     #[test]
     fn rewrite_replaces_and_appender_extends() {
         let dir = std::env::temp_dir().join(format!("dynawave-journal-{}", std::process::id()));

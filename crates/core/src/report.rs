@@ -4,7 +4,6 @@
 //! self-contained markdown document — the per-benchmark accuracy tables a
 //! design-space-exploration campaign would archive next to its models.
 
-use crate::dataset::Metric;
 use crate::experiment::BenchmarkEvaluation;
 use crate::recovery::DegradationReport;
 use dynawave_numeric::stats::BoxplotSummary;
@@ -42,39 +41,6 @@ pub fn pipeline_profile_section(events: &[dynawave_obs::Event]) -> String {
         return String::from("Pipeline profile: tracing disabled (no events recorded).\n");
     }
     profile.render_markdown()
-}
-
-/// Renders the "Perf trajectory" section: the noise-aware diff of two
-/// bench snapshots (`BENCH_*.json` texts in the obs schema), as produced
-/// by the `compare_bench` tool. Archived campaign reports carry this
-/// next to their accuracy tables so a perf regression is as visible as
-/// an accuracy one. Returns an explanatory note instead of a table when
-/// either snapshot fails to parse, so callers can append it
-/// unconditionally.
-pub fn perf_trajectory_section(
-    base_label: &str,
-    base_text: &str,
-    new_label: &str,
-    new_text: &str,
-) -> String {
-    let parsed = dynawave_obs::BenchSnapshot::parse(base_text)
-        .map_err(|e| format!("{base_label}: {e}"))
-        .and_then(|base| {
-            dynawave_obs::BenchSnapshot::parse(new_text)
-                .map(|new| (base, new))
-                .map_err(|e| format!("{new_label}: {e}"))
-        });
-    match parsed {
-        Ok((base, new)) => {
-            let comparison = dynawave_obs::BenchComparison::compare(
-                &base,
-                &new,
-                &dynawave_obs::CompareOptions::default(),
-            );
-            comparison.render_markdown(base_label, new_label)
-        }
-        Err(reason) => format!("Perf trajectory: unavailable ({reason}).\n"),
-    }
 }
 
 /// Renders one evaluation as a markdown section.
@@ -144,25 +110,10 @@ pub fn full_report(title: &str, evals: &[BenchmarkEvaluation]) -> String {
     out
 }
 
-/// Renders per-test-point rows as CSV (`benchmark,metric,point,nmse`).
-pub fn csv_rows(evals: &[BenchmarkEvaluation]) -> String {
-    let mut out = String::from("benchmark,metric,test_point,nmse_percent\n");
-    for e in evals {
-        for (i, v) in e.nmse_per_test.iter().enumerate() {
-            let _ = writeln!(out, "{},{},{},{}", e.benchmark, e.metric, i, v);
-        }
-    }
-    out
-}
-
-/// The metric names, for callers assembling multi-domain reports.
-pub fn domain_names() -> [&'static str; 3] {
-    [Metric::Cpi.name(), Metric::Power.name(), Metric::Avf.name()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Metric;
     use crate::experiment::{evaluate_benchmark, ExperimentConfig};
     use dynawave_workloads::Benchmark;
 
@@ -197,15 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_rows_one_per_test_point() {
-        let e = tiny_eval();
-        let csv = csv_rows(std::slice::from_ref(&e));
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + e.nmse_per_test.len());
-        assert!(lines[1].starts_with("eon,cpi,0,"));
-    }
-
-    #[test]
     fn pipeline_profile_section_renders_traced_run() {
         // Without events: an explicit "disabled" note.
         let off = pipeline_profile_section(&[]);
@@ -223,37 +165,6 @@ mod tests {
         assert!(text.contains("| sim |"), "{text}");
         assert!(text.contains("| predictor |"), "{text}");
         assert!(text.contains("`sim.intervals_retired`"), "{text}");
-    }
-
-    #[test]
-    fn perf_trajectory_section_diffs_snapshots_and_survives_bad_input() {
-        let line = |name: &str, median: f64, min: f64, max: f64| {
-            format!(
-                "{{\"schema\":\"dynawave-obs\",\"v\":1,\"schema_version\":1,\
-                 \"kind\":\"bench\",\"bench\":\"{name}\",\"median_ns\":{median},\
-                 \"min_ns\":{min},\"max_ns\":{max},\"iters\":3,\"throughput_elems\":1}}"
-            )
-        };
-        let base = line("sim/run_trace/64", 100.0, 95.0, 105.0);
-        let new = line("sim/run_trace/64", 150.0, 145.0, 155.0);
-        let text = perf_trajectory_section("seed", &base, "current", &new);
-        assert!(text.contains("# Perf trajectory: seed → current"), "{text}");
-        assert!(text.contains("REGRESSION"), "{text}");
-        assert!(text.contains("+50.00%"), "{text}");
-        // Deterministic render.
-        assert_eq!(
-            text,
-            perf_trajectory_section("seed", &base, "current", &new)
-        );
-        // Unparseable input degrades to a note, not a panic.
-        let bad = perf_trajectory_section("seed", "not json", "current", &new);
-        assert!(bad.contains("Perf trajectory: unavailable"), "{bad}");
-        assert!(bad.contains("seed"), "{bad}");
-    }
-
-    #[test]
-    fn domain_names_are_stable() {
-        assert_eq!(domain_names(), ["cpi", "power", "avf"]);
     }
 
     #[test]

@@ -51,7 +51,6 @@ mod linear;
 mod normalize;
 mod rbf;
 mod tree;
-pub mod validate;
 
 pub use error::ModelError;
 pub use linear::LinearModel;

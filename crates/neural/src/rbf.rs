@@ -21,12 +21,6 @@ pub struct RbfParams {
     pub ridge_lambda: f64,
     /// Include a bias (constant) unit alongside the Gaussians.
     pub bias: bool,
-    /// Optional cap on the number of Gaussian units. When set, units are
-    /// chosen by greedy **forward selection** (Orr et al.): starting from
-    /// the bias alone, repeatedly add the candidate unit that most
-    /// reduces the ridge-regularized training error. `None` keeps every
-    /// tree node as a unit (the paper-faithful default).
-    pub max_units: Option<usize>,
 }
 
 impl Default for RbfParams {
@@ -37,7 +31,6 @@ impl Default for RbfParams {
             min_radius: 0.7,
             ridge_lambda: 3e-4,
             bias: true,
-            max_units: None,
         }
     }
 }
@@ -135,10 +128,6 @@ impl RbfNetwork {
                     .collect(),
             })
             .collect();
-        let units = match params.max_units {
-            Some(k) => forward_select(&xn, y, units, k, params)?,
-            None => units,
-        };
         let (weights, bias_weight) = fit_weights(&xn, y, &units, params)?;
         Ok(RbfNetwork {
             normalizer,
@@ -309,67 +298,6 @@ impl RbfNetwork {
     }
 }
 
-/// Greedy forward selection of at most `k` units: each round adds the
-/// candidate whose inclusion minimizes the ridge-fit training SSE.
-fn forward_select(
-    xn: &Matrix,
-    y: &[f64],
-    candidates: Vec<RbfUnit>,
-    k: usize,
-    params: &RbfParams,
-) -> Result<Vec<RbfUnit>, ModelError> {
-    let k = k.max(1);
-    if candidates.len() <= k {
-        return Ok(candidates);
-    }
-    // Precompute every candidate's response column once.
-    let n = xn.rows();
-    let columns: Vec<Vec<f64>> = candidates
-        .iter()
-        .map(|u| (0..n).map(|r| u.response(xn.row(r))).collect())
-        .collect();
-    let mut chosen: Vec<usize> = Vec::with_capacity(k);
-    let mut remaining: Vec<usize> = (0..candidates.len()).collect();
-    for _ in 0..k {
-        let mut best: Option<(usize, f64)> = None;
-        for (pos, &cand) in remaining.iter().enumerate() {
-            let mut trial = chosen.clone();
-            trial.push(cand);
-            let sse = ridge_sse(&columns, &trial, y, params)?;
-            if best.is_none_or(|(_, s)| sse < s) {
-                best = Some((pos, sse));
-            }
-        }
-        let (pos, _) = best.ok_or(ModelError::Internal("candidate pool exhausted early"))?;
-        chosen.push(remaining.swap_remove(pos));
-    }
-    Ok(chosen.into_iter().map(|i| candidates[i].clone()).collect())
-}
-
-/// Training SSE of a ridge fit over the selected candidate columns.
-fn ridge_sse(
-    columns: &[Vec<f64>],
-    selected: &[usize],
-    y: &[f64],
-    params: &RbfParams,
-) -> Result<f64, ModelError> {
-    let n = y.len();
-    let cols = selected.len() + usize::from(params.bias);
-    let mut data = Vec::with_capacity(n * cols);
-    for r in 0..n {
-        for &c in selected {
-            data.push(columns[c][r]);
-        }
-        if params.bias {
-            data.push(1.0);
-        }
-    }
-    let phi = Matrix::from_vec(n, cols, data)?;
-    let w = solve::ridge_regression(&phi, y, params.ridge_lambda)?;
-    let pred = phi.matvec(&w)?;
-    Ok(y.iter().zip(&pred).map(|(a, p)| (a - p) * (a - p)).sum())
-}
-
 fn fit_weights(
     xn: &Matrix,
     y: &[f64],
@@ -513,45 +441,6 @@ mod tests {
         data.radii.clear();
         data.weights.clear();
         assert!(RbfNetwork::from_data(data).is_err());
-    }
-
-    #[test]
-    fn forward_selection_caps_units_without_wrecking_fit() {
-        let (x, y) = grid_2d(7, |a, b| (2.0 * a).sin() + b);
-        let full = RbfNetwork::fit(&x, &y, &RbfParams::default()).unwrap();
-        let capped = RbfNetwork::fit(
-            &x,
-            &y,
-            &RbfParams {
-                max_units: Some(8),
-                ..RbfParams::default()
-            },
-        )
-        .unwrap();
-        assert!(capped.unit_count() <= 8);
-        assert!(full.unit_count() > capped.unit_count());
-        // The capped model still fits the surface decently.
-        let err = |net: &RbfNetwork| {
-            let preds = net.predict_batch(&x);
-            dynawave_numeric::stats::nmse_percent(&y, &preds)
-        };
-        assert!(err(&capped) < 10.0, "capped NMSE {}", err(&capped));
-    }
-
-    #[test]
-    fn forward_selection_with_large_cap_is_identity() {
-        let (x, y) = grid_2d(5, |a, _| a);
-        let full = RbfNetwork::fit(&x, &y, &RbfParams::default()).unwrap();
-        let capped = RbfNetwork::fit(
-            &x,
-            &y,
-            &RbfParams {
-                max_units: Some(10_000),
-                ..RbfParams::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(full.unit_count(), capped.unit_count());
     }
 
     #[test]

@@ -50,8 +50,6 @@ pub(crate) struct Node {
     pub(crate) extent: Vec<f64>,
     /// Mean target value of the node's samples.
     pub(crate) mean_y: f64,
-    /// Sum of squared errors of the node's samples around `mean_y`.
-    pub(crate) sse: f64,
     split: Option<SplitInfo>,
     left: Option<usize>,
     right: Option<usize>,
@@ -122,11 +120,6 @@ impl RegressionTree {
         self.nodes.len()
     }
 
-    /// Number of leaf nodes.
-    pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.split.is_none()).count()
-    }
-
     /// Input dimensionality.
     pub fn dims(&self) -> usize {
         self.dims
@@ -185,65 +178,7 @@ impl RegressionTree {
         scores
     }
 
-    /// Cost-complexity pruning (CART's weakest-link criterion): collapses
-    /// every internal node whose split buys less than `alpha` SSE
-    /// reduction per extra leaf, i.e. where
-    /// `(node SSE - subtree SSE) / (leaves - 1) <= alpha`.
-    ///
-    /// Returns a new, compact tree; `alpha = 0` removes only splits that
-    /// achieve no reduction at all, `alpha = f64::INFINITY` collapses to a
-    /// single node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is negative or NaN.
-    pub fn pruned(&self, alpha: f64) -> RegressionTree {
-        assert!(alpha >= 0.0, "pruning strength must be non-negative");
-        let mut out = RegressionTree {
-            nodes: Vec::new(),
-            dims: self.dims,
-        };
-        self.copy_pruned(0, alpha, &mut out);
-        out
-    }
-
-    /// Subtree SSE (sum over reachable leaves) and leaf count.
-    fn subtree_cost(&self, idx: usize) -> (f64, usize) {
-        let node = &self.nodes[idx];
-        match (node.left, node.right) {
-            (Some(l), Some(r)) if node.split.is_some() => {
-                let (sl, nl) = self.subtree_cost(l);
-                let (sr, nr) = self.subtree_cost(r);
-                (sl + sr, nl + nr)
-            }
-            _ => (node.sse, 1),
-        }
-    }
-
-    fn copy_pruned(&self, idx: usize, alpha: f64, out: &mut RegressionTree) -> usize {
-        let node = &self.nodes[idx];
-        let new_idx = out.nodes.len();
-        out.nodes.push(Node {
-            split: None,
-            left: None,
-            right: None,
-            ..node.clone()
-        });
-        if let (Some(split), Some(l), Some(r)) = (&node.split, node.left, node.right) {
-            let (subtree_sse, leaves) = self.subtree_cost(idx);
-            let gain_per_leaf = (node.sse - subtree_sse) / (leaves.saturating_sub(1).max(1)) as f64;
-            if gain_per_leaf > alpha {
-                let nl = self.copy_pruned(l, alpha, out);
-                let nr = self.copy_pruned(r, alpha, out);
-                out.nodes[new_idx].split = Some(split.clone());
-                out.nodes[new_idx].left = Some(nl);
-                out.nodes[new_idx].right = Some(nr);
-            }
-        }
-        new_idx
-    }
-
-    /// Iterates over `(center, extent, mean_y, sse)` for every node; the
+    /// Iterates over `(center, extent, mean_y)` for every node; the
     /// raw material for RBF unit placement.
     pub(crate) fn nodes(&self) -> &[Node] {
         &self.nodes
@@ -313,12 +248,10 @@ fn make_leaf(x: &Matrix, y: &[f64], samples: &[usize]) -> Node {
         .zip(&hi)
         .map(|(&l, &h)| if h > l { (h - l) / 2.0 } else { 0.0 })
         .collect();
-    let sse = samples.iter().map(|&s| (y[s] - mean_y).powi(2)).sum();
     Node {
         center,
         extent,
         mean_y,
-        sse,
         split: None,
         left: None,
         right: None,
@@ -454,7 +387,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(tree.node_count(), 1);
-        assert_eq!(tree.leaf_count(), 1);
     }
 
     #[test]
@@ -489,46 +421,6 @@ mod tests {
             RegressionTree::fit(&x, &[1.0], &TreeParams::default()),
             Err(ModelError::SampleCountMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn pruning_infinity_collapses_to_root() {
-        let (x, y) = step_data();
-        let tree = RegressionTree::fit(&x, &y, &TreeParams::default()).unwrap();
-        let pruned = tree.pruned(f64::INFINITY);
-        assert_eq!(pruned.node_count(), 1);
-        // Root prediction is the global mean.
-        assert!((pruned.predict(&[0.5]) - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pruning_zero_keeps_useful_splits() {
-        let (x, y) = step_data();
-        let tree = RegressionTree::fit(&x, &y, &TreeParams::default()).unwrap();
-        let pruned = tree.pruned(0.0);
-        // The step split is essential; predictions are unchanged.
-        assert!((pruned.predict(&[0.1]) - 1.0).abs() < 1e-9);
-        assert!((pruned.predict(&[0.9]) - 5.0).abs() < 1e-9);
-        assert!(pruned.node_count() <= tree.node_count());
-    }
-
-    #[test]
-    fn pruning_is_monotone_in_alpha() {
-        let mut rows = Vec::new();
-        let mut y = Vec::new();
-        for i in 0..64 {
-            let v = i as f64 / 63.0;
-            rows.push(v);
-            y.push((v * 9.0).sin() + 0.05 * ((i * 37) % 11) as f64);
-        }
-        let x = Matrix::from_vec(64, 1, rows).unwrap();
-        let tree = RegressionTree::fit(&x, &y, &TreeParams::default()).unwrap();
-        let mut last = usize::MAX;
-        for alpha in [0.0, 0.05, 0.5, 5.0] {
-            let n = tree.pruned(alpha).node_count();
-            assert!(n <= last, "node count grew: {n} > {last}");
-            last = n;
-        }
     }
 
     #[test]

@@ -36,7 +36,6 @@
 mod error;
 pub mod fault;
 mod matrix;
-pub mod rank;
 pub mod rng;
 pub mod solve;
 pub mod stats;

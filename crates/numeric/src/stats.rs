@@ -21,11 +21,6 @@ pub fn variance(data: &[f64]) -> f64 {
     data.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / data.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(data: &[f64]) -> f64 {
-    variance(data).sqrt()
-}
-
 /// Linear-interpolation quantile (type 7, the R/NumPy default).
 ///
 /// `q` is clamped to `[0, 1]`.
@@ -190,24 +185,6 @@ pub fn nmse_percent(actual: &[f64], predicted: &[f64]) -> f64 {
     }
 }
 
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn mae(actual: &[f64], predicted: &[f64]) -> f64 {
-    assert_eq!(actual.len(), predicted.len(), "mae length mismatch");
-    if actual.is_empty() {
-        return 0.0;
-    }
-    actual
-        .iter()
-        .zip(predicted)
-        .map(|(a, p)| (a - p).abs())
-        .sum::<f64>()
-        / actual.len() as f64
-}
-
 /// Numerically stable streaming mean/variance accumulator (Welford's
 /// algorithm). Useful for per-interval statistics where storing every
 /// sample is wasteful.
@@ -337,29 +314,6 @@ pub fn min_max(data: &[f64]) -> Result<(f64, f64), NumericError> {
     Ok((lo, hi))
 }
 
-/// Pearson correlation coefficient; `0.0` if either side has zero variance.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "pearson length mismatch");
-    let (ma, mb) = (mean(a), mean(b));
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (x, y) in a.iter().zip(b) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    if va <= 0.0 || vb <= 0.0 {
-        0.0
-    } else {
-        cov / (va.sqrt() * vb.sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,17 +380,6 @@ mod tests {
         let a = [0.4, 0.8, 1.2];
         assert_eq!(mse(&a, &a), 0.0);
         assert_eq!(nmse_percent(&a, &a), 0.0);
-        assert_eq!(mae(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn pearson_perfect_and_inverse() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [2.0, 4.0, 6.0];
-        let c = [3.0, 2.0, 1.0];
-        assert!((pearson(&a, &b) - 1.0).abs() < 1e-12);
-        assert!((pearson(&a, &c) + 1.0).abs() < 1e-12);
-        assert_eq!(pearson(&a, &[1.0, 1.0, 1.0]), 0.0);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Discrete wavelet transforms and multiresolution analysis for workload
-//! dynamics.
+//! Discrete wavelet transforms for workload dynamics.
 //!
 //! The MICRO 2007 paper decomposes a sampled workload-dynamics trace (CPI,
 //! power or AVF over time) into wavelet coefficients, predicts a small set
@@ -16,10 +15,6 @@
 //!   increasing resolution, matching Figure 2 of the paper.
 //! * [`select`] — magnitude- and order-based coefficient selection
 //!   (the paper's two schemes) and rank maps (Figure 7).
-//! * [`mra`] — per-band views and time-domain components of the
-//!   multiresolution analysis.
-//! * [`threshold`] — hard/soft coefficient thresholding and
-//!   universal-threshold denoising.
 //!
 //! # Examples
 //!
@@ -40,10 +35,7 @@
 
 mod coeffs;
 mod error;
-pub mod mra;
-pub mod pad;
 pub mod select;
-pub mod threshold;
 mod transform;
 
 pub use coeffs::Decomposition;

@@ -45,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod analysis;
 mod benchmark;
 mod instruction;
 mod model;

@@ -16,9 +16,11 @@ cd "$(dirname "$0")"
 # cover all five pipeline stages, and whose derived `obs_report` render
 # must be byte-identical at 1 and 4 worker threads.
 # --par adds the parallel-determinism pass: the concurrency test battery
-# plus a byte-for-byte comparison of the full-space demo's report at 1
-# and 4 worker threads — the report must not depend on thread count —
-# and a check that no journal temp file or shard sidecar is left behind.
+# plus a byte-for-byte comparison of the full-space demo's report at 1,
+# 4 and 100000 worker threads — the report must not depend on thread
+# count, and a huge count must not exhaust the OS — a check that no
+# journal temp file or shard sidecar is left behind, and a demo start-up
+# with DYNAWAVE_SAMPLES=0 that must exit 2 naming the variable.
 # --perf adds the perf-trajectory ratchet: a quick microbench subset
 # diffed against the committed BENCH_seed.json baseline with
 # compare_bench. Soft by default (regressions warn, like the lint
@@ -56,9 +58,9 @@ done
 CI_TMP="$(mktemp -d)"
 trap 'rm -rf "$CI_TMP"' EXIT
 
-# Journals are rewritten through `<path>.tmp` + rename, and a completed
-# campaign deletes its `<path>.shard<k>` sidecars: after a pass whose
-# temp dir is $CI_TMP, neither kind of file may remain there.
+# Journals are rewritten through `<path>.tmp` + rename, and a campaign
+# writes its one journal and no `<path>.shard<k>` sidecar: after a pass
+# whose temp dir is $CI_TMP, neither kind of file may remain there.
 assert_no_journal_leftovers() {
   local leftovers
   leftovers="$(find "$CI_TMP" \( -name '*.tmp' -o -name '*.shard*' \) -print)"
@@ -111,8 +113,8 @@ fi
 if [ "$PAR" = 1 ]; then
   echo "=== par: thread-count determinism matrix ==="
   # The dedicated concurrency battery: byte-identical reports and
-  # journals across thread counts, kill-and-resume under 4 threads,
-  # chaos degradation independence, and the seeded interleaving
+  # journals across thread counts, a killed 4-shard run resumed at 1-4
+  # threads, chaos degradation independence, and the seeded interleaving
   # stress harness against the sequential oracle.
   TMPDIR="$CI_TMP" cargo test -q --offline -p dynawave-core --test parallel
   # Hard gate: the full-space demo's stdout (the report document) must
@@ -127,6 +129,30 @@ if [ "$PAR" = 1 ]; then
   cmp "$CI_TMP/par_t1.txt" "$CI_TMP/par_t4.txt"
   echo "parallel reports byte-identical across thread counts"
   assert_no_journal_leftovers "the kill-and-resume battery"
+  # A thread count far above the point count starts one worker per
+  # pending point, writes one journal, and reports the same bytes.
+  TMPDIR="$CI_TMP" DYNAWAVE_THREADS=100000 DYNAWAVE_TRAIN=8 DYNAWAVE_TEST=3 \
+    DYNAWAVE_SAMPLES=8 DYNAWAVE_INTERVAL=400 \
+    cargo run -q --release --offline -p dynawave-core \
+    --example parallel_campaign > "$CI_TMP/par_t100000.txt" 2> /dev/null
+  cmp "$CI_TMP/par_t1.txt" "$CI_TMP/par_t100000.txt"
+  echo "parallel report byte-identical at DYNAWAVE_THREADS=100000"
+  assert_no_journal_leftovers "the DYNAWAVE_THREADS=100000 run"
+  # A scale the simulator cannot run is refused at start-up: exit status
+  # 2 with the variable named on stderr, never a panic in a worker.
+  status=0
+  TMPDIR="$CI_TMP" DYNAWAVE_THREADS=4 DYNAWAVE_TRAIN=8 DYNAWAVE_TEST=3 \
+    DYNAWAVE_SAMPLES=0 DYNAWAVE_INTERVAL=400 \
+    cargo run -q --release --offline -p dynawave-core \
+    --example parallel_campaign > /dev/null 2> "$CI_TMP/par_badenv.err" \
+    || status=$?
+  [ "$status" = 2 ]
+  grep -q 'DYNAWAVE_SAMPLES' "$CI_TMP/par_badenv.err"
+  if grep -q 'panicked' "$CI_TMP/par_badenv.err"; then
+    echo "parallel_campaign panicked on DYNAWAVE_SAMPLES=0" >&2
+    exit 1
+  fi
+  echo "parallel_campaign refuses an invalid DYNAWAVE_SAMPLES before running"
 fi
 
 if [ "$SERVE" = 1 ]; then

@@ -218,14 +218,15 @@ fn bench_end_to_end(h: &Harness) {
 }
 
 fn bench_campaign(h: &Harness) {
-    use dynawave_core::campaign::{run_journaled_parallel, shard_path, CampaignSpec};
+    use dynawave_core::campaign::{run_journaled_parallel, CampaignSpec};
     use dynawave_core::experiment::ExperimentConfig;
     use dynawave_core::Metric;
     // The campaign/parallel pair: the same journaled campaign at 1 and 4
-    // worker threads. On a multi-core box the t4 line should approach a
-    // 4x lower median for the simulation phase (training is sequential);
-    // on a single hardware thread the pair instead bounds the sharding
-    // overhead — both are worth tracking in BENCH_*.json.
+    // worker threads, each writing one journal through the calling
+    // thread. On a multi-core box the t4 line should approach a 4x lower
+    // median for the simulation phase (training is sequential); on a
+    // single hardware thread the pair instead bounds the sharding and
+    // hand-off overhead — both are worth tracking in BENCH_*.json.
     let spec = CampaignSpec::single(
         Benchmark::Gcc,
         Metric::Cpi,
@@ -251,9 +252,6 @@ fn bench_campaign(h: &Harness) {
             run_journaled_parallel(&spec, &path, threads).map(|evals| evals.len())
         });
         let _ = std::fs::remove_file(&path);
-        for shard in 0..threads {
-            let _ = std::fs::remove_file(shard_path(&path, shard));
-        }
     }
 }
 

@@ -1,5 +1,6 @@
-//! BENCH_6 generator: wall-clock speedup of the parallel sharded campaign
-//! executor on the full-space demo (all 12 benchmarks × 3 metric domains).
+//! BENCH_6 generator: wall-clock speedup of the parallel campaign
+//! executor (sharded workers, one journal writer) on the full-space demo
+//! (all 12 benchmarks × 3 metric domains).
 //!
 //! Runs the identical campaign at 1 and 4 worker threads, several
 //! repetitions each, and emits one obs-schema `"kind":"bench"` JSON line
@@ -14,28 +15,17 @@
 //! ```
 //!
 //! Scale via `DYNAWAVE_TRAIN` / `DYNAWAVE_TEST` / `DYNAWAVE_SAMPLES` /
-//! `DYNAWAVE_INTERVAL` / `DYNAWAVE_SEED`; repetitions via
-//! `DYNAWAVE_BENCH_SAMPLES` (default 3 — each rep is a full campaign).
+//! `DYNAWAVE_INTERVAL` / `DYNAWAVE_SEED` (validated by
+//! `ExperimentConfig::from_env_or`; a bad value exits with status 2);
+//! repetitions via `DYNAWAVE_BENCH_SAMPLES` (default 3 — each rep is a
+//! full campaign).
 
 use dynawave_bench::{bench_json_line, bench_json_line_with_unit};
-use dynawave_core::campaign::{run_journaled_parallel, shard_path, CampaignSpec};
-use dynawave_core::experiment::ExperimentConfig;
+use dynawave_core::campaign::{run_journaled_parallel, CampaignSpec};
+use dynawave_core::experiment::{EnvConfigError, ExperimentConfig};
 use dynawave_core::{report, Metric};
 use dynawave_workloads::Benchmark;
 use std::time::Instant;
-
-fn env_scaled(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Ok(value) => match value.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("error: {name}={value:?} is not a count");
-                std::process::exit(2);
-            }
-        },
-        Err(_) => default,
-    }
-}
 
 /// Medians one thread-count configuration: repeated fresh campaign runs,
 /// returning (median wall nanoseconds per run, the report text).
@@ -62,21 +52,42 @@ fn measure(spec: &CampaignSpec, threads: usize, reps: usize) -> (u128, String) {
         })
         .collect();
     let _ = std::fs::remove_file(&path);
-    for shard in 0..threads {
-        let _ = std::fs::remove_file(shard_path(&path, shard));
-    }
     times.sort_unstable();
     (times[times.len() / 2], doc)
 }
 
+/// Repetitions per thread count: `DYNAWAVE_BENCH_SAMPLES`, default 3.
+fn reps_from_env() -> Result<usize, EnvConfigError> {
+    match std::env::var("DYNAWAVE_BENCH_SAMPLES") {
+        Ok(value) => match value.parse() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(EnvConfigError {
+                name: "DYNAWAVE_BENCH_SAMPLES",
+                value,
+                expected: "a positive repetition count",
+            }),
+        },
+        Err(_) => Ok(3),
+    }
+}
+
 fn main() {
-    let config = ExperimentConfig {
-        train_points: env_scaled("DYNAWAVE_TRAIN", 24),
-        test_points: env_scaled("DYNAWAVE_TEST", 8),
-        samples: env_scaled("DYNAWAVE_SAMPLES", 32),
-        interval_instructions: env_scaled("DYNAWAVE_INTERVAL", 600) as u64,
-        seed: env_scaled("DYNAWAVE_SEED", 2007) as u64,
+    let demo = ExperimentConfig {
+        train_points: 24,
+        test_points: 8,
+        samples: 32,
+        interval_instructions: 600,
+        seed: 2007,
         ..ExperimentConfig::default()
+    };
+    let setup = ExperimentConfig::from_env_or(demo)
+        .and_then(|config| reps_from_env().map(|reps| (config, reps)));
+    let (config, reps) = match setup {
+        Ok(setup) => setup,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
     };
     let spec = CampaignSpec {
         benchmarks: Benchmark::ALL.to_vec(),
@@ -84,7 +95,6 @@ fn main() {
         config,
     };
     let units = spec.unit_count() as u64;
-    let reps = env_scaled("DYNAWAVE_BENCH_SAMPLES", 3).max(1);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

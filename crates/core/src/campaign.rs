@@ -27,18 +27,18 @@
 //! Design points are independent by construction — simulation is pure
 //! per point — so campaigns shard across worker threads
 //! ([`run_journaled_parallel`]; `std::thread` only — the workspace is
-//! hermetic). Design point `p` always belongs to shard `p % N`, each
-//! worker appends a point's lines to its own `<journal>.shard<k>` sidecar
-//! in the same fingerprinted format, and completed traces merge back into
+//! hermetic). Design point `p` belongs to shard `p % N`; each worker
+//! simulates its points and hands every finished point's lines to the
+//! calling thread, the journal's single writer, which appends them to the
+//! one canonical journal before recording them. Mid-run the journal holds
+//! points in completion order; the final rewrite puts it back into
 //! canonical unit order — so the final report and the final journal are
 //! **byte-identical for any thread count**, including under kill-and-resume
-//! and fault injection (all fault-injection sites live in training, which
-//! stays sequential on the caller's thread). Sidecars record their shard
-//! count; resuming under a different `N` is refused with
-//! [`CampaignError::ShardMismatch`] instead of silently merging. See
-//! DESIGN.md §10 for the full determinism argument, and
-//! [`ShardedCampaign`] for the storage-agnostic core the stress harness
-//! drives.
+//! (a killed run resumes at any `N`) and fault injection (all
+//! fault-injection sites live in training, which stays sequential on the
+//! caller's thread). See DESIGN.md §10 for the full determinism argument,
+//! and [`CampaignRunner::run_shard_next`] for the per-shard step the
+//! stress harness drives.
 //!
 //! # Examples
 //!
@@ -66,7 +66,8 @@ use dynawave_workloads::Benchmark;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::mpsc::{sync_channel, SyncSender};
 
 /// Format tag on the first line of every campaign journal.
 const MAGIC: &str = dynawave_obs::schema::CAMPAIGN_JOURNAL;
@@ -220,15 +221,6 @@ pub enum CampaignError {
         /// Units not yet simulated.
         remaining: usize,
     },
-    /// Shard journals on disk were written by a run with a different
-    /// worker count. Merging them silently would orphan units assigned to
-    /// shards that no longer exist, so the resume is refused.
-    ShardMismatch {
-        /// Shard count of the resuming run.
-        expected: usize,
-        /// Shard count recorded in the sidecar journal.
-        found: usize,
-    },
     /// A worker thread died (panicked) mid-campaign.
     Worker {
         /// Which shard's worker failed.
@@ -272,12 +264,6 @@ impl fmt::Display for CampaignError {
             CampaignError::Incomplete { remaining } => {
                 write!(f, "campaign has {remaining} pending units")
             }
-            CampaignError::ShardMismatch { expected, found } => write!(
-                f,
-                "shard journals were written by a {found}-worker run but this run \
-                 uses {expected} worker(s); rerun with DYNAWAVE_THREADS={found} or \
-                 remove the .shard* sidecar files"
-            ),
             CampaignError::Worker { shard, message } => {
                 write!(f, "campaign worker for shard {shard} failed: {message}")
             }
@@ -317,8 +303,9 @@ impl From<std::io::Error> for CampaignError {
 /// point index — in which the journal and the report list them.
 ///
 /// The runner itself is storage-agnostic: [`CampaignRunner::run_next`]
-/// hands back the journal lines of each completed point and
-/// [`CampaignRunner::resume`] rebuilds state from journal text. The
+/// and [`CampaignRunner::run_shard_next`] hand back the journal lines of
+/// each completed point and [`CampaignRunner::resume`] rebuilds state
+/// from journal text, whatever order its unit lines are in. The
 /// file-backed driver is [`run_journaled_parallel`].
 #[derive(Debug, Clone)]
 pub struct CampaignRunner {
@@ -327,9 +314,8 @@ pub struct CampaignRunner {
     completed: BTreeMap<usize, Vec<f64>>,
     train_design: Vec<DesignPoint>,
     test_design: Vec<DesignPoint>,
-    /// First design point that may still have pending units (points
-    /// complete in order on a single runner; resume may leave arbitrary
-    /// holes, which `run_next` skips over).
+    /// Every design point before it is complete; points at or after it
+    /// may be complete or pending in any pattern.
     cursor: usize,
 }
 
@@ -530,9 +516,9 @@ impl CampaignRunner {
     /// derives the trace of every metric still pending there. Returns the
     /// `(canonical unit index, trace)` pairs and their newline-terminated
     /// journal lines, in metric order. Records nothing, so worker threads
-    /// can share the runner; the caller appends the lines in one write
-    /// and then records the traces.
-    fn run_point(&self, point: usize) -> (Vec<(usize, Vec<f64>)>, String) {
+    /// can share the runner; the journal's writer appends the lines in one
+    /// write and then records the traces.
+    fn run_point(&self, point: usize) -> PointRun {
         let (benchmark, role, point_index) = self.point(point);
         let design = match role {
             UnitRole::Train => &self.train_design[point_index],
@@ -557,23 +543,37 @@ impl CampaignRunner {
         (indices.into_iter().zip(traces).collect(), lines)
     }
 
-    /// Runs design point `point` and records its traces; returns its lines.
-    fn record(&mut self, point: usize) -> String {
-        let (traces, lines) = self.run_point(point);
-        self.completed.extend(traces);
-        lines
+    /// The first design point of shard `shard` of `shards` at or after
+    /// `from` that has pending units; `None` when there is none or the
+    /// shard index is out of range. Design point `p` belongs to shard
+    /// `p % shards`.
+    fn next_pending(&self, shard: usize, shards: usize, from: usize) -> Option<usize> {
+        if shard >= shards {
+            return None;
+        }
+        (from..self.point_count()).find(|&p| p % shards == shard && self.is_pending(p))
     }
 
-    /// Simulates the next design point with pending units and records its
-    /// traces. Returns the point's newline-terminated journal lines — one
-    /// per metric still pending there — or `None` when the campaign is
-    /// complete. Append the lines to durable storage, in one write,
-    /// *before* acting on the result to keep the journal ahead of the
-    /// computation.
+    /// Runs shard `shard` of `shards`'s next design point with pending
+    /// units and records its traces. Returns the point's newline-terminated
+    /// journal lines — one per metric still pending there — or `None` when
+    /// the shard has no pending work or its index is out of range. Append
+    /// the lines to durable storage, in one write, *before* acting on the
+    /// result to keep the journal ahead of the computation.
+    pub fn run_shard_next(&mut self, shard: usize, shards: usize) -> Option<String> {
+        let point = self.next_pending(shard, shards, self.cursor)?;
+        let (traces, lines) = self.run_point(point);
+        self.completed.extend(traces);
+        while self.cursor < self.point_count() && !self.is_pending(self.cursor) {
+            self.cursor += 1;
+        }
+        Some(lines)
+    }
+
+    /// Simulates the next design point with pending units: the one-shard
+    /// case of [`CampaignRunner::run_shard_next`].
     pub fn run_next(&mut self) -> Option<String> {
-        let point = (self.cursor..self.point_count()).find(|&p| self.is_pending(p))?;
-        self.cursor = point;
-        Some(self.record(point))
+        self.run_shard_next(0, 1)
     }
 
     /// The full journal text for the current state: header plus one line
@@ -649,151 +649,6 @@ impl CampaignRunner {
     }
 }
 
-/// A campaign partitioned into shards: design point `p` belongs to shard
-/// `p % shards`, always — the assignment depends only on the spec, never
-/// on thread scheduling, which is the first half of the determinism
-/// argument (DESIGN.md §10). The second half is the merge:
-/// completed traces land in the runner's `BTreeMap` keyed by canonical
-/// unit index, so [`ShardedCampaign::merged_journal`] and
-/// [`ShardedCampaign::finish`] are byte-identical for any shard count.
-///
-/// Like [`CampaignRunner`] this is storage-agnostic — [`ShardedCampaign::step`]
-/// advances one shard by one design point and hands back its journal
-/// lines, and [`ShardedCampaign::ingest_shard_journal`] rebuilds progress
-/// from sidecar text — which is what lets the `dynawave-testkit` stress
-/// harness drive it through arbitrary interleavings and mid-run kills
-/// in-memory. The file-backed threaded driver is
-/// [`run_journaled_parallel`].
-#[derive(Debug, Clone)]
-pub struct ShardedCampaign {
-    runner: CampaignRunner,
-    shards: usize,
-}
-
-impl ShardedCampaign {
-    /// Partitions a fresh campaign into `shards` shards (clamped to at
-    /// least one).
-    pub fn new(spec: CampaignSpec, shards: usize) -> Self {
-        ShardedCampaign::from_runner(CampaignRunner::new(spec), shards)
-    }
-
-    /// Partitions an existing (possibly partially complete) runner.
-    pub fn from_runner(runner: CampaignRunner, shards: usize) -> Self {
-        ShardedCampaign {
-            runner,
-            shards: shards.max(1),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Number of completed units across all shards.
-    pub fn completed_count(&self) -> usize {
-        self.runner.completed_count()
-    }
-
-    /// `true` when every unit in every shard has a trace.
-    pub fn is_complete(&self) -> bool {
-        self.runner.is_complete()
-    }
-
-    /// Design points owned by `shard` that still have pending units, in
-    /// order; none for an out-of-range shard.
-    fn pending_points(&self, shard: usize) -> impl Iterator<Item = usize> + '_ {
-        (shard..self.runner.point_count())
-            .step_by(self.shards)
-            .filter(move |&p| shard < self.shards && self.runner.is_pending(p))
-    }
-
-    /// Runs `shard`'s next design point with pending units. Returns the
-    /// point's journal lines (append them to the shard's sidecar in one
-    /// write before acting on the result), or `None` when the shard index
-    /// is out of range or the shard has no pending work.
-    pub fn step(&mut self, shard: usize) -> Option<String> {
-        let point = self.pending_points(shard).next()?;
-        Some(self.runner.record(point))
-    }
-
-    /// The full sidecar journal text for one shard: the canonical header,
-    /// a `shard <k> of <n>` declaration line, then one line per completed
-    /// unit owned by the shard, in canonical order.
-    pub fn shard_journal(&self, shard: usize) -> String {
-        let mut out = journal::header(MAGIC, self.runner.spec.fingerprint());
-        out.push_str(&format!("shard {shard} of {}\n", self.shards));
-        for (&i, trace) in &self.runner.completed {
-            let (point, unit) = self.runner.unit(i);
-            if point % self.shards == shard {
-                out.push_str(&journal_line(&unit, trace));
-            }
-        }
-        out
-    }
-
-    /// Replays one shard's sidecar journal into this campaign, returning
-    /// `(declared shard, units ingested)`. Tolerates a torn final line
-    /// (the kill signature), like [`CampaignRunner::resume`].
-    ///
-    /// # Errors
-    ///
-    /// Header errors as in [`CampaignRunner::resume`], plus
-    /// [`CampaignError::ShardMismatch`] when the sidecar declares a
-    /// different shard count than this campaign uses, and
-    /// [`CampaignError::Malformed`] when the declared shard index is out
-    /// of range for the declared count.
-    pub fn ingest_shard_journal(&mut self, text: &str) -> Result<(usize, usize), CampaignError> {
-        let mut lines = self.runner.verify(text)?;
-        let (shard, of) = lines.next().and_then(|(_, l)| parse_shard_line(l)).ok_or(
-            CampaignError::Malformed {
-                line: 3,
-                expected: "shard <k> of <n>",
-            },
-        )?;
-        if of != self.shards {
-            return Err(CampaignError::ShardMismatch {
-                expected: self.shards,
-                found: of,
-            });
-        }
-        if shard >= of {
-            return Err(CampaignError::Malformed {
-                line: 3,
-                expected: "shard <k> of <n> with k < n",
-            });
-        }
-        let before = self.runner.completed.len();
-        for (i, l) in lines {
-            self.runner.ingest_unit_line(i + 1, l)?;
-        }
-        Ok((shard, self.runner.completed.len() - before))
-    }
-
-    /// The canonical merged journal for the current state — identical to
-    /// what a sequential [`CampaignRunner::journal`] produces from the
-    /// same completed set, whatever order the shards ran in.
-    pub fn merged_journal(&self) -> String {
-        self.runner.journal()
-    }
-
-    /// Trains and scores the completed campaign; see
-    /// [`CampaignRunner::finish`]. Training runs on the calling thread —
-    /// sequentially — which is what keeps fault-injection schedules (all
-    /// sites are solver-side) independent of the shard count.
-    pub fn finish(&self) -> Result<Vec<BenchmarkEvaluation>, CampaignError> {
-        self.runner.finish()
-    }
-}
-
-/// `shard <k> of <n>` → `(k, n)`.
-fn parse_shard_line(l: &str) -> Option<(usize, usize)> {
-    match l.split_whitespace().collect::<Vec<_>>()[..] {
-        ["shard", shard, "of", of] => Some((shard.parse().ok()?, of.parse().ok()?)),
-        _ => None,
-    }
-}
-
 /// Bucket bounds for the `campaign.unit_latency` histogram: per-unit
 /// tick deltas between heartbeats. On the deterministic tick clock a
 /// unit costs single-digit ticks today; the doubling tail leaves room
@@ -803,7 +658,7 @@ const UNIT_LATENCY_BOUNDS: [f64; 6] = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
 /// Per-unit completion heartbeat: a killed campaign's stream shows
 /// exactly how far it got, and the unit key in the marker detail is what
-/// the parallel merge sorts worker segments by. The tick delta since the
+/// the traced-stream merge sorts worker segments by. The tick delta since the
 /// previous heartbeat lands in the `campaign.unit_latency` histogram, so
 /// `obs_report` gets a latency distribution without re-deriving it from
 /// raw spans. A point's simulation lands in the delta of its first
@@ -865,33 +720,27 @@ fn journal_line(unit: &WorkUnit, trace: &[f64]) -> String {
     line
 }
 
-/// Opens (or creates) the canonical journal at `path` and runs at most
-/// `max_points` design points with pending units on the calling thread,
-/// appending each point's lines to it before moving on. Returns the total
+/// Opens (or creates) the journal at `path` and runs at most
+/// `max_points` design points with pending units on one worker, appending
+/// each point's lines to the journal before moving on. Returns the total
 /// number of completed units afterwards. The journal is first rewritten
 /// from the parsed state (see [`run_journaled_parallel`]), dropping a
 /// torn tail.
 ///
 /// # Errors
 ///
-/// As [`run_journaled_parallel`], except that no worker can fail.
+/// As [`run_journaled_parallel`].
 pub fn advance_journaled(
     spec: &CampaignSpec,
     path: &Path,
     max_points: usize,
 ) -> Result<usize, CampaignError> {
-    let sharded = load_sharded(spec, path, 1)?;
-    // The canonical rewrite already holds shard 0's units; this driver
-    // appends to the canonical journal only.
-    let _ = std::fs::remove_file(shard_path(path, 0));
-    let points: Vec<usize> = sharded.pending_points(0).take(max_points).collect();
-    let outcome = run_points(&sharded.runner, &points, path, false)?;
-    Ok(sharded.completed_count() + outcome.completed.len())
+    Ok(drive(spec, path, 1, max_points)?.completed_count())
 }
 
 /// Runs a campaign to completion against the journal at `path` — creating
 /// it, resuming it, or simply finishing from it — and returns the scored
-/// evaluations: the one-shard case of [`run_journaled_parallel`].
+/// evaluations: the one-thread case of [`run_journaled_parallel`].
 ///
 /// # Errors
 ///
@@ -903,72 +752,115 @@ pub fn run_journaled(
     run_journaled_parallel(spec, path, 1)
 }
 
-/// Runs a campaign to completion across `threads` worker threads, each
-/// journaling to its own `<path>.shard<k>` sidecar, then merges into the
-/// canonical journal at `path` and deletes the sidecars. The returned
-/// evaluations, the final report, and the final journal bytes are
-/// identical for every thread count; with tracing enabled, each worker
-/// records to its own recorder and the streams merge deterministically in
-/// design-point order (see [`dynawave_obs::absorb_workers`]).
+/// Runs a campaign to completion against the journal at `path` — creating
+/// it, resuming it, or simply finishing from it — across up to `threads`
+/// worker threads, and returns the scored evaluations. The journal is the
+/// only file the campaign writes: workers hand each finished point to the
+/// calling thread, which appends its lines there, and the completed
+/// journal is rewritten in canonical order. The returned evaluations, the
+/// final report, and the final journal bytes are identical for every
+/// thread count; with tracing enabled, each worker records to its own
+/// recorder and the streams merge deterministically in design-point order
+/// (see [`dynawave_obs::absorb_workers`]).
 ///
-/// A killed run resumes by calling this again with the same spec, path
-/// and thread count, to a byte-identical report; surviving sidecars (torn
-/// tails included) are replayed before new work starts. Resuming under a
-/// *different* thread count is refused with
-/// [`CampaignError::ShardMismatch`] — a completed canonical journal,
-/// however, has no sidecars and serves any thread count.
+/// A killed run resumes by calling this again with the same spec and
+/// path, at any thread count, to a byte-identical report. A kill loses
+/// at most the points the workers had in flight.
 ///
 /// # Errors
 ///
-/// Journal parse errors, I/O failures, model-training failures under
-/// restrictive recovery policies, [`CampaignError::ShardMismatch`] for
-/// foreign sidecars and [`CampaignError::Worker`] when a worker thread
-/// panics.
+/// Journal parse errors, I/O failures (the OS refusing a worker thread
+/// included), model-training failures under restrictive recovery
+/// policies and [`CampaignError::Worker`] when a worker thread panics.
 pub fn run_journaled_parallel(
     spec: &CampaignSpec,
     path: &Path,
     threads: usize,
 ) -> Result<Vec<BenchmarkEvaluation>, CampaignError> {
     let _span = dynawave_obs::span("campaign.run");
-    let threads = threads.max(1);
-    let mut sharded = load_sharded(spec, path, threads)?;
-    for shard in 0..threads {
-        journal::rewrite(&shard_path(path, shard), &sharded.shard_journal(shard))?;
-    }
+    let runner = drive(spec, path, threads, usize::MAX)?;
+    journal::rewrite(path, &runner.journal())?;
+    runner.finish()
+}
+
+/// A finished design point: its `(canonical unit index, trace)` pairs and
+/// their journal lines, as [`CampaignRunner::run_point`] returns them.
+type PointRun = (Vec<(usize, Vec<f64>)>, String);
+
+/// The one file-backed driver. Loads the campaign from the journal at
+/// `path` (or starts it), rewrites the journal from the parsed state, then
+/// runs at most `budget` pending design points per shard across
+/// `min(threads, pending points)` workers, at least one. The calling
+/// thread is the journal's single writer: it appends each point's lines
+/// in one write, then records its traces, so the journal stays ahead of
+/// the recorded state.
+fn drive(
+    spec: &CampaignSpec,
+    path: &Path,
+    threads: usize,
+    budget: usize,
+) -> Result<CampaignRunner, CampaignError> {
+    let mut runner = match std::fs::read_to_string(path) {
+        Ok(text) => CampaignRunner::resume(spec.clone(), &text)?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => CampaignRunner::new(spec.clone()),
+        Err(e) => return Err(e.into()),
+    };
+    journal::rewrite(path, &runner.journal())?;
+    let mut appender = Appender::open(path)?;
+    let pending = (0..runner.point_count())
+        .filter(|&p| runner.is_pending(p))
+        .count();
+    let shards = threads.min(pending).max(1);
     let traced = dynawave_obs::is_enabled();
-    let runner = &sharded.runner;
-    let outcomes: Vec<Result<ShardOutcome, CampaignError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|shard| {
-                let points: Vec<usize> = sharded.pending_points(shard).collect();
-                let sidecar = shard_path(path, shard);
-                scope.spawn(move || run_points(runner, &points, &sidecar, traced))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
+    let shared = &runner;
+    let mut recorded = Vec::new();
+    let (io, joined) = std::thread::scope(|scope| {
+        let (tx, rx) = sync_channel::<PointRun>(shards);
+        let mut handles = Vec::new();
+        let mut io = Ok(());
+        for shard in 0..shards {
+            let tx = tx.clone();
+            let worker = move || run_shard(shared, shard, shards, budget, tx, traced);
+            match std::thread::Builder::new().spawn_scoped(scope, worker) {
+                Ok(handle) => handles.push(handle),
+                Err(e) => {
+                    io = Err(e);
+                    break;
+                }
+            }
+        }
+        drop(tx);
+        if io.is_ok() {
+            for (traces, lines) in &rx {
+                io = appender.append(&lines);
+                if io.is_err() {
+                    break;
+                }
+                recorded.extend(traces);
+            }
+        }
+        // Hanging up stops any worker still sending.
+        drop(rx);
+        let joined: Vec<_> = (handles.into_iter().enumerate())
             .map(|(shard, handle)| {
-                handle.join().unwrap_or_else(|payload| {
-                    Err(CampaignError::Worker {
-                        shard,
-                        message: panic_message(payload.as_ref()),
-                    })
+                handle.join().map_err(|payload| CampaignError::Worker {
+                    shard,
+                    message: panic_message(payload.as_ref()),
                 })
             })
-            .collect()
+            .collect();
+        (io, joined)
     });
+    io?;
     let mut recorders = Vec::new();
-    for outcome in outcomes {
-        let outcome = outcome?;
-        sharded.runner.completed.extend(outcome.completed);
-        recorders.extend(outcome.recorder);
+    for recorder in joined {
+        recorders.extend(recorder?);
     }
+    runner.completed.extend(recorded);
     if traced {
         // Sort worker event segments by (design point, metric) — the
         // order one worker runs them in — so the merged stream is
         // byte-identical for any thread count.
-        let runner = &sharded.runner;
         let metrics = runner.spec.metrics.len() as u64;
         dynawave_obs::absorb_workers(recorders, "campaign.heartbeat", |detail| {
             WorkUnit::parse(&mut detail.split_whitespace())
@@ -978,46 +870,39 @@ pub fn run_journaled_parallel(
                 })
         });
     }
-    journal::rewrite(path, &sharded.runner.journal())?;
-    for shard in 0..threads {
-        let _ = std::fs::remove_file(shard_path(path, shard));
-    }
-    sharded.runner.finish()
+    Ok(runner)
 }
 
-/// What one executor run hands back to the merge.
-struct ShardOutcome {
-    /// `(canonical unit index, trace)` for every unit it ran.
-    completed: Vec<(usize, Vec<f64>)>,
-    /// The worker's thread-local recorder, when tracing was on.
-    recorder: Option<dynawave_obs::Recorder>,
-}
-
-/// Executor body of both file-backed drivers: runs each design point in
-/// `points`, appending the point's journal lines to `journal` in one
-/// write *before* moving on so the journal stays ahead of the
-/// computation. A `traced` worker thread records to its own recorder and
-/// hands it back; untraced, events go to the calling thread's recorder.
-fn run_points(
+/// One worker: runs at most `budget` of shard `shard` of `shards`'s
+/// pending design points, in order, sending each finished point to the
+/// journal's writer; stops early when the writer hangs up. A `traced`
+/// worker records to its own recorder and hands it back.
+fn run_shard(
     runner: &CampaignRunner,
-    points: &[usize],
-    journal: &Path,
+    shard: usize,
+    shards: usize,
+    budget: usize,
+    tx: SyncSender<PointRun>,
     traced: bool,
-) -> Result<ShardOutcome, CampaignError> {
+) -> Option<dynawave_obs::Recorder> {
     if traced {
         dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
     }
-    let mut appender = Appender::open(journal)?;
-    let mut completed = Vec::new();
-    for &point in points {
-        let (traces, lines) = runner.run_point(point);
-        appender.append(&lines)?;
-        completed.extend(traces);
+    let mut from = 0;
+    for _ in 0..budget {
+        let Some(point) = runner.next_pending(shard, shards, from) else {
+            break;
+        };
+        if tx.send(runner.run_point(point)).is_err() {
+            break;
+        }
+        from = point + 1;
     }
-    Ok(ShardOutcome {
-        completed,
-        recorder: if traced { dynawave_obs::take() } else { None },
-    })
+    if traced {
+        dynawave_obs::take()
+    } else {
+        None
+    }
 }
 
 /// Best-effort stringification of a worker panic payload.
@@ -1029,83 +914,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         String::from("worker panicked")
     }
-}
-
-/// The sidecar journal path for one shard: `<path>.shard<k>`.
-pub fn shard_path(path: &Path, shard: usize) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(format!(".shard{shard}"));
-    PathBuf::from(name)
-}
-
-/// Finds `<path>.shard<k>` sidecars next to the canonical journal,
-/// returning `(k, text)` pairs sorted by `k`.
-fn discover_sidecars(path: &Path) -> Result<Vec<(usize, String)>, CampaignError> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    let Some(stem) = path.file_name().and_then(|n| n.to_str()) else {
-        return Ok(Vec::new());
-    };
-    let prefix = format!("{stem}.shard");
-    let entries = match std::fs::read_dir(parent) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e.into()),
-    };
-    let mut found = Vec::new();
-    for entry in entries {
-        let entry = entry?;
-        // `<stem>.shard<k>` only: a stale `<stem>.shard<k>.tmp` left by a
-        // killed rewrite does not parse as a shard index.
-        let name = entry.file_name();
-        let suffix = name.to_str().and_then(|n| n.strip_prefix(&prefix));
-        if let Some(shard) = suffix.and_then(|s| s.parse::<usize>().ok()) {
-            found.push((shard, std::fs::read_to_string(entry.path())?));
-        }
-    }
-    found.sort_by_key(|(shard, _)| *shard);
-    Ok(found)
-}
-
-/// Loads or initializes the sharded campaign from the canonical journal
-/// plus any shard sidecars, then rewrites the canonical journal with
-/// every completed unit, partial-tail-free, before new work starts.
-/// Sidecars declaring a different shard count are refused
-/// ([`CampaignError::ShardMismatch`]); sidecars whose declared index
-/// differs from their filename are corrupt ([`CampaignError::Malformed`]).
-fn load_sharded(
-    spec: &CampaignSpec,
-    path: &Path,
-    threads: usize,
-) -> Result<ShardedCampaign, CampaignError> {
-    let runner = match std::fs::read_to_string(path) {
-        Ok(text) => CampaignRunner::resume(spec.clone(), &text)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => CampaignRunner::new(spec.clone()),
-        Err(e) => return Err(e.into()),
-    };
-    let mut sharded = ShardedCampaign::from_runner(runner, threads);
-    let mut sidecar_units = 0;
-    for (file_shard, text) in discover_sidecars(path)? {
-        let (declared, ingested) = sharded.ingest_shard_journal(&text)?;
-        if declared != file_shard {
-            return Err(CampaignError::Malformed {
-                line: 3,
-                expected: "shard index matching the sidecar filename",
-            });
-        }
-        sidecar_units += ingested;
-    }
-    if dynawave_obs::is_enabled() && sidecar_units > 0 {
-        dynawave_obs::marker_with_detail(
-            "campaign.resumed_from",
-            &format!("{sidecar_units} sharded unit(s)"),
-        );
-        dynawave_obs::counter_add("campaign.units_resumed", sidecar_units as u64);
-    }
-    journal::rewrite(path, &sharded.runner.journal())?;
-    Ok(sharded)
 }
 
 #[cfg(test)]
@@ -1308,75 +1116,44 @@ mod tests {
         while sequential.run_next().is_some() {}
         let want = sequential.journal();
         for shards in [1, 2, 3, 5, 16, 17] {
-            let mut sharded = ShardedCampaign::new(spec.clone(), shards);
+            let mut runner = CampaignRunner::new(spec.clone());
             // Drain shards round-robin — any schedule reaches the same
-            // merged bytes.
+            // canonical bytes.
             loop {
                 let mut progressed = false;
-                for shard in 0..sharded.shards() {
-                    progressed |= sharded.step(shard).is_some();
+                for shard in 0..shards {
+                    progressed |= runner.run_shard_next(shard, shards).is_some();
                 }
                 if !progressed {
                     break;
                 }
             }
-            assert!(sharded.is_complete());
-            assert_eq!(sharded.merged_journal(), want, "{shards} shards diverged");
+            assert!(runner.is_complete());
+            assert!(runner.run_shard_next(shards, shards).is_none());
+            assert_eq!(runner.journal(), want, "{shards} shards diverged");
         }
     }
 
     #[test]
-    fn shard_journals_roundtrip_with_torn_tails() {
+    fn out_of_order_torn_journal_resumes_to_canonical_text() {
         let spec = tiny_spec();
-        let mut sharded = ShardedCampaign::new(spec.clone(), 3);
+        let mut runner = CampaignRunner::new(spec.clone());
+        // Shards finish out of point order; their lines land in the one
+        // journal in completion order, as the single writer appends them.
+        let mut text = runner.journal();
+        let mut last = String::new();
         for _ in 0..2 {
-            for shard in 0..3 {
-                sharded.step(shard);
+            for shard in [2, 0, 1] {
+                last = runner.run_shard_next(shard, 3).unwrap();
+                text.push_str(&last);
             }
         }
-        let mut rebuilt = ShardedCampaign::new(spec, 3);
-        for shard in 0..3 {
-            let text = sharded.shard_journal(shard);
-            // Tear the tail of one sidecar, as a kill mid-write would.
-            let text = if shard == 1 {
-                &text[..text.len() - 9]
-            } else {
-                &text
-            };
-            let (declared, _) = rebuilt.ingest_shard_journal(text).unwrap();
-            assert_eq!(declared, shard);
-        }
-        // Shard 1 lost its torn final unit; everything else survived.
-        assert_eq!(rebuilt.completed_count(), 5);
-    }
-
-    #[test]
-    fn ingest_refuses_foreign_shard_counts_and_bad_indices() {
-        let spec = tiny_spec();
-        let four = ShardedCampaign::new(spec.clone(), 4);
-        let mut two = ShardedCampaign::new(spec.clone(), 2);
-        assert!(matches!(
-            two.ingest_shard_journal(&four.shard_journal(0)),
-            Err(CampaignError::ShardMismatch {
-                expected: 2,
-                found: 4,
-            })
-        ));
-        let mut corrupt = ShardedCampaign::new(spec, 2);
-        let text = two.shard_journal(0).replace("shard 0 of 2", "shard 7 of 2");
-        assert!(matches!(
-            corrupt.ingest_shard_journal(&text),
-            Err(CampaignError::Malformed { line: 3, .. })
-        ));
-    }
-
-    #[test]
-    fn shard_line_parses_strictly() {
-        assert_eq!(parse_shard_line("shard 3 of 8"), Some((3, 8)));
-        assert_eq!(parse_shard_line("shard 3 of"), None);
-        assert_eq!(parse_shard_line("shard x of 8"), None);
-        assert_eq!(parse_shard_line("shard 3 of 8 extra"), None);
-        assert_eq!(parse_shard_line("unit eon cpi train 0"), None);
+        assert_ne!(text, runner.journal(), "lines must be out of order");
+        // Tear the final point's line, as a kill mid-write would.
+        let torn = &text[..text.len() - 9];
+        let restored = CampaignRunner::resume(spec, torn).unwrap();
+        assert_eq!(restored.completed_count(), 5);
+        assert_eq!(restored.journal(), runner.journal().replace(&last, ""));
     }
 
     #[test]

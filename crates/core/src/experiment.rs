@@ -86,25 +86,39 @@ impl Error for EnvConfigError {}
 
 impl ExperimentConfig {
     /// Builds a configuration from `DYNAWAVE_*` environment variables,
-    /// falling back to the paper-scale defaults for unset variables.
+    /// falling back to the paper-scale defaults for unset variables:
+    /// [`ExperimentConfig::from_env_or`] over
+    /// [`ExperimentConfig::default`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ExperimentConfig::from_env_or`].
+    pub fn from_env() -> Result<Self, EnvConfigError> {
+        ExperimentConfig::from_env_or(ExperimentConfig::default())
+    }
+
+    /// Builds a configuration from `DYNAWAVE_*` environment variables,
+    /// taking `DYNAWAVE_TRAIN`, `DYNAWAVE_TEST`, `DYNAWAVE_SAMPLES`,
+    /// `DYNAWAVE_INTERVAL` and `DYNAWAVE_SEED` from the environment when
+    /// set and every other field, and every unset one, from `defaults`.
     ///
     /// # Errors
     ///
     /// [`EnvConfigError`] naming the variable, its value and the expected
     /// type if a variable is **set but unparseable or out of range**. A
     /// typo like `DYNAWAVE_TRAIN=2OO` must abort the campaign loudly, not
-    /// silently run at paper scale, and `DYNAWAVE_SAMPLES` (a power of two
-    /// of at least 2, as wavelet decomposition needs) or
+    /// silently run at the default scale, and `DYNAWAVE_SAMPLES` (a power
+    /// of two of at least 2, as wavelet decomposition needs) or
     /// `DYNAWAVE_INTERVAL` (positive) values the simulator cannot run
     /// must be refused here, not deep inside a later simulation.
-    pub fn from_env() -> Result<Self, EnvConfigError> {
+    pub fn from_env_or(defaults: ExperimentConfig) -> Result<Self, EnvConfigError> {
         fn env<T: std::str::FromStr>(
             name: &'static str,
             expected: &'static str,
             default: T,
             valid: fn(&T) -> bool,
         ) -> Result<T, EnvConfigError> {
-            // dynalint:allow(D004) -- from_env() is the documented, explicit config entry point
+            // dynalint:allow(D004) -- from_env_or() is the documented, explicit config entry point
             match std::env::var(name) {
                 Ok(value) => match value.parse() {
                     Ok(parsed) if valid(&parsed) => Ok(parsed),
@@ -120,24 +134,28 @@ impl ExperimentConfig {
         fn any<T>(_: &T) -> bool {
             true
         }
-        let d = ExperimentConfig::default();
         Ok(ExperimentConfig {
-            train_points: env("DYNAWAVE_TRAIN", "a point count", d.train_points, any)?,
-            test_points: env("DYNAWAVE_TEST", "a point count", d.test_points, any)?,
+            train_points: env(
+                "DYNAWAVE_TRAIN",
+                "a point count",
+                defaults.train_points,
+                any,
+            )?,
+            test_points: env("DYNAWAVE_TEST", "a point count", defaults.test_points, any)?,
             samples: env(
                 "DYNAWAVE_SAMPLES",
                 "a power-of-two sample count of at least 2",
-                d.samples,
+                defaults.samples,
                 |&n| n >= 2 && n.is_power_of_two(),
             )?,
             interval_instructions: env(
                 "DYNAWAVE_INTERVAL",
                 "a positive instruction count",
-                d.interval_instructions,
+                defaults.interval_instructions,
                 |&n| n > 0,
             )?,
-            seed: env("DYNAWAVE_SEED", "a 64-bit seed", d.seed, any)?,
-            ..d
+            seed: env("DYNAWAVE_SEED", "a 64-bit seed", defaults.seed, any)?,
+            ..defaults
         })
     }
 
@@ -425,6 +443,28 @@ mod tests {
         std::env::set_var("DYNAWAVE_INTERVAL", "1");
         let cfg = ExperimentConfig::from_env().unwrap();
         assert_eq!((cfg.samples, cfg.interval_instructions), (64, 1));
+        // from_env_or: set variables override the caller's defaults, unset
+        // ones keep them, and bad values are refused the same way.
+        let demo = ExperimentConfig {
+            train_points: 16,
+            test_points: 4,
+            samples: 8,
+            seed: 5,
+            ..ExperimentConfig::default()
+        };
+        let cfg = ExperimentConfig::from_env_or(demo.clone()).unwrap();
+        assert_eq!(
+            cfg,
+            ExperimentConfig {
+                samples: 64,
+                interval_instructions: 1,
+                seed: 42,
+                ..demo.clone()
+            }
+        );
+        std::env::set_var("DYNAWAVE_SAMPLES", "12");
+        let err = ExperimentConfig::from_env_or(demo).unwrap_err();
+        assert_eq!((err.name, err.value.as_str()), ("DYNAWAVE_SAMPLES", "12"));
         for v in vars {
             std::env::remove_var(v);
         }

@@ -1,5 +1,5 @@
-//! The one journal discipline behind campaign journals, their shard
-//! sidecars and the serve response journal: a magic line, a
+//! The one journal discipline behind the campaign journal and the serve
+//! response journal: a magic line, a
 //! `fingerprint <hex>` line, then newline-terminated records. Anything
 //! after the last `\n` is the torn tail of a killed write and is dropped.
 //! This module is the only code that writes journal files.

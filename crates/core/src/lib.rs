@@ -61,7 +61,7 @@ pub mod recovery;
 pub mod report;
 pub mod serve;
 
-pub use campaign::{run_journaled, run_journaled_parallel, threads_from_env, ShardedCampaign};
+pub use campaign::{run_journaled, run_journaled_parallel, threads_from_env};
 pub use dataset::{
     collect_domain_traces, collect_traces, metric_traces, trace_for, Metric, TraceSet,
 };

@@ -11,9 +11,9 @@
 
 pub use crate::event::{BENCH_SCHEMA_VERSION, BENCH_UNIT_NS, SCHEMA_NAME, SCHEMA_VERSION};
 
-/// Magic tag on the first line of every campaign journal (main journal
-/// and per-shard sidecars alike). The version suffix is part of the
-/// fingerprint: bumping it invalidates resume against old journals.
+/// Magic tag on the first line of every campaign journal — one file per
+/// campaign, whatever its worker count. The version suffix is part of
+/// the fingerprint: bumping it invalidates resume against old journals.
 pub const CAMPAIGN_JOURNAL: &str = "dynawave-campaign v1";
 
 /// Magic tag on the first line of every persisted predictor model.

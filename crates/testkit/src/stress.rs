@@ -4,9 +4,9 @@
 //! hoping the OS scheduler stumbles onto the bad interleaving, this module
 //! *generates* interleavings: a [`StressPlan`] is an explicit, seeded
 //! schedule of which shard advances at each step, with occasional mid-run
-//! kills (journal tails torn mid-write, executor rebuilt from the
-//! journals alone). The property under test interprets the plan against
-//! the executor and compares it to a sequential oracle.
+//! kills (the shards' one shared journal torn mid-write, executor rebuilt
+//! from the journal alone). The property under test interprets the plan
+//! against the executor and compares it to a sequential oracle.
 //!
 //! Plans ride the existing property harness, so a failing schedule is
 //! shrunk to a minimal one (fewer ops, lower shard indices, smaller
@@ -47,13 +47,11 @@ pub enum StressOp {
     /// the index modulo the plan's shard count so shrinking an index never
     /// creates an invalid op.
     Step(usize),
-    /// Kill the executor mid-write: persist every shard's journal, tear
-    /// `drop_bytes` off the tail of the given shard's journal (clamped so
-    /// the header survives, as an append-only file's header would), and
-    /// rebuild the executor from the journals alone.
+    /// Kill the executor mid-write: tear `drop_bytes` off the tail of the
+    /// journal the shards share (clamped so the header survives, as an
+    /// append-only file's header would), and rebuild the executor from
+    /// the journal alone.
     Kill {
-        /// Which shard's journal loses its tail.
-        shard: usize,
         /// How many bytes the partial final write loses.
         drop_bytes: usize,
     },
@@ -64,20 +62,13 @@ impl Shrink for StressOp {
         match *self {
             StressOp::Step(0) => vec![],
             StressOp::Step(shard) => vec![StressOp::Step(0), StressOp::Step(shard / 2)],
-            StressOp::Kill { shard, drop_bytes } => {
+            StressOp::Kill { drop_bytes } => {
                 // A kill shrinks toward a plain step first (is the kill
-                // even needed?), then toward smaller tears and shards.
-                let mut out = vec![StressOp::Step(shard)];
+                // even needed?), then toward smaller tears.
+                let mut out = vec![StressOp::Step(0)];
                 if drop_bytes > 0 {
                     out.push(StressOp::Kill {
-                        shard,
                         drop_bytes: drop_bytes / 2,
-                    });
-                }
-                if shard > 0 {
-                    out.push(StressOp::Kill {
-                        shard: shard / 2,
-                        drop_bytes,
                     });
                 }
                 out
@@ -146,7 +137,6 @@ pub fn stress_plan(
             .map(|_| {
                 if rng.range_u32(0, 100) < kill_percent {
                     StressOp::Kill {
-                        shard: rng.range_usize(0, shards),
                         drop_bytes: rng.range_usize(0, 48),
                     }
                 } else {
@@ -188,8 +178,8 @@ mod tests {
             for op in &plan.ops {
                 match op {
                     StressOp::Step(shard) => assert!(*shard < 4),
-                    StressOp::Kill { shard, drop_bytes } => {
-                        assert!(*shard < 4 && *drop_bytes < 48);
+                    StressOp::Kill { drop_bytes } => {
+                        assert!(*drop_bytes < 48);
                         kills += 1;
                     }
                 }
@@ -215,8 +205,8 @@ mod tests {
     #[test]
     fn failing_schedule_shrinks_to_a_minimal_kill() {
         // Property: "no kill ever happens". The shrunken witness must be
-        // a single zero-byte kill on shard 0 — the smallest schedule that
-        // still contains a kill.
+        // a single zero-byte kill — the smallest schedule that still
+        // contains a kill.
         let result = std::panic::catch_unwind(|| {
             stress_parallel("kills forbidden", 4, 64, |plan| {
                 if plan
@@ -235,7 +225,7 @@ mod tests {
         assert!(text.contains("replay seed"), "{text}");
         let input_line = text.lines().find(|l| l.contains("input:")).unwrap();
         assert!(
-            input_line.contains("ops: [Kill { shard: 0, drop_bytes: 0 }]"),
+            input_line.contains("ops: [Kill { drop_bytes: 0 }]"),
             "not minimal: {input_line}"
         );
     }
@@ -246,19 +236,8 @@ mod tests {
         let c = StressOp::Step(6).shrink();
         assert!(c.contains(&StressOp::Step(0)));
         assert!(c.contains(&StressOp::Step(3)));
-        let c = StressOp::Kill {
-            shard: 2,
-            drop_bytes: 8,
-        }
-        .shrink();
-        assert!(c.contains(&StressOp::Step(2)));
-        assert!(c.contains(&StressOp::Kill {
-            shard: 2,
-            drop_bytes: 4,
-        }));
-        assert!(c.contains(&StressOp::Kill {
-            shard: 1,
-            drop_bytes: 8,
-        }));
+        let c = StressOp::Kill { drop_bytes: 8 }.shrink();
+        assert!(c.contains(&StressOp::Step(0)));
+        assert!(c.contains(&StressOp::Kill { drop_bytes: 4 }));
     }
 }

@@ -1,11 +1,13 @@
 //! Full-space parallel campaign: every benchmark (12) × every metric
-//! domain (3), sharded across worker threads with a deterministic merge.
+//! domain (3), sharded across worker threads that hand finished points
+//! to one journal writer.
 //!
 //! This is the paper's Table-2-style sweep run the way a cluster would
 //! run it — embarrassingly parallel over (benchmark, role, design-point)
 //! points, each simulated once for all three metrics — with the
 //! guarantee the sequential driver gives: the report is
-//! **byte-identical for any thread count**. stdout
+//! **byte-identical for any thread count**, and the journal is the only
+//! file the run writes, whatever the worker count. stdout
 //! carries only that deterministic report (`ci.sh --par` byte-compares it
 //! between 1 and 4 threads); progress and wall-clock timing go to stderr.
 //!
@@ -17,8 +19,10 @@
 //!
 //! Scale knobs (defaults are demo-sized; raise them to saturate a real
 //! machine): `DYNAWAVE_TRAIN`, `DYNAWAVE_TEST`, `DYNAWAVE_SAMPLES`,
-//! `DYNAWAVE_INTERVAL`, `DYNAWAVE_SEED`, and `DYNAWAVE_THREADS` for the
-//! worker count (default: available parallelism).
+//! `DYNAWAVE_INTERVAL`, `DYNAWAVE_SEED`, validated by
+//! `ExperimentConfig::from_env_or`, and `DYNAWAVE_THREADS` for the
+//! worker count (default: available parallelism). A bad value exits with
+//! status 2 and names the variable.
 
 use dynawave_core::campaign::{run_journaled_parallel, threads_from_env, CampaignSpec};
 use dynawave_core::experiment::ExperimentConfig;
@@ -26,37 +30,25 @@ use dynawave_core::{report, Metric};
 use dynawave_workloads::Benchmark;
 use std::time::Instant;
 
-/// Demo-scale default overridable through the same `DYNAWAVE_*` variables
-/// `ExperimentConfig::from_env` reads (whose defaults are paper-scale —
-/// too heavy for an example).
-fn env_scaled(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Ok(value) => match value.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("error: {name}={value:?} is not a count");
-                std::process::exit(2);
-            }
-        },
-        Err(_) => default,
-    }
-}
-
 fn main() {
-    let threads = match threads_from_env() {
-        Ok(n) => n,
+    // Demo-scale defaults: the paper-scale ones are too heavy for an
+    // example.
+    let demo = ExperimentConfig {
+        train_points: 16,
+        test_points: 4,
+        samples: 16,
+        interval_instructions: 400,
+        seed: 2007,
+        ..ExperimentConfig::default()
+    };
+    let setup = threads_from_env()
+        .and_then(|threads| ExperimentConfig::from_env_or(demo).map(|cfg| (threads, cfg)));
+    let (threads, config) = match setup {
+        Ok(setup) => setup,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
-    };
-    let config = ExperimentConfig {
-        train_points: env_scaled("DYNAWAVE_TRAIN", 16),
-        test_points: env_scaled("DYNAWAVE_TEST", 4),
-        samples: env_scaled("DYNAWAVE_SAMPLES", 16),
-        interval_instructions: env_scaled("DYNAWAVE_INTERVAL", 400) as u64,
-        seed: env_scaled("DYNAWAVE_SEED", 2007) as u64,
-        ..ExperimentConfig::default()
     };
     let spec = CampaignSpec {
         benchmarks: Benchmark::ALL.to_vec(),
@@ -69,7 +61,7 @@ fn main() {
     ));
     let _ = std::fs::remove_file(&journal);
     eprintln!(
-        "campaign: {} benchmarks x {} metrics = {} pairs, {} work units, {} worker thread(s)",
+        "campaign: {} benchmarks x {} metrics = {} pairs, {} work units, at most {} worker thread(s)",
         spec.benchmarks.len(),
         spec.metrics.len(),
         spec.benchmarks.len() * spec.metrics.len(),

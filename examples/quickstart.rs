@@ -13,7 +13,7 @@
 //! `obs_validate` or any JSON-lines tool) and a per-stage "Pipeline
 //! profile" section is printed to stdout. The traced run also exercises a
 //! miniature journaled campaign — kill-and-resume, then finished by the
-//! parallel sharded executor under `DYNAWAVE_THREADS` workers — so the
+//! parallel executor under `DYNAWAVE_THREADS` workers — so the
 //! stream covers all five pipeline stages (sim, wavelet, neural,
 //! predictor, campaign) and is byte-identical for any worker count.
 
@@ -106,8 +106,9 @@ fn main() {
         for _ in 0..5 {
             first.run_next();
         }
-        // Persist the partial journal, then let the parallel sharded
-        // executor (DYNAWAVE_THREADS workers) resume and finish it. The
+        // Persist the partial journal, then let the parallel executor
+        // resume and finish it: DYNAWAVE_THREADS workers simulate, and
+        // this thread appends their points to the one journal. The
         // merged event stream is byte-identical for any worker count —
         // `ci.sh --obs` cross-checks the `obs_report` renders.
         let journal = std::env::temp_dir().join(format!(

@@ -117,7 +117,7 @@ fn obs_event_streams_are_byte_identical_across_runs() {
 
 #[test]
 fn traced_parallel_campaign_streams_are_byte_identical_across_runs() {
-    use dynawave_core::campaign::{run_journaled_parallel, shard_path, CampaignSpec};
+    use dynawave_core::campaign::{run_journaled_parallel, CampaignSpec};
     // Four worker threads, each with its own thread-local recorder; the
     // merged stream must be deterministic run to run, schema-valid, and
     // cover the same stages `obs_validate --require-stages` gates on in
@@ -148,9 +148,6 @@ fn traced_parallel_campaign_streams_are_byte_identical_across_runs() {
             dynawave_obs::install(prior);
         }
         let _ = std::fs::remove_file(&journal);
-        for shard in 0..4 {
-            let _ = std::fs::remove_file(shard_path(&journal, shard));
-        }
         (evals, dynawave_obs::encode_lines(&events))
     };
     let (evals_a, stream_a) = run("a");

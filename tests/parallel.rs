@@ -1,14 +1,13 @@
-//! Concurrency battery for the parallel sharded campaign executor:
-//! reports, journals, and obs event streams must be byte-identical for
-//! any thread count — including under kill-and-resume and deterministic
-//! fault injection — and shard-count mismatches must be refused, not
-//! silently merged. A seeded interleaving stress harness drives the
-//! storage-agnostic core through randomized schedules and mid-run kills
-//! against the sequential oracle.
+//! Concurrency battery for the parallel campaign executor: reports,
+//! journals, and obs event streams must be byte-identical for any thread
+//! count — including under deterministic fault injection and under
+//! kill-and-resume, whatever thread count the killed run used. A seeded
+//! interleaving stress harness drives the runner's per-shard steps
+//! through randomized schedules and mid-run kills against the sequential
+//! oracle.
 
 use dynawave_core::campaign::{
-    run_journaled, run_journaled_parallel, shard_path, threads_from_env, CampaignError,
-    CampaignRunner, CampaignSpec, ShardedCampaign, UnitRole,
+    run_journaled, run_journaled_parallel, threads_from_env, CampaignRunner, CampaignSpec, UnitRole,
 };
 use dynawave_core::experiment::ExperimentConfig;
 use dynawave_core::{report, trace_for, Metric};
@@ -50,8 +49,7 @@ fn wide_spec(seed: u64) -> CampaignSpec {
     }
 }
 
-/// A collision-free scratch journal path that cleans itself (and any
-/// shard sidecars) up on drop.
+/// A collision-free scratch journal path that cleans itself up on drop.
 struct Scratch(PathBuf);
 
 impl Scratch {
@@ -60,22 +58,14 @@ impl Scratch {
             "dynawave-parallel-{}-{tag}.journal",
             std::process::id()
         ));
-        let scratch = Scratch(path);
-        scratch.wipe();
-        scratch
-    }
-
-    fn wipe(&self) {
-        let _ = fs::remove_file(&self.0);
-        for shard in 0..32 {
-            let _ = fs::remove_file(shard_path(&self.0, shard));
-        }
+        let _ = fs::remove_file(&path);
+        Scratch(path)
     }
 }
 
 impl Drop for Scratch {
     fn drop(&mut self) {
-        self.wipe();
+        let _ = fs::remove_file(&self.0);
     }
 }
 
@@ -99,14 +89,19 @@ fn reports_and_journals_byte_identical_across_thread_counts() {
             want_journal,
             "canonical journal diverged at {threads} threads"
         );
-        // Completion cleans up every sidecar.
-        for shard in 0..threads {
-            assert!(
-                !shard_path(&scratch.0, shard).exists(),
-                "sidecar {shard} survived completion"
-            );
-        }
     }
+}
+
+#[test]
+fn huge_thread_counts_spawn_one_worker_per_pending_point_at_most() {
+    let spec = tiny_spec(71);
+    let reference = Scratch::new("huge-ref");
+    let want = report::full_report("campaign", &run_journaled(&spec, &reference.0).unwrap());
+    let want_journal = fs::read_to_string(&reference.0).unwrap();
+    let scratch = Scratch::new("huge");
+    let evals = run_journaled_parallel(&spec, &scratch.0, 100_000).unwrap();
+    assert_eq!(report::full_report("campaign", &evals), want);
+    assert_eq!(fs::read_to_string(&scratch.0).unwrap(), want_journal);
 }
 
 /// Runs `f` under a fresh tick-clock recorder and returns its result with
@@ -212,39 +207,45 @@ fn resuming_a_partly_journaled_point_simulates_it_once_for_the_missing_metric() 
 }
 
 #[test]
-fn kill_and_resume_under_4_threads_is_byte_identical() {
-    let spec = tiny_spec(43);
+fn killed_4_shard_run_resumes_byte_identical_at_any_thread_count() {
+    let spec = wide_spec(43);
     let reference = Scratch::new("kill-ref");
     let want = report::full_report("campaign", &run_journaled(&spec, &reference.0).unwrap());
     let want_journal = fs::read_to_string(&reference.0).unwrap();
 
-    // Simulate a killed 4-thread run: some shards part-done, one sidecar
-    // torn mid-write, no canonical journal yet.
-    let victim = Scratch::new("kill-victim");
-    let mut partial = ShardedCampaign::new(spec.clone(), 4);
+    // A killed 4-thread run: its shards finished points out of order, the
+    // writer appended each as it came, and the kill tore the last append.
+    let mut partial = CampaignRunner::new(spec.clone());
+    let mut text = partial.journal();
     for _ in 0..2 {
-        for shard in 0..4 {
-            partial.step(shard);
+        for shard in [3, 1, 2, 0] {
+            text.push_str(&partial.run_shard_next(shard, 4).unwrap());
         }
     }
-    assert_eq!(partial.completed_count(), 8);
-    for shard in 0..4 {
-        let mut text = partial.shard_journal(shard);
-        if shard == 1 {
-            text.truncate(text.len() - 9);
-        }
-        fs::write(shard_path(&victim.0, shard), text).unwrap();
+    assert_ne!(
+        text,
+        partial.journal(),
+        "lines must be out of canonical order"
+    );
+    text.truncate(text.len() - 9);
+
+    // Any thread count resumes it: the torn point is simulated again and
+    // the report and journal end on the reference bytes.
+    for threads in 1..=4 {
+        let victim = Scratch::new(&format!("kill-victim-{threads}"));
+        fs::write(&victim.0, &text).unwrap();
+        let evals = run_journaled_parallel(&spec, &victim.0, threads).unwrap();
+        assert_eq!(
+            report::full_report("campaign", &evals),
+            want,
+            "report diverged resuming at {threads} threads"
+        );
+        assert_eq!(
+            fs::read_to_string(&victim.0).unwrap(),
+            want_journal,
+            "journal diverged resuming at {threads} threads"
+        );
     }
-
-    // Resume under the same thread count: torn tail dropped and
-    // re-simulated, report and canonical journal byte-identical.
-    let evals = run_journaled_parallel(&spec, &victim.0, 4).unwrap();
-    assert_eq!(report::full_report("campaign", &evals), want);
-    assert_eq!(fs::read_to_string(&victim.0).unwrap(), want_journal);
-
-    // And the completed canonical journal now serves any thread count.
-    let evals = run_journaled_parallel(&spec, &victim.0, 2).unwrap();
-    assert_eq!(report::full_report("campaign", &evals), want);
 }
 
 #[test]
@@ -391,31 +392,6 @@ fn stream_analysis_is_deterministic_and_sums_like_the_profile() {
 }
 
 #[test]
-fn parallel_resume_refuses_foreign_shard_counts() {
-    let spec = tiny_spec(61);
-    let scratch = Scratch::new("mismatch");
-    let mut partial = ShardedCampaign::new(spec.clone(), 4);
-    partial.step(0);
-    partial.step(2);
-    for shard in 0..4 {
-        fs::write(shard_path(&scratch.0, shard), partial.shard_journal(shard)).unwrap();
-    }
-    match run_journaled_parallel(&spec, &scratch.0, 2) {
-        Err(CampaignError::ShardMismatch { expected, found }) => {
-            assert_eq!((expected, found), (2, 4));
-        }
-        other => panic!("expected ShardMismatch, got {other:?}"),
-    }
-    // The sequential loader refuses them too (it is the one-shard case).
-    match run_journaled(&spec, &scratch.0) {
-        Err(CampaignError::ShardMismatch { expected, found }) => {
-            assert_eq!((expected, found), (1, 4));
-        }
-        other => panic!("expected ShardMismatch, got {other:?}"),
-    }
-}
-
-#[test]
 fn stress_randomized_schedules_match_the_sequential_oracle() {
     // The wide spec journals two lines per step, so its kills also tear
     // a design point's append between its metrics.
@@ -439,39 +415,31 @@ fn stress_against_sequential_oracle(label: &str, spec: &CampaignSpec) {
 
     stress_parallel(label, 3, 12, |plan| {
         let shards = plan.shards;
-        let mut campaign = ShardedCampaign::new(spec.clone(), shards);
-        // Shadow "disk": the persisted sidecar text per shard. Steps
-        // append their journal lines, as the file-backed driver does.
-        let mut journals: Vec<String> = (0..shards)
-            .map(|shard| campaign.shard_journal(shard))
-            .collect();
-        let header_len = journals[0].len();
+        let mut campaign = CampaignRunner::new(spec.clone());
+        // Shadow "disk": the one journal. Every shard's steps append to
+        // it, as the single writer of the file-backed driver does.
+        let mut journal = campaign.journal();
+        let header_len = journal.len();
+        let step = |campaign: &mut CampaignRunner, journal: &mut String, shard: usize| {
+            let lines = campaign.run_shard_next(shard % shards, shards);
+            journal.push_str(lines.as_deref().unwrap_or_default());
+            lines.is_some()
+        };
         for op in &plan.ops {
             match *op {
                 StressOp::Step(shard) => {
-                    let shard = shard % shards;
-                    if let Some(lines) = campaign.step(shard) {
-                        journals[shard].push_str(&lines);
-                    }
+                    step(&mut campaign, &mut journal, shard);
                 }
-                StressOp::Kill { shard, drop_bytes } => {
+                StressOp::Kill { drop_bytes } => {
                     // Tear the tail (never the header: it was written
-                    // whole at shard start), then rebuild the executor
-                    // from the persisted journals alone.
-                    let shard = shard % shards;
-                    let body = journals[shard].len() - header_len;
-                    let keep = journals[shard].len() - drop_bytes.min(body);
-                    journals[shard].truncate(keep);
-                    let mut rebuilt = ShardedCampaign::new(spec.clone(), shards);
-                    for text in &journals {
-                        rebuilt
-                            .ingest_shard_journal(text)
-                            .map_err(|e| format!("resume failed: {e}"))?;
-                    }
-                    campaign = rebuilt;
-                    journals = (0..shards)
-                        .map(|shard| campaign.shard_journal(shard))
-                        .collect();
+                    // whole at start), then rebuild the executor from the
+                    // persisted journal alone and rewrite it, as a resume
+                    // does.
+                    let keep = journal.len() - drop_bytes.min(journal.len() - header_len);
+                    journal.truncate(keep);
+                    campaign = CampaignRunner::resume(spec.clone(), &journal)
+                        .map_err(|e| format!("resume failed: {e}"))?;
+                    journal = campaign.journal();
                 }
             }
         }
@@ -479,7 +447,7 @@ fn stress_against_sequential_oracle(label: &str, spec: &CampaignSpec) {
         loop {
             let mut progressed = false;
             for shard in 0..shards {
-                progressed |= campaign.step(shard).is_some();
+                progressed |= step(&mut campaign, &mut journal, shard);
             }
             if !progressed {
                 break;
@@ -492,8 +460,15 @@ fn stress_against_sequential_oracle(label: &str, spec: &CampaignSpec) {
                 spec.unit_count()
             ));
         }
-        if campaign.merged_journal() != oracle_journal {
-            return Err("merged journal diverged from sequential oracle".into());
+        if campaign.journal() != oracle_journal {
+            return Err("canonical journal diverged from sequential oracle".into());
+        }
+        // The appended journal, in completion order, resumes to the same
+        // canonical bytes.
+        let resumed = CampaignRunner::resume(spec.clone(), &journal)
+            .map_err(|e| format!("resume of the appended journal failed: {e}"))?;
+        if resumed.journal() != oracle_journal {
+            return Err("appended journal resumed to different bytes".into());
         }
         let evals = campaign.finish().map_err(|e| format!("finish: {e}"))?;
         if report::full_report("campaign", &evals) != oracle_report {

@@ -169,6 +169,14 @@ fn bench_simulator(h: &Harness) {
             || Simulator::new(MachineConfig::baseline()).run(black_box(bench), black_box(&opts)),
         );
     }
+    // The engine alone: the same gcc run replayed from a pre-generated
+    // stream, as campaigns and training sets simulate. `simulator/run/gcc`
+    // minus this line is the generator's share (`workloads/generate_gcc`).
+    let stream = opts.stream(Benchmark::Gcc);
+    h.bench("simulator/engine/gcc", instructions, || {
+        Simulator::new(MachineConfig::baseline())
+            .run_trace(black_box(&stream).iter().copied(), black_box(&opts))
+    });
 }
 
 fn bench_trace_generation(h: &Harness) {

@@ -34,8 +34,10 @@ fn main() {
         let mut row = vec![bench.name().to_string()];
         let mut base_cpi = 0.0;
         let mut base_misses = 0u64;
+        let stream = opts.stream(bench);
         for (i, (_, config)) in configs.iter().enumerate() {
-            let run: RunResult = Simulator::new(config.clone()).run(bench, &opts);
+            let run: RunResult =
+                Simulator::new(config.clone()).run_trace(stream.iter().copied(), &opts);
             let cpi = run.aggregate_cpi();
             let misses: u64 = run.intervals.iter().map(|s| s.dl1_misses).sum();
             if i == 0 {

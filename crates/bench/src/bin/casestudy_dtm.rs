@@ -34,8 +34,12 @@ fn main() {
     let mut rows = Vec::new();
     for bench in Benchmark::ALL {
         eprintln!("simulating {bench} ...");
+        let stream = opts.stream(bench);
+        let replay = |config: &MachineConfig| {
+            Simulator::new(config.clone()).run_trace(stream.iter().copied(), &opts)
+        };
         let run_of = |config: &MachineConfig, envelope: f64| {
-            let run = Simulator::new(config.clone()).run(bench, &opts);
+            let run = replay(config);
             let watts = PowerModel::new(config).power_trace(&run);
             let peak = watts.iter().cloned().fold(0.0f64, f64::max);
             let over = watts.iter().filter(|&&w| w > envelope).count() as f64 / watts.len() as f64;
@@ -43,7 +47,7 @@ fn main() {
             (peak, over, run.aggregate_cpi(), engaged)
         };
         // Per-benchmark envelope: halfway between unmanaged mean and peak.
-        let probe = Simulator::new(base.clone()).run(bench, &opts);
+        let probe = replay(&base);
         let watts = PowerModel::new(&base).power_trace(&probe);
         let mean = watts.iter().sum::<f64>() / watts.len() as f64;
         let peak = watts.iter().cloned().fold(0.0f64, f64::max);

@@ -35,8 +35,9 @@ DVM_IQ {{
         initial_wq_ratio: 4.0,
     });
     for bench in [Benchmark::Mcf, Benchmark::Gcc] {
-        let plain = Simulator::new(base.clone()).run(bench, &opts);
-        let dvm = Simulator::new(managed.clone()).run(bench, &opts);
+        let stream = opts.stream(bench);
+        let plain = Simulator::new(base.clone()).run_trace(stream.iter().copied(), &opts);
+        let dvm = Simulator::new(managed.clone()).run_trace(stream.iter().copied(), &opts);
         let avf_plain = AvfModel::new(&base).avf_trace(&plain, Structure::IssueQueue);
         let avf_dvm = AvfModel::new(&managed).avf_trace(&dvm, Structure::IssueQueue);
         let peak = |t: &[f64]| t.iter().cloned().fold(0.0f64, f64::max);

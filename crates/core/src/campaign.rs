@@ -8,7 +8,13 @@
 //!
 //! This module schedules an [`ExperimentConfig`] campaign by design
 //! point: each `(benchmark, role, point)` is simulated **once**, and every
-//! requested metric's trace is derived from that one run. Each trace is a
+//! requested metric's trace is derived from that one run. The benchmark's
+//! instruction stream does not depend on the machine, so it is generated
+//! once per worker and benchmark and replayed into each of the worker's
+//! points of that benchmark; points run benchmark by benchmark, so a
+//! worker holds one stream at a time (`24 B × samples ×
+//! interval_instructions`: 6 MiB at the paper's 128 × 2048) and drops it
+//! before generating the next benchmark's. Each trace is a
 //! [`WorkUnit`] — `(benchmark, metric, role, point)` — journaled as one
 //! line of an append-only, human-inspectable text file. A killed campaign
 //! resumes by replaying the journal: completed units are never
@@ -62,7 +68,8 @@ use crate::journal::{self, Appender, HeaderError};
 use crate::predictor::WaveletNeuralPredictor;
 use dynawave_neural::ModelError;
 use dynawave_sampling::DesignPoint;
-use dynawave_workloads::Benchmark;
+use dynawave_sim::SimOptions;
+use dynawave_workloads::{Benchmark, Instruction};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -317,6 +324,44 @@ pub struct CampaignRunner {
     /// Every design point before it is complete; points at or after it
     /// may be complete or pending in any pattern.
     cursor: usize,
+    /// The stream [`CampaignRunner::run_shard_next`] replays; released
+    /// once every point is complete.
+    stream: BenchmarkStream,
+}
+
+/// The instruction stream of the benchmark a worker is on. Design points
+/// are numbered benchmark by benchmark, so a worker generates each
+/// benchmark's stream once, when it reaches that benchmark's first
+/// pending point, replays it into every later point of the benchmark,
+/// and drops it before generating the next benchmark's: one stream per
+/// worker at most (`24 B × samples × interval_instructions`).
+#[derive(Clone, Default)]
+struct BenchmarkStream {
+    benchmark: Option<Benchmark>,
+    instructions: Vec<Instruction>,
+}
+
+impl BenchmarkStream {
+    /// `benchmark`'s stream under `opts`, generated unless it is the one
+    /// already held.
+    fn of(&mut self, benchmark: Benchmark, opts: &SimOptions) -> &[Instruction] {
+        if self.benchmark != Some(benchmark) {
+            // Free the held stream first, so only one is ever allocated.
+            self.instructions = Vec::new();
+            self.instructions = opts.stream(benchmark);
+            self.benchmark = Some(benchmark);
+        }
+        &self.instructions
+    }
+}
+
+impl fmt::Debug for BenchmarkStream {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BenchmarkStream")
+            .field("benchmark", &self.benchmark)
+            .field("instructions", &self.instructions.len())
+            .finish()
+    }
 }
 
 impl CampaignRunner {
@@ -330,6 +375,7 @@ impl CampaignRunner {
             train_design,
             test_design,
             cursor: 0,
+            stream: BenchmarkStream::default(),
         }
     }
 
@@ -512,13 +558,14 @@ impl CampaignRunner {
             .any(|metric| !self.completed.contains_key(&self.unit_index(point, metric)))
     }
 
-    /// The one executor body: simulates design point `point` once and
+    /// The one executor body: simulates design point `point` once,
+    /// replaying its benchmark's instruction stream from `stream`, and
     /// derives the trace of every metric still pending there. Returns the
     /// `(canonical unit index, trace)` pairs and their newline-terminated
     /// journal lines, in metric order. Records nothing, so worker threads
-    /// can share the runner; the journal's writer appends the lines in one
-    /// write and then records the traces.
-    fn run_point(&self, point: usize) -> PointRun {
+    /// can share the runner, each with its own `stream`; the journal's
+    /// writer appends the lines in one write and then records the traces.
+    fn run_point(&self, point: usize, stream: &mut BenchmarkStream) -> PointRun {
         let (benchmark, role, point_index) = self.point(point);
         let design = match role {
             UnitRole::Train => &self.train_design[point_index],
@@ -528,7 +575,8 @@ impl CampaignRunner {
             .map(|(m, &metric)| (self.unit_index(point, m), metric))
             .filter(|(i, _)| !self.completed.contains_key(i))
             .unzip();
-        let traces = simulate_metrics(benchmark, design, &metrics, &self.spec.config.sim_options());
+        let opts = self.spec.config.sim_options();
+        let traces = simulate_metrics(stream.of(benchmark, &opts), design, &metrics, &opts);
         let mut lines = String::new();
         for (metric, trace) in metrics.into_iter().zip(&traces) {
             let unit = WorkUnit {
@@ -562,10 +610,14 @@ impl CampaignRunner {
     /// result to keep the journal ahead of the computation.
     pub fn run_shard_next(&mut self, shard: usize, shards: usize) -> Option<String> {
         let point = self.next_pending(shard, shards, self.cursor)?;
-        let (traces, lines) = self.run_point(point);
+        let mut stream = std::mem::take(&mut self.stream);
+        let (traces, lines) = self.run_point(point, &mut stream);
         self.completed.extend(traces);
         while self.cursor < self.point_count() && !self.is_pending(self.cursor) {
             self.cursor += 1;
+        }
+        if self.cursor < self.point_count() {
+            self.stream = stream;
         }
         Some(lines)
     }
@@ -875,8 +927,9 @@ fn drive(
 
 /// One worker: runs at most `budget` of shard `shard` of `shards`'s
 /// pending design points, in order, sending each finished point to the
-/// journal's writer; stops early when the writer hangs up. A `traced`
-/// worker records to its own recorder and hands it back.
+/// journal's writer; stops early when the writer hangs up. It holds the
+/// instruction stream of the benchmark it is on ([`BenchmarkStream`]). A
+/// `traced` worker records to its own recorder and hands it back.
 fn run_shard(
     runner: &CampaignRunner,
     shard: usize,
@@ -888,12 +941,13 @@ fn run_shard(
     if traced {
         dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
     }
+    let mut stream = BenchmarkStream::default();
     let mut from = 0;
     for _ in 0..budget {
         let Some(point) = runner.next_pending(shard, shards, from) else {
             break;
         };
-        if tx.send(runner.run_point(point)).is_err() {
+        if tx.send(runner.run_point(point, &mut stream)).is_err() {
             break;
         }
         from = point + 1;

@@ -4,7 +4,7 @@ use dynawave_avf::{AvfModel, Structure};
 use dynawave_power::PowerModel;
 use dynawave_sampling::DesignPoint;
 use dynawave_sim::{MachineConfig, RunResult, SimOptions, Simulator};
-use dynawave_workloads::Benchmark;
+use dynawave_workloads::{Benchmark, Instruction};
 
 /// Which workload-dynamics metric a trace measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -78,7 +78,9 @@ impl TraceSet {
 }
 
 /// Simulates one design point and extracts the dynamics trace for
-/// `metric`.
+/// `metric`. Generates the benchmark's instruction stream for this one
+/// run; to simulate many points of one benchmark use
+/// [`collect_traces`], which generates it once.
 ///
 /// Design points may carry 9 values (Table 2) or 10 (with the DVM flag of
 /// the §5 case study).
@@ -93,20 +95,22 @@ pub fn trace_for(
     metric: Metric,
     opts: &SimOptions,
 ) -> Vec<f64> {
-    simulate_metrics(benchmark, point, &[metric], opts).swap_remove(0)
+    simulate_metrics(&opts.stream(benchmark), point, &[metric], opts).swap_remove(0)
 }
 
-/// Simulates one design point **once** and derives the trace of each of
-/// `metrics` from that run, in order: the one simulate path behind
-/// [`trace_for`], [`collect_metric_traces`] and campaign design points.
+/// Simulates one design point **once** by replaying `stream` — the
+/// benchmark's [`SimOptions::stream`], generated by the caller — and
+/// derives the trace of each of `metrics` from that run, in order: the
+/// one simulate path behind [`trace_for`], [`collect_metric_traces`] and
+/// campaign design points.
 pub(crate) fn simulate_metrics(
-    benchmark: Benchmark,
+    stream: &[Instruction],
     point: &DesignPoint,
     metrics: &[Metric],
     opts: &SimOptions,
 ) -> Vec<Vec<f64>> {
     let config = MachineConfig::from_design_values(point.values());
-    let run = Simulator::new(config).run(benchmark, opts);
+    let run = Simulator::new(config).run_trace(stream.iter().copied(), opts);
     metric_traces(&run, metrics)
 }
 
@@ -130,8 +134,10 @@ pub fn metric_traces(run: &RunResult, metrics: &[Metric]) -> Vec<Vec<f64>> {
 
 /// Simulates every design point **once** and derives the trace of each
 /// of `metrics` from the same runs: one [`TraceSet`] per metric, in
-/// order. The trace-set collector behind [`collect_traces`],
-/// [`collect_domain_traces`] and the serve model cache.
+/// order. The benchmark's instruction stream is generated once and
+/// replayed into every point; it is dropped on return. The trace-set
+/// collector behind [`collect_traces`], [`collect_domain_traces`] and
+/// the serve model cache.
 pub(crate) fn collect_metric_traces(
     benchmark: Benchmark,
     points: &[DesignPoint],
@@ -147,8 +153,9 @@ pub(crate) fn collect_metric_traces(
             traces: Vec::with_capacity(points.len()),
         })
         .collect();
+    let stream = opts.stream(benchmark);
     for point in points {
-        let traces = simulate_metrics(benchmark, point, metrics, opts);
+        let traces = simulate_metrics(&stream, point, metrics, opts);
         for (set, trace) in sets.iter_mut().zip(traces) {
             set.traces.push(trace);
         }

@@ -45,6 +45,33 @@ impl SimOptions {
     /// the interval starts with, and the predictive models see the same
     /// cold-start at every configuration.
     pub const DEFAULT_WARMUP: u64 = 0;
+
+    /// The instruction stream [`Simulator::run`] executes for `benchmark`
+    /// under these options: the first `samples * interval_instructions`
+    /// instructions of its trace at `seed`. The stream does not depend on
+    /// the machine, so callers that simulate many configurations of one
+    /// benchmark generate it once and replay it through
+    /// [`Simulator::run_trace`] (24 bytes per instruction: 6 MiB at the
+    /// default options).
+    ///
+    /// # Panics
+    ///
+    /// As for [`Simulator::run`].
+    pub fn stream(&self, benchmark: Benchmark) -> Vec<Instruction> {
+        self.generator(benchmark, 0).collect()
+    }
+
+    /// The generator of `warmup` instructions followed by the sampled
+    /// region: the one place the length of a run's stream is decided.
+    fn generator(&self, benchmark: Benchmark, warmup: u64) -> TraceGenerator {
+        assert!(self.samples > 0, "need at least one sample interval");
+        assert!(
+            self.interval_instructions > 0,
+            "need a positive interval length"
+        );
+        let total = warmup + self.samples as u64 * self.interval_instructions;
+        TraceGenerator::new(benchmark, total, self.seed)
+    }
 }
 
 impl Default for SimOptions {
@@ -81,6 +108,11 @@ impl Simulator {
     /// The workload trace is a pure function of `(benchmark,
     /// opts.samples * opts.interval_instructions, opts.seed)`, so two runs
     /// with different configurations see the identical instruction stream.
+    /// Each call generates that stream anew, at roughly two thirds of the
+    /// engine's cost per instruction: a caller that loops over
+    /// configurations of one benchmark should generate it once with
+    /// [`SimOptions::stream`] and replay it through
+    /// [`Simulator::run_trace`], which gives the same result.
     ///
     /// # Panics
     ///
@@ -103,17 +135,14 @@ impl Simulator {
         opts: &SimOptions,
         warmup_instructions: u64,
     ) -> RunResult {
-        assert!(opts.samples > 0, "need at least one sample interval");
-        assert!(
-            opts.interval_instructions > 0,
-            "need a positive interval length"
-        );
-        let total = warmup_instructions + opts.samples as u64 * opts.interval_instructions;
-        let trace = TraceGenerator::new(benchmark, total, opts.seed);
+        let trace = opts.generator(benchmark, warmup_instructions);
         self.run_stream(trace, opts, warmup_instructions)
     }
 
-    /// Runs an explicit instruction stream (custom workloads / tests).
+    /// Runs an explicit instruction stream: a custom workload, or a
+    /// [`SimOptions::stream`] replayed into one configuration after
+    /// another. Replaying `opts.stream(benchmark)` gives exactly the
+    /// result of [`Simulator::run`].
     pub fn run_trace<I>(&self, trace: I, opts: &SimOptions) -> RunResult
     where
         I: IntoIterator<Item = Instruction>,

@@ -6,6 +6,7 @@
 use dynawave_core::experiment::{evaluate_benchmark, ExperimentConfig};
 use dynawave_core::Metric;
 use dynawave_sampling::{lhs, random, DesignSpace, Split};
+use dynawave_sim::{MachineConfig, SimOptions, Simulator};
 use dynawave_workloads::{Benchmark, TraceGenerator};
 
 fn cfg() -> ExperimentConfig {
@@ -30,6 +31,39 @@ fn traces_are_bit_identical_across_runs() {
             "{bench} trace differs between runs of seed {}",
             cfg.seed
         );
+    }
+}
+
+#[test]
+fn replayed_streams_simulate_exactly_like_regenerated_ones() {
+    let sim = Simulator::new(MachineConfig::baseline());
+    for seed in [1, 7919, cfg().seed] {
+        let opts = SimOptions {
+            samples: 8,
+            interval_instructions: 300,
+            seed,
+        };
+        for bench in Benchmark::ALL {
+            let stream = opts.stream(bench);
+            let replayed = sim.run_trace(stream.iter().copied(), &opts);
+            assert_eq!(
+                replayed.intervals,
+                sim.run(bench, &opts).intervals,
+                "{bench} seed {seed}: replay differs from Simulator::run"
+            );
+            // A total that is not a whole number of intervals ends in a
+            // partial interval, replayed or streamed alike.
+            let total = 8 * 300 + 137;
+            let stored: Vec<_> = TraceGenerator::new(bench, total, seed).collect();
+            let replayed = sim.run_trace(stored.iter().copied(), &opts);
+            let streamed = sim.run_trace(TraceGenerator::new(bench, total, seed), &opts);
+            assert_eq!(replayed.intervals.len(), 9);
+            assert_eq!(replayed.intervals[8].instructions, 137);
+            assert_eq!(
+                replayed.intervals, streamed.intervals,
+                "{bench} seed {seed}: replay of a partial interval differs"
+            );
+        }
     }
 }
 

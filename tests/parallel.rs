@@ -7,7 +7,8 @@
 //! oracle.
 
 use dynawave_core::campaign::{
-    run_journaled, run_journaled_parallel, threads_from_env, CampaignRunner, CampaignSpec, UnitRole,
+    advance_journaled, run_journaled, run_journaled_parallel, threads_from_env, CampaignRunner,
+    CampaignSpec, UnitRole,
 };
 use dynawave_core::experiment::ExperimentConfig;
 use dynawave_core::{report, trace_for, Metric};
@@ -204,6 +205,38 @@ fn resuming_a_partly_journaled_point_simulates_it_once_for_the_missing_metric() 
     let points = spec.benchmarks.len() * (spec.config.train_points + spec.config.test_points);
     assert_eq!(runs, points);
     assert_eq!(fs::read_to_string(&victim.0).unwrap(), want_journal);
+}
+
+#[test]
+fn budget_stop_inside_the_second_benchmark_resumes_without_extra_simulations() {
+    let spec = wide_spec(59);
+    let per_benchmark = spec.config.train_points + spec.config.test_points;
+    let points = spec.benchmarks.len() * per_benchmark;
+    let reference = Scratch::new("budget-ref");
+    let want = report::full_report("campaign", &run_journaled(&spec, &reference.0).unwrap());
+    let want_journal = fs::read_to_string(&reference.0).unwrap();
+    // Three points into mcf: the stopped worker held mcf's stream, and
+    // every resuming worker generates its own.
+    let done = per_benchmark + 3;
+    for threads in 1..=4 {
+        let scratch = Scratch::new(&format!("budget-{threads}"));
+        let (units, runs) = counting_sim_runs(|| advance_journaled(&spec, &scratch.0, done));
+        assert_eq!(units.unwrap(), done * spec.metrics.len());
+        assert_eq!(runs, done);
+        let (evals, runs) =
+            counting_sim_runs(|| run_journaled_parallel(&spec, &scratch.0, threads));
+        assert_eq!(runs, points - done, "simulator runs at {threads} threads");
+        assert_eq!(
+            report::full_report("campaign", &evals.unwrap()),
+            want,
+            "report diverged at {threads} threads"
+        );
+        assert_eq!(
+            fs::read_to_string(&scratch.0).unwrap(),
+            want_journal,
+            "journal diverged at {threads} threads"
+        );
+    }
 }
 
 #[test]

@@ -167,6 +167,129 @@ mod tests {
         assert!(text.contains("`sim.intervals_retired`"), "{text}");
     }
 
+    /// A small fixed stream: nested spans, a span never closed, heartbeat
+    /// and plain markers, counters, gauges and a histogram. Stage `sim`
+    /// sorts before `sim-alt`, but `sim-alt.runs` sorts before
+    /// `sim.intervals_retired`: the profile lists metrics stage by stage.
+    const PINNED_STREAM: &str = concat!(
+        r#"{"schema":"dynawave-obs","v":1,"seq":0,"tick":1,"kind":"span_enter","name":"predictor.train","depth":0}"#,
+        "\n",
+        r#"{"schema":"dynawave-obs","v":1,"seq":1,"tick":2,"kind":"span_enter","name":"wavelet.wavedec","depth":1}"#,
+        "\n",
+        r#"{"schema":"dynawave-obs","v":1,"seq":2,"tick":3,"kind":"span_exit","name":"wavelet.wavedec","depth":1,"ticks":1}"#,
+        "\n",
+        r#"{"schema":"dynawave-obs","v":1,"seq":3,"tick":5,"kind":"span_exit","name":"predictor.train","depth":0,"ticks":4}"#,
+        "\n",
+        r#"{"schema":"dynawave-obs","v":1,"seq":4,"tick":6,"kind":"span_enter","name":"dtm.step","depth":0}"#,
+        "\n",
+        r#"{"schema":"dynawave-obs","v":1,"seq":5,"tick":7,"kind":"marker","name":"campaign.heartbeat","detail":"gcc/cpi/train/0"}"#,
+        "\n",
+        r#"{"schema":"dynawave-obs","v":1,"seq":6,"tick":10,"kind":"marker","name":"campaign.heartbeat","detail":"gcc/cpi/train/1"}"#,
+        "\n",
+        r#"{"schema":"dynawave-obs","v":1,"seq":7,"tick":10,"kind":"marker","name":"campaign.resumed_from","detail":"journal"}"#,
+        "\n",
+        r#"{"schema":"dynawave-obs","v":1,"seq":8,"tick":11,"kind":"counter","name":"sim.intervals_retired","count":64}"#,
+        "\n",
+        r#"{"schema":"dynawave-obs","v":1,"seq":9,"tick":12,"kind":"counter","name":"sim-alt.runs","count":2}"#,
+        "\n",
+        r#"{"schema":"dynawave-obs","v":1,"seq":10,"tick":13,"kind":"counter","name":"campaign.units_done","count":2}"#,
+        "\n",
+        r#"{"schema":"dynawave-obs","v":1,"seq":11,"tick":14,"kind":"gauge","name":"wavelet.coeff_energy_retained","value":0.97}"#,
+        "\n",
+        r#"{"schema":"dynawave-obs","v":1,"seq":12,"tick":15,"kind":"gauge","name":"sim.ipc","value":1.5}"#,
+        "\n",
+        r#"{"schema":"dynawave-obs","v":1,"seq":13,"tick":16,"kind":"hist","name":"neural.nmse","bounds":[1,5],"counts":[2,1,0]}"#,
+        "\n",
+    );
+
+    const PINNED_PROFILE: &str = "\
+Pipeline profile (7 stages; ticks count recorder activity on the deterministic tick clock, not wall time):
+
+| stage | spans | ticks | markers |
+|---|---|---|---|
+| campaign | 0 | 0 | 3 |
+| dtm | 0 | 0 | 0 |
+| neural | 0 | 0 | 0 |
+| predictor | 1 | 4 | 0 |
+| sim | 0 | 0 | 0 |
+| sim-alt | 0 | 0 | 0 |
+| wavelet | 1 | 1 | 0 |
+
+- `campaign.units_done` = 2
+- `sim.intervals_retired` = 64
+- `sim.ipc` = 1.5
+- `sim-alt.runs` = 2
+- `wavelet.coeff_energy_retained` = 0.97
+";
+
+    const PINNED_REPORT: &str = "\
+# Obs stream report
+
+14 event(s): 2 completed span(s), 3 marker(s), 3 counter(s), 2 gauge(s), 1 histogram(s), 0 unmatched exit(s).
+
+## Per-stage time attribution
+
+Ticks count recorder activity on the deterministic tick clock, not wall time. Inclusive sums span enter→exit deltas per stage (matching the \"Pipeline profile\" `ticks` column); self subtracts time spent in child spans.
+
+| stage | spans | inclusive ticks | self ticks |
+|---|---|---|---|
+| predictor | 1 | 4 | 3 |
+| wavelet | 1 | 1 | 1 |
+
+## Per-span time attribution
+
+| span | count | inclusive ticks | self ticks |
+|---|---|---|---|
+| predictor.train | 1 | 4 | 3 |
+| wavelet.wavedec | 1 | 1 | 1 |
+
+## Campaign unit latency
+
+2 unit(s); ticks between consecutive heartbeats: min 3, median 6, max 6.
+
+Top 2 slowest unit(s):
+
+| unit | ticks |
+|---|---|
+| gcc/cpi/train/0 | 6 |
+| gcc/cpi/train/1 | 3 |
+
+## Histograms
+
+`neural.nmse`:
+
+| bucket | count |
+|---|---|
+| <= 1 | 2 |
+| <= 5 | 1 |
+| overflow | 0 |
+
+## Counter rollup
+
+- `campaign.units_done` = 2
+- `sim-alt.runs` = 2
+- `sim.intervals_retired` = 64
+
+## Gauge rollup
+
+- `sim.ipc` = 1.5
+- `wavelet.coeff_energy_retained` = 0.97
+
+";
+
+    #[test]
+    fn pipeline_profile_section_bytes_are_pinned() {
+        let events = dynawave_obs::parse_events(PINNED_STREAM).unwrap();
+        assert_eq!(pipeline_profile_section(&events), PINNED_PROFILE);
+    }
+
+    #[test]
+    fn stream_report_bytes_are_pinned() {
+        let events = dynawave_obs::parse_events(PINNED_STREAM).unwrap();
+        let analysis = dynawave_obs::StreamAnalysis::from_events(&events);
+        assert_eq!(analysis.render_markdown(5), PINNED_REPORT);
+    }
+
     #[test]
     fn degradation_section_reports_health() {
         use crate::recovery::{CoeffRecovery, RecoveryRung};

@@ -14,7 +14,8 @@ cd "$(dirname "$0")"
 # --obs adds the observability pass: a traced quickstart run whose
 # JSON-lines event stream must validate with zero invalid lines and
 # cover all five pipeline stages, and whose derived `obs_report` render
-# must be byte-identical at 1 and 4 worker threads.
+# must be byte-identical at 1 and 4 worker threads; the same stream with
+# one histogram's overflow bucket cut off must make `obs_report` exit 2.
 # --par adds the parallel-determinism pass: the concurrency test battery
 # plus a byte-for-byte comparison of the full-space demo's report at 1,
 # 4 and 100000 worker threads — the report must not depend on thread
@@ -108,6 +109,22 @@ if [ "$OBS" = 1 ]; then
     < "$CI_TMP/obs_t4.jsonl" > "$CI_TMP/obs_report_t4.md"
   cmp "$CI_TMP/obs_report_t1.md" "$CI_TMP/obs_report_t4.md"
   echo "obs_report byte-identical across thread counts"
+  # The analyzer reads lines through the validator's decoders: a stream
+  # whose first histogram lost its last count (counts no longer one
+  # longer than bounds) is refused with exit 2 and no report.
+  awk '!done && /"kind":"hist"/ { sub(/,[0-9]+\]}$/, "]}"); done = 1 } { print }' \
+    "$CI_TMP/obs_t1.jsonl" > "$CI_TMP/obs_bad.jsonl"
+  if cmp -s "$CI_TMP/obs_t1.jsonl" "$CI_TMP/obs_bad.jsonl"; then
+    echo "quickstart stream has no histogram line to break" >&2
+    exit 1
+  fi
+  status=0
+  cargo run -q --release --offline -p dynawave-obs --bin obs_report \
+    < "$CI_TMP/obs_bad.jsonl" > "$CI_TMP/obs_bad_report.md" 2> /dev/null \
+    || status=$?
+  [ "$status" = 2 ]
+  [ ! -s "$CI_TMP/obs_bad_report.md" ]
+  echo "obs_report refuses a histogram without its overflow bucket"
 fi
 
 if [ "$PAR" = 1 ]; then

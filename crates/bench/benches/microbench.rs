@@ -105,7 +105,7 @@ impl Harness {
         );
         println!(
             "{}",
-            dynawave_bench::bench_json_line(
+            dynawave_obs::bench_json_line(
                 name,
                 median as f64,
                 min as f64,

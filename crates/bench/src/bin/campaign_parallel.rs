@@ -20,10 +20,10 @@
 //! repetitions via `DYNAWAVE_BENCH_SAMPLES` (default 3 — each rep is a
 //! full campaign).
 
-use dynawave_bench::{bench_json_line, bench_json_line_with_unit};
 use dynawave_core::campaign::{run_journaled_parallel, CampaignSpec};
 use dynawave_core::experiment::{EnvConfigError, ExperimentConfig};
 use dynawave_core::{report, Metric};
+use dynawave_obs::{bench_json_line, bench_json_line_with_unit};
 use dynawave_workloads::Benchmark;
 use std::time::Instant;
 

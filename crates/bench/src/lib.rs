@@ -54,71 +54,6 @@ impl dynawave_obs::Clock for WallClock {
     }
 }
 
-/// Formats one wall-nanosecond benchmark measurement as a JSON line in
-/// the obs sink schema (`"kind":"bench"`, no `seq`/`tick` — bench lines
-/// carry measurements, not recorder state). `dynawave-obs`'s validator
-/// accepts these lines, so bench output and event streams share one
-/// toolchain, and `compare_bench` diffs whole files of them.
-pub fn bench_json_line(
-    bench: &str,
-    median_ns: f64,
-    min_ns: f64,
-    max_ns: f64,
-    iters: u64,
-    throughput_elems: u64,
-) -> String {
-    bench_json_line_with_unit(
-        bench,
-        dynawave_obs::BENCH_UNIT_NS,
-        median_ns,
-        min_ns,
-        max_ns,
-        iters,
-        throughput_elems,
-    )
-}
-
-/// [`bench_json_line`] for derived measurements: `unit` names what the
-/// numbers mean (`"ratio_x1000"`, `"count"`, ...) so they no longer
-/// masquerade as nanoseconds. Emits a bench-schema-v2 line; the plain
-/// `"ns"` unit is omitted from the JSON (it is the v1-compatible
-/// default, and committed baselines never bit-rot).
-pub fn bench_json_line_with_unit(
-    bench: &str,
-    unit: &str,
-    median_ns: f64,
-    min_ns: f64,
-    max_ns: f64,
-    iters: u64,
-    throughput_elems: u64,
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(160);
-    let _ = write!(
-        out,
-        "{{\"schema\":\"{}\",\"v\":{},\"schema_version\":{},\"kind\":\"bench\",\"bench\":",
-        dynawave_obs::SCHEMA_NAME,
-        dynawave_obs::SCHEMA_VERSION,
-        dynawave_obs::BENCH_SCHEMA_VERSION,
-    );
-    dynawave_obs::event::push_json_string(&mut out, bench);
-    if unit != dynawave_obs::BENCH_UNIT_NS {
-        out.push_str(",\"unit\":");
-        dynawave_obs::event::push_json_string(&mut out, unit);
-    }
-    out.push_str(",\"median_ns\":");
-    dynawave_obs::event::push_json_number(&mut out, median_ns);
-    out.push_str(",\"min_ns\":");
-    dynawave_obs::event::push_json_number(&mut out, min_ns);
-    out.push_str(",\"max_ns\":");
-    dynawave_obs::event::push_json_number(&mut out, max_ns);
-    let _ = write!(
-        out,
-        ",\"iters\":{iters},\"throughput_elems\":{throughput_elems}}}"
-    );
-    out
-}
-
 /// Prints the standard experiment banner and returns the env-derived
 /// configuration plus a start instant for the closing footer.
 ///
@@ -231,97 +166,9 @@ pub fn downsample(trace: &[f64], n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Minimal CSV output for archiving experiment results.
-///
-/// Cells containing commas, quotes or newlines are quoted per RFC 4180.
-pub mod csv {
-    use std::io::Write;
-    use std::path::Path;
-
-    fn escape(cell: &str) -> String {
-        if cell.contains([',', '"', '\n']) {
-            format!("\"{}\"", cell.replace('"', "\"\""))
-        } else {
-            cell.to_string()
-        }
-    }
-
-    /// Renders a header + rows as CSV text.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row's length differs from the header's.
-    pub fn to_string(header: &[&str], rows: &[Vec<String>]) -> String {
-        let mut out = String::new();
-        out.push_str(
-            &header
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in rows {
-            assert_eq!(row.len(), header.len(), "ragged CSV row");
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Writes a header + rows to a CSV file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_file(
-        path: impl AsRef<Path>,
-        header: &[&str],
-        rows: &[Vec<String>],
-    ) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(to_string(header, rows).as_bytes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_json_line_validates_under_obs_schema() {
-        let line = bench_json_line("wavelet/wavedec_haar/128", 1234.0, 1200.0, 1300.0, 512, 128);
-        assert!(line.contains("\"schema\":\"dynawave-obs\""), "{line}");
-        assert!(line.contains("\"schema_version\":2"), "{line}");
-        assert!(line.contains("\"median_ns\":1234"), "{line}");
-        assert!(!line.contains("\"unit\""), "ns unit stays implicit: {line}");
-        let summary = dynawave_obs::validate_stream(&line);
-        assert!(summary.is_clean(), "{:?}", summary.errors);
-        assert_eq!(summary.kinds.get("bench"), Some(&1));
-        let snap = dynawave_obs::BenchSnapshot::parse(&line).unwrap();
-        let record = snap.get("wavelet/wavedec_haar/128").unwrap();
-        assert_eq!(record.unit, dynawave_obs::BENCH_UNIT_NS);
-        assert_eq!(record.schema_version, 2);
-    }
-
-    #[test]
-    fn bench_json_line_with_unit_names_derived_measurements() {
-        let line = bench_json_line_with_unit(
-            "campaign/full_space/speedup_x1000",
-            "ratio_x1000",
-            3841.0,
-            3700.0,
-            3900.0,
-            1,
-            0,
-        );
-        assert!(line.contains("\"unit\":\"ratio_x1000\""), "{line}");
-        let summary = dynawave_obs::validate_stream(&line);
-        assert!(summary.is_clean(), "{:?}", summary.errors);
-        let snap = dynawave_obs::BenchSnapshot::parse(&line).unwrap();
-        let record = snap.get("campaign/full_space/speedup_x1000").unwrap();
-        assert_eq!(record.unit, "ratio_x1000");
-    }
 
     #[test]
     fn wall_clock_is_monotonic() {
@@ -360,26 +207,5 @@ mod tests {
     #[test]
     fn fmt_digits() {
         assert_eq!(fmt(1.23456, 2), "1.23");
-    }
-
-    #[test]
-    fn csv_escapes_specials() {
-        let text = csv::to_string(
-            &["a", "b"],
-            &[
-                vec!["plain".into(), "has,comma".into()],
-                vec!["has\"quote".into(), "x".into()],
-            ],
-        );
-        assert_eq!(text, "a,b\nplain,\"has,comma\"\n\"has\"\"quote\",x\n");
-    }
-
-    #[test]
-    fn csv_file_roundtrip() {
-        let dir = std::env::temp_dir().join("dynawave_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
-        csv::write_file(&path, &["x"], &[vec!["1".into()]]).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "x\n1\n");
     }
 }

@@ -32,15 +32,48 @@ pub fn degradation_section(report: &DegradationReport) -> String {
 }
 
 /// Renders the per-stage "Pipeline profile" section from a traced run's
-/// event stream (see `dynawave-obs`). Returns a note instead of a table
-/// when the stream is empty (tracing was off), so callers can append it
-/// unconditionally.
+/// event stream: the stage rows of `dynawave-obs`'s [`StreamAnalysis`]
+/// (completed spans, inclusive ticks, markers), then the final counter
+/// and gauge values. Returns a note instead of a table when the stream
+/// is empty (tracing was off), so callers can append it unconditionally.
+///
+/// [`StreamAnalysis`]: dynawave_obs::StreamAnalysis
 pub fn pipeline_profile_section(events: &[dynawave_obs::Event]) -> String {
-    let profile = dynawave_obs::PipelineProfile::from_events(events);
-    if profile.is_empty() {
+    let analysis = dynawave_obs::StreamAnalysis::from_events(events);
+    if analysis.stages.is_empty() {
         return String::from("Pipeline profile: tracing disabled (no events recorded).\n");
     }
-    profile.render_markdown()
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Pipeline profile ({} stages; ticks count recorder activity on \
+         the deterministic tick clock, not wall time):\n",
+        analysis.stages.len()
+    );
+    let _ = writeln!(
+        out,
+        "| stage | spans | ticks | markers |\n|---|---|---|---|"
+    );
+    for (name, s) in &analysis.stages {
+        let _ = writeln!(
+            out,
+            "| {name} | {} | {} | {} |",
+            s.count, s.inclusive_ticks, s.markers
+        );
+    }
+    out.push('\n');
+    // Final metric values, stage by stage: `sim-alt.x` sorts before
+    // `sim.y`, but stage `sim` sorts before stage `sim-alt`.
+    for stage in analysis.stages.keys() {
+        let in_stage = |name: &String| name.split('.').next() == Some(stage.as_str());
+        for (name, v) in analysis.counters.iter().filter(|(n, _)| in_stage(n)) {
+            let _ = writeln!(out, "- `{name}` = {v}");
+        }
+        for (name, v) in analysis.gauges.iter().filter(|(n, _)| in_stage(n)) {
+            let _ = writeln!(out, "- `{name}` = {v}");
+        }
+    }
+    out
 }
 
 /// Renders one evaluation as a markdown section.
@@ -165,6 +198,30 @@ mod tests {
         assert!(text.contains("| sim |"), "{text}");
         assert!(text.contains("| predictor |"), "{text}");
         assert!(text.contains("`sim.intervals_retired`"), "{text}");
+    }
+
+    #[test]
+    fn markdown_render_is_stable() {
+        let mut counter = dynawave_obs::Event::new(
+            0,
+            1,
+            dynawave_obs::EventKind::Counter,
+            "sim.intervals_retired",
+        );
+        counter.count = Some(3);
+        let text = pipeline_profile_section(std::slice::from_ref(&counter));
+        assert!(text.contains("Pipeline profile (1 stages"), "{text}");
+        assert!(text.contains("| sim | 0 | 0 | 0 |"), "{text}");
+        assert!(text.contains("- `sim.intervals_retired` = 3"), "{text}");
+        assert_eq!(text, pipeline_profile_section(&[counter]));
+    }
+
+    #[test]
+    fn empty_stream_is_empty_profile() {
+        assert_eq!(
+            pipeline_profile_section(&[]),
+            "Pipeline profile: tracing disabled (no events recorded).\n"
+        );
     }
 
     /// A small fixed stream: nested spans, a span never closed, heartbeat

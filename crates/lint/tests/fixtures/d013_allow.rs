@@ -5,5 +5,5 @@ pub const TAG: &str = "dynawave-observ"; // dynalint:allow(D013) -- negative-tes
 
 pub fn report(elems: usize) -> String {
     // dynalint:allow(D013) -- exercises obs_validate's unknown-unit rejection path
-    dynawave_bench::bench_json_line_with_unit("bench.fixture", "furlongs", 10, 9, 12, 100, elems)
+    dynawave_obs::bench_json_line_with_unit("bench.fixture", "furlongs", 10, 9, 12, 100, elems)
 }

@@ -8,7 +8,7 @@ pub fn journal_header() -> String {
 }
 
 pub fn report(elems: usize) -> String {
-    dynawave_bench::bench_json_line_with_unit("bench.fixture", "ratio_x1000", 10, 9, 12, 100, elems)
+    dynawave_obs::bench_json_line_with_unit("bench.fixture", "ratio_x1000", 10, 9, 12, 100, elems)
 }
 
 pub fn trace() {

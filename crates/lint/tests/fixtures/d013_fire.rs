@@ -9,7 +9,7 @@ pub fn journal_header() -> String {
 }
 
 pub fn report(elems: usize) -> String {
-    dynawave_bench::bench_json_line_with_unit("bench.fixture", "furlongs", 10, 9, 12, 100, elems)
+    dynawave_obs::bench_json_line_with_unit("bench.fixture", "furlongs", 10, 9, 12, 100, elems)
 }
 
 pub fn trace() {

@@ -1,8 +1,9 @@
 //! The analysis half of dynawave-obs: bench-snapshot diffing and event
 //! stream attribution.
 //!
-//! PR 4 built the *emit* side — deterministic spans, metrics, and the
-//! versioned JSON-lines schema. This module consumes those streams:
+//! The rest of the crate *emits* — deterministic spans, metrics, and the
+//! versioned JSON-lines schema. This module consumes those streams,
+//! reading lines back through the decoders the validator uses:
 //!
 //! * [`BenchSnapshot`] / [`BenchComparison`] diff two `BENCH_*.json`
 //!   files (obs `"kind":"bench"` lines) into a perf-trajectory report
@@ -15,7 +16,8 @@
 //!   self time vs. inclusive time from span enter/exit deltas — plus
 //!   per-campaign-unit latencies from heartbeat markers, top-K slowest
 //!   units, and counter/gauge/histogram rollups. The `obs_report`
-//!   binary renders it.
+//!   binary renders it, and `dynawave-core` renders its per-stage rows
+//!   as a report's "Pipeline profile" section.
 //!
 //! Every renderer here emits markdown with a fixed section and field
 //! order, sorted (`BTreeMap`) iteration, and shortest round-trip float
@@ -23,8 +25,7 @@
 //! counts, which is what lets CI `cmp` two reports instead of eyeballing
 //! them.
 
-use crate::event::{Event, EventKind, BENCH_SCHEMA_VERSION, BENCH_UNIT_NS, SCHEMA_NAME};
-use crate::json::{self, Value};
+use crate::event::{BenchRecord, Event, EventKind, ObsLine, BENCH_UNIT_NS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -34,115 +35,39 @@ use std::fmt::Write as _;
 
 /// Parses a JSON-lines obs stream back into [`Event`]s.
 ///
-/// Empty lines and `"kind":"bench"` lines (measurements, not recorder
-/// state) are skipped. The parser is intentionally strict about
-/// structure — a malformed line is an error, not a silent skip — but
-/// does not re-check stream invariants (`seq`/`tick` ordering); that is
-/// [`crate::validate`]'s job.
+/// Every non-empty line goes through its type's decoder, so this refuses
+/// exactly the lines [`crate::validate`] refuses; bench lines
+/// (measurements, not recorder state) are then skipped. Stream order
+/// (`seq`/`tick`) is not re-checked; that is the validator's job.
 ///
 /// # Errors
 ///
-/// A human-readable description naming the offending 1-based line.
+/// The validator's reason for the first bad line, prefixed `line N:`.
 pub fn parse_events(text: &str) -> Result<Vec<Event>, String> {
     let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
-        if line.trim().is_empty() {
-            continue;
+    for line in decode_lines(text) {
+        if let (_, ObsLine::Event(event)) = line? {
+            events.push(event);
         }
-        let value = json::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
-        let obj = value
-            .as_object()
-            .ok_or_else(|| format!("line {line_no}: not a JSON object"))?;
-        let kind_name = obj
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {line_no}: missing 'kind'"))?;
-        if kind_name == "bench" {
-            continue;
-        }
-        let kind = EventKind::parse(kind_name)
-            .ok_or_else(|| format!("line {line_no}: unknown kind '{kind_name}'"))?;
-        let seq = obj
-            .get("seq")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("line {line_no}: missing 'seq'"))?;
-        let tick = obj
-            .get("tick")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("line {line_no}: missing 'tick'"))?;
-        let name = obj
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {line_no}: missing 'name'"))?;
-        let mut event = Event::new(seq, tick, kind, name);
-        event.depth = obj.get("depth").and_then(Value::as_u64);
-        event.ticks = obj.get("ticks").and_then(Value::as_u64);
-        event.count = obj.get("count").and_then(Value::as_u64);
-        event.value = obj.get("value").and_then(Value::as_f64);
-        event.detail = obj
-            .get("detail")
-            .and_then(Value::as_str)
-            .map(str::to_string);
-        if let Some(bounds) = obj.get("bounds").and_then(Value::as_array) {
-            let mut parsed = Vec::with_capacity(bounds.len());
-            for b in bounds {
-                parsed.push(
-                    b.as_f64()
-                        .ok_or_else(|| format!("line {line_no}: non-numeric bound"))?,
-                );
-            }
-            event.bounds = Some(parsed);
-        }
-        if let Some(counts) = obj.get("counts").and_then(Value::as_array) {
-            let mut parsed = Vec::with_capacity(counts.len());
-            for c in counts {
-                parsed.push(
-                    c.as_u64()
-                        .ok_or_else(|| format!("line {line_no}: non-integer count"))?,
-                );
-            }
-            event.counts = Some(parsed);
-        }
-        events.push(event);
     }
     Ok(events)
+}
+
+/// Decodes every non-empty line of `text` with its 1-based line number.
+fn decode_lines(text: &str) -> impl Iterator<Item = Result<(usize, ObsLine), String>> + '_ {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            ObsLine::parse(line)
+                .map(|decoded| (i + 1, decoded))
+                .map_err(|e| format!("line {}: {e}", i + 1))
+        })
 }
 
 // ---------------------------------------------------------------------
 // Bench snapshots and the perf-trajectory ratchet
 // ---------------------------------------------------------------------
-
-/// One measurement from a `BENCH_*.json` snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// Benchmark name (`stage/op/scale`).
-    pub name: String,
-    /// Measurement unit; `"ns"` unless a v2 line says otherwise.
-    pub unit: String,
-    /// Median of the timed batches.
-    pub median: f64,
-    /// Fastest batch — lower edge of the noise band.
-    pub min: f64,
-    /// Slowest batch — upper edge of the noise band.
-    pub max: f64,
-    /// Iterations per timed batch (0 when the line omitted it).
-    pub iters: u64,
-    /// The bench-line schema version the record was read from.
-    pub schema_version: u64,
-}
-
-impl BenchRecord {
-    /// Lower edge of the noise band (min widened to include the median).
-    pub fn band_lo(&self) -> f64 {
-        self.min.min(self.median)
-    }
-
-    /// Upper edge of the noise band (max widened to include the median).
-    pub fn band_hi(&self) -> f64 {
-        self.max.max(self.median)
-    }
-}
 
 /// A parsed `BENCH_*.json` file: bench name → record, sorted.
 #[derive(Debug, Clone, Default)]
@@ -153,36 +78,24 @@ pub struct BenchSnapshot {
 impl BenchSnapshot {
     /// Parses a snapshot from obs-schema JSON lines.
     ///
-    /// Non-bench event lines are ignored (a mixed stream is fine); every
-    /// `"kind":"bench"` line must be well-formed under schema version 1
-    /// or 2, carry finite numbers, and name each benchmark only once.
+    /// Every non-empty line goes through its type's decoder, so this
+    /// refuses exactly the lines [`crate::validate`] refuses; event lines
+    /// are then skipped (a mixed stream is fine). Each benchmark may
+    /// appear only once.
     ///
     /// # Errors
     ///
-    /// A description naming the offending 1-based line.
+    /// The validator's reason for the first bad line, or the duplicate,
+    /// prefixed `line N:`.
     pub fn parse(text: &str) -> Result<BenchSnapshot, String> {
         let mut records = BTreeMap::new();
-        for (i, line) in text.lines().enumerate() {
-            let line_no = i + 1;
-            if line.trim().is_empty() {
-                continue;
+        for line in decode_lines(text) {
+            if let (line_no, ObsLine::Bench(record)) = line? {
+                if records.contains_key(&record.name) {
+                    return Err(format!("line {line_no}: duplicate bench '{}'", record.name));
+                }
+                records.insert(record.name.clone(), record);
             }
-            let value = json::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
-            let obj = value
-                .as_object()
-                .ok_or_else(|| format!("line {line_no}: not a JSON object"))?;
-            match obj.get("schema").and_then(Value::as_str) {
-                Some(SCHEMA_NAME) => {}
-                _ => return Err(format!("line {line_no}: not a dynawave-obs line")),
-            }
-            if obj.get("kind").and_then(Value::as_str) != Some("bench") {
-                continue;
-            }
-            let record = parse_bench_record(obj).map_err(|e| format!("line {line_no}: {e}"))?;
-            if records.contains_key(&record.name) {
-                return Err(format!("line {line_no}: duplicate bench '{}'", record.name));
-            }
-            records.insert(record.name.clone(), record);
         }
         Ok(BenchSnapshot { records })
     }
@@ -206,63 +119,6 @@ impl BenchSnapshot {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-}
-
-fn parse_bench_record(obj: &BTreeMap<String, Value>) -> Result<BenchRecord, String> {
-    let name = obj
-        .get("bench")
-        .and_then(Value::as_str)
-        .ok_or("bench line missing 'bench' name")?;
-    if name.is_empty() {
-        return Err("empty 'bench' name".to_string());
-    }
-    let finite = |field: &str| -> Result<Option<f64>, String> {
-        match obj.get(field) {
-            None => Ok(None),
-            Some(v) => {
-                let v = v.as_f64().ok_or_else(|| format!("non-numeric '{field}'"))?;
-                if v.is_finite() {
-                    Ok(Some(v))
-                } else {
-                    Err(format!("non-finite '{field}'"))
-                }
-            }
-        }
-    };
-    let median = finite("median_ns")?.ok_or("missing 'median_ns'")?;
-    let min = finite("min_ns")?.unwrap_or(median);
-    let max = finite("max_ns")?.unwrap_or(median);
-    let schema_version = match obj.get("schema_version") {
-        Some(v) => v
-            .as_u64()
-            .ok_or("non-integer 'schema_version'".to_string())?,
-        None => 1,
-    };
-    if schema_version == 0 || schema_version > BENCH_SCHEMA_VERSION {
-        return Err(format!("unsupported bench schema_version {schema_version}"));
-    }
-    let unit = match obj.get("unit") {
-        None => BENCH_UNIT_NS.to_string(),
-        Some(_) if schema_version < 2 => {
-            return Err("'unit' field requires bench schema_version >= 2".to_string());
-        }
-        Some(u) => {
-            let u = u.as_str().ok_or("non-string 'unit'")?;
-            if u.is_empty() {
-                return Err("empty 'unit'".to_string());
-            }
-            u.to_string()
-        }
-    };
-    Ok(BenchRecord {
-        name: name.to_string(),
-        unit,
-        median,
-        min,
-        max,
-        iters: obj.get("iters").and_then(Value::as_u64).unwrap_or(0),
-        schema_version,
-    })
 }
 
 /// How one benchmark's delta classified under the ratchet rule.
@@ -518,17 +374,17 @@ fn fmt_num(v: f64) -> String {
 // Event stream attribution (obs_report)
 // ---------------------------------------------------------------------
 
-/// Aggregated span timing for one span name or one stage.
+/// Aggregated activity for one span name or one stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanStats {
     /// Completed spans (span-exit events).
     pub count: u64,
-    /// Total ticks between enter and exit, children included. Per
-    /// stage this matches the `ticks` column of
-    /// [`crate::PipelineProfile`] exactly.
+    /// Total ticks between enter and exit, children included.
     pub inclusive_ticks: u64,
     /// Total ticks minus time attributed to child spans.
     pub self_ticks: u64,
+    /// Marker events (per stage; always 0 per span name).
+    pub markers: u64,
 }
 
 /// One campaign unit's heartbeat latency.
@@ -548,7 +404,9 @@ pub struct UnitLatency {
 pub struct StreamAnalysis {
     /// Per-span-name timing attribution, sorted by name.
     pub spans: BTreeMap<String, SpanStats>,
-    /// Per-stage timing attribution (first dotted name segment).
+    /// Per-stage attribution (first dotted name segment), with a row
+    /// for every stage any event names — span enters and histograms
+    /// included. This is what the "Pipeline profile" report renders.
     pub stages: BTreeMap<String, SpanStats>,
     /// Campaign-unit latencies in stream order.
     pub unit_latencies: Vec<UnitLatency>,
@@ -637,10 +495,10 @@ impl SloSpec {
         })
     }
 
-    /// The histogram name this spec reads (`serve.latency.<kind>`).
-    pub fn histogram(&self) -> &'static str {
-        // Parse guaranteed the kind has a histogram.
-        crate::schema::serve_latency_histogram(&self.kind).unwrap_or("serve.latency.predict")
+    /// The histogram this spec reads (`serve.latency.<kind>`), or `None`
+    /// for a kind without one — a spec [`SloSpec::parse`] would refuse.
+    pub fn histogram(&self) -> Option<&'static str> {
+        crate::schema::serve_latency_histogram(&self.kind)
     }
 }
 
@@ -683,6 +541,10 @@ impl StreamAnalysis {
         let mut last_heartbeat = events.first().map(|e| e.tick).unwrap_or(0);
         for event in events {
             analysis.events += 1;
+            let stage = analysis
+                .stages
+                .entry(event.stage().to_string())
+                .or_default();
             match event.kind {
                 EventKind::SpanEnter => stack.push((event.name.clone(), 0)),
                 EventKind::SpanExit => {
@@ -702,13 +564,7 @@ impl StreamAnalysis {
                         0
                     };
                     let self_ticks = inclusive.saturating_sub(child_ticks);
-                    for stats in [
-                        analysis.spans.entry(event.name.clone()).or_default(),
-                        analysis
-                            .stages
-                            .entry(event.stage().to_string())
-                            .or_default(),
-                    ] {
+                    for stats in [analysis.spans.entry(event.name.clone()).or_default(), stage] {
                         stats.count += 1;
                         stats.inclusive_ticks += inclusive;
                         stats.self_ticks += self_ticks;
@@ -716,6 +572,7 @@ impl StreamAnalysis {
                 }
                 EventKind::Marker => {
                     analysis.markers += 1;
+                    stage.markers += 1;
                     if event.name == HEARTBEAT_MARKER {
                         analysis.unit_latencies.push(UnitLatency {
                             unit: event.detail.clone().unwrap_or_default(),
@@ -802,7 +659,8 @@ impl StreamAnalysis {
 
     /// Evaluates one SLO assertion against this stream.
     pub fn check_slo(&self, spec: &SloSpec) -> SloOutcome {
-        match self.histogram_percentile(spec.histogram(), spec.percentile) {
+        let percentile = |name| self.histogram_percentile(name, spec.percentile);
+        match spec.histogram().and_then(percentile) {
             None => SloOutcome::NoData,
             Some(None) => SloOutcome::Overflow,
             Some(Some(bound)) => {
@@ -884,7 +742,8 @@ impl StreamAnalysis {
             out,
             "| stage | spans | inclusive ticks | self ticks |\n|---|---|---|---|"
         );
-        for (name, s) in &self.stages {
+        // A stage with no completed span has no time to attribute.
+        for (name, s) in self.stages.iter().filter(|(_, s)| s.count > 0) {
             let _ = writeln!(
                 out,
                 "| {} | {} | {} | {} |",
@@ -1192,19 +1051,6 @@ mod tests {
         assert_eq!(cmp.render_markdown("x", "y"), cmp.render_markdown("x", "y"));
     }
 
-    fn span_pair(seq: &mut u64, tick: &mut u64, name: &str, depth: u64) -> Vec<Event> {
-        let mut enter = Event::new(*seq, *tick, EventKind::SpanEnter, name);
-        enter.depth = Some(depth);
-        *seq += 1;
-        *tick += 1;
-        let mut exit = Event::new(*seq, *tick, EventKind::SpanExit, name);
-        exit.depth = Some(depth);
-        exit.ticks = Some(1);
-        *seq += 1;
-        *tick += 1;
-        vec![enter, exit]
-    }
-
     #[test]
     fn self_time_subtracts_children() {
         // outer [ inner ] with outer inclusive 3, inner inclusive 1.
@@ -1233,22 +1079,25 @@ mod tests {
     }
 
     #[test]
-    fn stage_inclusive_matches_pipeline_profile() {
-        let mut seq = 0;
-        let mut tick = 1;
-        let mut events = Vec::new();
-        for name in ["sim.run_trace", "sim.run_trace", "wavelet.wavedec"] {
-            events.extend(span_pair(&mut seq, &mut tick, name, 0));
-        }
-        let analysis = StreamAnalysis::from_events(&events);
-        let profile = crate::PipelineProfile::from_events(&events);
-        for (stage, stats) in profile.stages() {
-            assert_eq!(
-                analysis.stages[stage].inclusive_ticks, stats.ticks,
-                "stage {stage} diverged from PipelineProfile"
-            );
-            assert_eq!(analysis.stages[stage].count, stats.spans);
-        }
+    fn aggregates_by_stage() {
+        let mut exit = Event::new(1, 2, EventKind::SpanExit, "sim.run_trace");
+        exit.depth = Some(0);
+        exit.ticks = Some(7);
+        let mut counter = Event::new(2, 3, EventKind::Counter, "sim.intervals_retired");
+        counter.count = Some(64);
+        let mut gauge = Event::new(3, 4, EventKind::Gauge, "wavelet.coeff_energy_retained");
+        gauge.value = Some(0.5);
+        let marker = Event::new(4, 5, EventKind::Marker, "campaign.heartbeat");
+        let analysis = StreamAnalysis::from_events(&[exit, counter, gauge, marker]);
+
+        // Every event names a stage, whatever its kind.
+        let stages: Vec<&str> = analysis.stages.keys().map(String::as_str).collect();
+        assert_eq!(stages, vec!["campaign", "sim", "wavelet"]);
+        let sim = &analysis.stages["sim"];
+        assert_eq!((sim.count, sim.inclusive_ticks, sim.markers), (1, 7, 0));
+        assert_eq!(analysis.stages["campaign"].markers, 1);
+        assert_eq!(analysis.stages["wavelet"], SpanStats::default());
+        assert_eq!(analysis.counters.get("sim.intervals_retired"), Some(&64));
     }
 
     #[test]
@@ -1328,7 +1177,7 @@ mod tests {
         assert_eq!(spec.kind, "predict");
         assert_eq!(spec.percentile, 99);
         assert_eq!(spec.limit, 64);
-        assert_eq!(spec.histogram(), "serve.latency.predict");
+        assert_eq!(spec.histogram(), Some("serve.latency.predict"));
         assert_eq!(SloSpec::parse("sweep:p50<=16 ticks").unwrap().limit, 16);
         assert!(
             SloSpec::parse("stats:p99<=1").is_err(),
@@ -1397,6 +1246,25 @@ mod tests {
         assert_eq!(analysis.check_slo(&spec), SloOutcome::Overflow);
         let (line, ok) = analysis.render_slo(&spec);
         assert!(line.ends_with("FAIL (p50 in overflow bucket)"), "{line}");
+        assert!(!ok);
+    }
+
+    #[test]
+    fn slo_on_a_kind_without_a_histogram_has_no_data() {
+        // Built by hand, not parsed: `stats` has no latency histogram, so
+        // no other kind's samples may stand in for it.
+        let spec = SloSpec {
+            kind: "stats".to_string(),
+            percentile: 50,
+            limit: 16,
+        };
+        let analysis = StreamAnalysis::from_events(&serve_latency_events());
+        assert_eq!(analysis.check_slo(&spec), SloOutcome::NoData);
+        let (line, ok) = analysis.render_slo(&spec);
+        assert_eq!(
+            line,
+            "slo stats:p50<=16: FAIL (no 'stats' samples in stream)"
+        );
         assert!(!ok);
     }
 

@@ -1,10 +1,20 @@
-//! The versioned event model and its JSON-lines encoding.
+//! The versioned line model of the obs schema: its JSON-lines encoders
+//! and their inverse decoders.
 //!
 //! Every record the recorder emits is one [`Event`], serialized as one
-//! JSON object per line. The schema is versioned: every line carries
-//! `"schema":"dynawave-obs"` and `"v":1` so downstream tooling can reject
-//! streams it does not understand (see [`crate::validate`]).
+//! JSON object per line; every measurement the bench harness emits is
+//! one [`BenchRecord`] on the same schema. The schema is versioned:
+//! every line carries `"schema":"dynawave-obs"` and `"v":1` so
+//! downstream tooling can reject streams it does not understand.
+//!
+//! Each line type has exactly one decoder ([`Event::from_json`],
+//! [`BenchRecord::from_json`]) holding its field rules. The validator
+//! ([`crate::validate`]) and both stream readers ([`crate::parse_events`],
+//! [`crate::BenchSnapshot::parse`]) call them, so all three accept and
+//! refuse the same lines.
 
+use crate::json::{self, require_finite, require_u64, Value};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Schema tag present on every emitted line.
@@ -178,6 +188,318 @@ impl Event {
         out.push('}');
         out
     }
+
+    /// Decodes one parsed line: the inverse of [`Event::to_json_line`].
+    ///
+    /// Holds every field rule of the event schema: the `schema`/`v`
+    /// header, a known `kind`, integer `seq` and `tick`, a non-empty
+    /// `name`, and what each kind carries — `depth` on spans, `ticks` on
+    /// exits, `count` on counters, a finite `value` on gauges, finite
+    /// `bounds` with integer `counts` one longer (the overflow bucket) on
+    /// histograms, and a string `detail` when a marker has one. Fields a
+    /// kind does not carry are ignored. Stream order (`seq`, `tick`) is
+    /// the validator's concern, not the decoder's.
+    ///
+    /// # Errors
+    ///
+    /// The first rule the line breaks, as `obs_validate` reports it.
+    pub fn from_json(obj: &BTreeMap<String, Value>) -> Result<Event, String> {
+        check_header(obj)?;
+        let kind = obj
+            .get("kind")
+            .and_then(Value::as_str)
+            .ok_or("missing 'kind' field")?;
+        let kind = EventKind::parse(kind).ok_or_else(|| format!("unknown kind '{kind}'"))?;
+        let seq = require_u64(obj, "seq")?;
+        let tick = require_u64(obj, "tick")?;
+        let name = obj
+            .get("name")
+            .and_then(Value::as_str)
+            .ok_or("missing 'name' field")?;
+        if name.is_empty() {
+            return Err("empty 'name'".to_string());
+        }
+        let mut event = Event::new(seq, tick, kind, name);
+        match kind {
+            EventKind::SpanEnter => event.depth = Some(require_u64(obj, "depth")?),
+            EventKind::SpanExit => {
+                event.depth = Some(require_u64(obj, "depth")?);
+                event.ticks = Some(require_u64(obj, "ticks")?);
+            }
+            EventKind::Counter => event.count = Some(require_u64(obj, "count")?),
+            EventKind::Gauge => event.value = Some(require_finite(obj, "value")?),
+            EventKind::Histogram => {
+                let array = |field: &str| {
+                    obj.get(field)
+                        .and_then(Value::as_array)
+                        .ok_or_else(|| format!("missing '{field}' array"))
+                };
+                let bounds = array("bounds")?
+                    .iter()
+                    .map(|b| match b.as_f64() {
+                        Some(v) if v.is_finite() => Ok(v),
+                        Some(_) => Err("non-finite histogram bound"),
+                        None => Err("non-numeric histogram bound"),
+                    })
+                    .collect::<Result<Vec<f64>, _>>()?;
+                let counts = array("counts")?
+                    .iter()
+                    .map(|c| c.as_u64().ok_or("non-integer histogram count"))
+                    .collect::<Result<Vec<u64>, _>>()?;
+                if counts.len() != bounds.len() + 1 {
+                    return Err(format!(
+                        "counts length {} != bounds length {} + 1",
+                        counts.len(),
+                        bounds.len()
+                    ));
+                }
+                event.bounds = Some(bounds);
+                event.counts = Some(counts);
+            }
+            EventKind::Marker => {
+                if let Some(detail) = obj.get("detail") {
+                    let detail = detail.as_str().ok_or("non-string 'detail'")?;
+                    event.detail = Some(detail.to_string());
+                }
+            }
+        }
+        Ok(event)
+    }
+}
+
+/// The `kind` of a bench line.
+const BENCH_KIND: &str = "bench";
+
+/// One bench-harness measurement: a `"kind":"bench"` line, as committed
+/// in `BENCH_*.json` snapshots. Bench lines carry measurements, not
+/// recorder state, so they have no `seq`/`tick`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchRecord {
+    /// Benchmark name (`stage/op/scale`).
+    pub name: String,
+    /// Measurement unit; `"ns"` unless a v2 line says otherwise.
+    pub unit: String,
+    /// Median of the timed batches.
+    pub median: f64,
+    /// Fastest batch — lower edge of the noise band.
+    pub min: f64,
+    /// Slowest batch — upper edge of the noise band.
+    pub max: f64,
+    /// Iterations per timed batch (0 when the line omitted it).
+    pub iters: u64,
+    /// Elements processed per iteration (0 when the line omitted it).
+    pub throughput_elems: u64,
+    /// The bench-line schema version the record was read from.
+    pub schema_version: u64,
+}
+
+impl BenchRecord {
+    /// Lower edge of the noise band (min widened to include the median).
+    pub fn band_lo(&self) -> f64 {
+        self.min.min(self.median)
+    }
+
+    /// Upper edge of the noise band (max widened to include the median).
+    pub fn band_hi(&self) -> f64 {
+        self.max.max(self.median)
+    }
+
+    /// Encodes the record as one bench line (no trailing newline). The
+    /// default `"ns"` unit is left implicit, as version-1 lines require.
+    pub fn to_json_line(&self) -> String {
+        let mut out = String::with_capacity(160);
+        let _ = write!(
+            out,
+            "{{\"schema\":\"{SCHEMA_NAME}\",\"v\":{SCHEMA_VERSION},\"schema_version\":{},\
+             \"kind\":\"{BENCH_KIND}\",\"bench\":",
+            self.schema_version
+        );
+        push_json_string(&mut out, &self.name);
+        if self.unit != BENCH_UNIT_NS {
+            out.push_str(",\"unit\":");
+            push_json_string(&mut out, &self.unit);
+        }
+        for (field, v) in [
+            ("median_ns", self.median),
+            ("min_ns", self.min),
+            ("max_ns", self.max),
+        ] {
+            let _ = write!(out, ",\"{field}\":");
+            push_json_number(&mut out, v);
+        }
+        let _ = write!(
+            out,
+            ",\"iters\":{},\"throughput_elems\":{}}}",
+            self.iters, self.throughput_elems
+        );
+        out
+    }
+
+    /// Decodes one parsed bench line: the inverse of
+    /// [`BenchRecord::to_json_line`].
+    ///
+    /// Holds every field rule of the bench line: the `schema`/`v` header,
+    /// a non-empty `bench` name, a finite `median_ns`, finite `min_ns` and
+    /// `max_ns` when present (each defaults to the median), integer
+    /// `iters` and `throughput_elems` when present, and the bench schema
+    /// version — 1 when absent, at most [`BENCH_SCHEMA_VERSION`], and at
+    /// least 2 for a line that names its `unit`. Version-1 lines stay
+    /// valid forever: committed baselines must never bit-rot.
+    ///
+    /// # Errors
+    ///
+    /// The first rule the line breaks, as `obs_validate` reports it.
+    pub fn from_json(obj: &BTreeMap<String, Value>) -> Result<BenchRecord, String> {
+        check_header(obj)?;
+        if obj.get("kind").and_then(Value::as_str) != Some(BENCH_KIND) {
+            return Err("not a 'bench' line".to_string());
+        }
+        let name = obj
+            .get("bench")
+            .and_then(Value::as_str)
+            .ok_or("bench line missing 'bench' name")?;
+        if name.is_empty() {
+            return Err("empty 'bench' name".to_string());
+        }
+        let median = require_finite(obj, "median_ns")?;
+        let min = optional(obj, "min_ns", require_finite)?.unwrap_or(median);
+        let max = optional(obj, "max_ns", require_finite)?.unwrap_or(median);
+        let schema_version = match obj.get("schema_version") {
+            Some(v) => v.as_u64().ok_or("non-integer bench 'schema_version'")?,
+            None => 1,
+        };
+        if schema_version == 0 || schema_version > BENCH_SCHEMA_VERSION {
+            return Err(format!("unsupported bench schema_version {schema_version}"));
+        }
+        let unit = match obj.get("unit") {
+            None => BENCH_UNIT_NS,
+            Some(_) if schema_version < 2 => {
+                return Err("'unit' field requires bench schema_version >= 2".to_string());
+            }
+            Some(unit) => match unit.as_str() {
+                Some("") => return Err("empty bench 'unit'".to_string()),
+                Some(unit) => unit,
+                None => return Err("non-string bench 'unit'".to_string()),
+            },
+        };
+        Ok(BenchRecord {
+            name: name.to_string(),
+            unit: unit.to_string(),
+            median,
+            min,
+            max,
+            iters: optional(obj, "iters", require_u64)?.unwrap_or(0),
+            throughput_elems: optional(obj, "throughput_elems", require_u64)?.unwrap_or(0),
+            schema_version,
+        })
+    }
+}
+
+/// Formats one wall-nanosecond benchmark measurement as a bench line at
+/// the current bench schema version. The validator accepts these lines,
+/// so bench output and event streams share one toolchain, and
+/// `compare_bench` diffs whole files of them.
+pub fn bench_json_line(
+    bench: &str,
+    median_ns: f64,
+    min_ns: f64,
+    max_ns: f64,
+    iters: u64,
+    throughput_elems: u64,
+) -> String {
+    bench_json_line_with_unit(
+        bench,
+        BENCH_UNIT_NS,
+        median_ns,
+        min_ns,
+        max_ns,
+        iters,
+        throughput_elems,
+    )
+}
+
+/// [`bench_json_line`] for derived measurements: `unit` names what the
+/// numbers mean (`"ratio_x1000"`, `"count"`, ...; see
+/// [`crate::schema::BENCH_UNITS`]) so they no longer masquerade as
+/// nanoseconds.
+pub fn bench_json_line_with_unit(
+    bench: &str,
+    unit: &str,
+    median_ns: f64,
+    min_ns: f64,
+    max_ns: f64,
+    iters: u64,
+    throughput_elems: u64,
+) -> String {
+    BenchRecord {
+        name: bench.to_string(),
+        unit: unit.to_string(),
+        median: median_ns,
+        min: min_ns,
+        max: max_ns,
+        iters,
+        throughput_elems,
+        schema_version: BENCH_SCHEMA_VERSION,
+    }
+    .to_json_line()
+}
+
+/// One decoded `dynawave-obs` line.
+#[derive(Debug)]
+pub(crate) enum ObsLine {
+    /// A recorder event.
+    Event(Event),
+    /// A bench measurement.
+    Bench(BenchRecord),
+}
+
+impl ObsLine {
+    /// Decodes one line of text with the decoder its `kind` names.
+    pub(crate) fn parse(line: &str) -> Result<ObsLine, String> {
+        ObsLine::from_json(&json::parse_object(line)?)
+    }
+
+    /// Decodes one parsed line with the decoder its `kind` names.
+    pub(crate) fn from_json(obj: &BTreeMap<String, Value>) -> Result<ObsLine, String> {
+        if obj.get("kind").and_then(Value::as_str) == Some(BENCH_KIND) {
+            BenchRecord::from_json(obj).map(ObsLine::Bench)
+        } else {
+            Event::from_json(obj).map(ObsLine::Event)
+        }
+    }
+
+    /// The line's `kind` field.
+    pub(crate) fn kind_name(&self) -> &'static str {
+        match self {
+            ObsLine::Event(e) => e.kind.name(),
+            ObsLine::Bench(_) => BENCH_KIND,
+        }
+    }
+}
+
+/// Optional `field` of `obj`: absent is `None`, present must `decode`.
+fn optional<T>(
+    obj: &BTreeMap<String, Value>,
+    field: &str,
+    decode: fn(&BTreeMap<String, Value>, &str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    obj.contains_key(field)
+        .then(|| decode(obj, field))
+        .transpose()
+}
+
+/// Checks the `schema`/`v` header every `dynawave-obs` line carries.
+fn check_header(obj: &BTreeMap<String, Value>) -> Result<(), String> {
+    match obj.get("schema").and_then(Value::as_str) {
+        Some(SCHEMA_NAME) => {}
+        Some(other) => return Err(format!("unknown schema '{other}'")),
+        None => return Err("missing 'schema' field".to_string()),
+    }
+    match obj.get("v").and_then(Value::as_u64) {
+        Some(SCHEMA_VERSION) => Ok(()),
+        Some(other) => Err(format!("unsupported schema version {other}")),
+        None => Err("missing or non-integer 'v' field".to_string()),
+    }
 }
 
 /// Appends `s` as a JSON string literal (quotes + escapes).
@@ -275,6 +597,31 @@ mod tests {
         assert_eq!(e.stage(), "wavelet");
         let e = Event::new(0, 0, EventKind::Counter, "plain");
         assert_eq!(e.stage(), "plain");
+    }
+
+    #[test]
+    fn committed_bench_snapshots_reencode_to_the_same_bytes() {
+        let derived = bench_json_line_with_unit(
+            "campaign/full_space/speedup_x1000",
+            "ratio_x1000",
+            3841.0,
+            3700.0,
+            3900.0,
+            1,
+            4,
+        );
+        for text in [
+            include_str!("../../../BENCH_10.json"),
+            include_str!("../../../BENCH_seed.json"),
+            &derived,
+        ] {
+            for line in text.lines() {
+                let Ok(ObsLine::Bench(record)) = ObsLine::parse(line) else {
+                    panic!("not a bench line: {line}");
+                };
+                assert_eq!(record.to_json_line(), line);
+            }
+        }
     }
 
     #[test]

@@ -105,6 +105,36 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
     Ok(v)
 }
 
+/// Parses one line that must hold a JSON object — the first step of
+/// every obs line reader, worded the way `obs_validate` reports it.
+pub(crate) fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, String> {
+    match parse(line) {
+        Ok(Value::Object(obj)) => Ok(obj),
+        Ok(_) => Err("line is not a JSON object".to_string()),
+        Err(e) => Err(format!("not valid JSON: {e}")),
+    }
+}
+
+/// The required non-negative integer `field` of `obj`.
+pub(crate) fn require_u64(obj: &BTreeMap<String, Value>, field: &str) -> Result<u64, String> {
+    obj.get(field)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("missing or non-integer '{field}'"))
+}
+
+/// The required finite number `field` of `obj`.
+pub(crate) fn require_finite(obj: &BTreeMap<String, Value>, field: &str) -> Result<f64, String> {
+    let v = obj
+        .get(field)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("missing or non-numeric '{field}'"))?;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(format!("non-finite '{field}'"))
+    }
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,

@@ -13,6 +13,21 @@
 //! `tests/determinism.rs` at the workspace root). Wall-clock timing lives
 //! on the other side of the harness boundary, in `dynawave-bench`.
 //!
+//! Modules:
+//!
+//! * [`event`] — the line model: [`Event`] and [`BenchRecord`], each
+//!   with its one encoder and its one decoder, which holds the line
+//!   type's field rules.
+//! * [`validate`] — stream validation on top of those decoders:
+//!   `seq`/`tick` order, per-kind and per-stage tallies, and the serve
+//!   response lines only the validator reads.
+//! * [`analyze`] — the readers ([`parse_events`], [`BenchSnapshot`]),
+//!   the bench ratchet, and the one stream aggregator,
+//!   [`StreamAnalysis`], behind `obs_report` and the "Pipeline profile"
+//!   report section.
+//! * [`metrics`], [`clock`], [`json`] and [`schema`] — the recorder's
+//!   instruments, time sources, JSON parser and canonical vocabulary.
+//!
 //! ```
 //! use dynawave_obs as obs;
 //!
@@ -34,22 +49,20 @@ pub mod clock;
 pub mod event;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod schema;
 pub mod validate;
 
 pub use analyze::{
-    parse_events, BenchComparison, BenchDelta, BenchRecord, BenchSnapshot, CompareOptions,
-    DeltaFlag, SloOutcome, SloSpec, SpanStats, StreamAnalysis, UnitLatency, HEARTBEAT_MARKER,
+    parse_events, BenchComparison, BenchDelta, BenchSnapshot, CompareOptions, DeltaFlag,
+    SloOutcome, SloSpec, SpanStats, StreamAnalysis, UnitLatency, HEARTBEAT_MARKER,
     SERVE_DEGRADED_MARKER, SERVE_OVERLOADED_MARKER,
 };
 pub use clock::{Clock, TickClock};
 pub use event::{
-    encode_lines, Event, EventKind, BENCH_SCHEMA_VERSION, BENCH_UNIT_NS, SCHEMA_NAME,
-    SCHEMA_VERSION,
+    bench_json_line, bench_json_line_with_unit, encode_lines, BenchRecord, Event, EventKind,
+    BENCH_SCHEMA_VERSION, BENCH_UNIT_NS, SCHEMA_NAME, SCHEMA_VERSION,
 };
 pub use metrics::{Histogram, MetricSet};
-pub use profile::{PipelineProfile, StageProfile};
 pub use validate::{validate_stream, SchemaValidator, ValidationSummary};
 
 use std::cell::RefCell;
@@ -438,6 +451,41 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_json_line_validates_under_obs_schema() {
+        let line = bench_json_line("wavelet/wavedec_haar/128", 1234.0, 1200.0, 1300.0, 512, 128);
+        assert!(line.contains("\"schema\":\"dynawave-obs\""), "{line}");
+        assert!(line.contains("\"schema_version\":2"), "{line}");
+        assert!(line.contains("\"median_ns\":1234"), "{line}");
+        assert!(!line.contains("\"unit\""), "ns unit stays implicit: {line}");
+        let summary = validate_stream(&line);
+        assert!(summary.is_clean(), "{:?}", summary.errors);
+        assert_eq!(summary.kinds.get("bench"), Some(&1));
+        let snap = BenchSnapshot::parse(&line).unwrap();
+        let record = snap.get("wavelet/wavedec_haar/128").unwrap();
+        assert_eq!(record.unit, BENCH_UNIT_NS);
+        assert_eq!(record.schema_version, 2);
+    }
+
+    #[test]
+    fn bench_json_line_with_unit_names_derived_measurements() {
+        let line = bench_json_line_with_unit(
+            "campaign/full_space/speedup_x1000",
+            "ratio_x1000",
+            3841.0,
+            3700.0,
+            3900.0,
+            1,
+            0,
+        );
+        assert!(line.contains("\"unit\":\"ratio_x1000\""), "{line}");
+        let summary = validate_stream(&line);
+        assert!(summary.is_clean(), "{:?}", summary.errors);
+        let snap = BenchSnapshot::parse(&line).unwrap();
+        let record = snap.get("campaign/full_space/speedup_x1000").unwrap();
+        assert_eq!(record.unit, "ratio_x1000");
+    }
 
     /// Serializes tests that touch the thread-local recorder slot.
     /// `cargo test` may run them on the same thread pool, so each test

@@ -1,14 +1,16 @@
 //! Stateful schema validation for obs JSON-lines streams.
 //!
-//! The validator checks every line against the versioned event schema:
-//! the `schema`/`v` header, kind-specific required fields, finite
-//! numbers, and stream-level invariants (strictly increasing `seq`,
-//! non-decreasing `tick`). It also accepts the bench harness's
-//! `"kind":"bench"` lines, which carry measurements instead of
-//! recorder state and therefore have no `seq`/`tick`.
+//! Every `dynawave-obs` line goes through its type's one decoder
+//! ([`crate::Event::from_json`], [`crate::BenchRecord::from_json`]),
+//! which owns the header, kind-specific required fields and finite
+//! numbers. On top of that the validator checks what only a whole
+//! stream has: strictly increasing `seq` and non-decreasing `tick`.
+//! Bench lines carry measurements instead of recorder state and have no
+//! `seq`/`tick`. `dynawave-serve` response lines, which only this
+//! validator reads, keep their own check here.
 
-use crate::event::{EventKind, BENCH_SCHEMA_VERSION, SCHEMA_NAME, SCHEMA_VERSION};
-use crate::json::{self, Value};
+use crate::event::ObsLine;
+use crate::json::{self, require_u64, Value};
 use crate::schema::{
     SERVE_RESPONSE_KINDS, SERVE_SCHEMA, SERVE_SCHEMA_VERSION, SERVE_STATS_VERSION,
 };
@@ -22,9 +24,11 @@ pub struct ValidationSummary {
     pub valid: u64,
     /// Lines that failed (each with its 1-based line number and reason).
     pub errors: Vec<(u64, String)>,
-    /// Distinct pipeline stages seen (first dotted segment of `name`).
+    /// Distinct pipeline stages of valid lines (first dotted segment of
+    /// `name`).
     pub stages: BTreeSet<String>,
-    /// Count of lines per event kind (including `"bench"`).
+    /// Count of valid lines per kind (`"bench"` and `"serve:<kind>"`
+    /// included).
     pub kinds: BTreeMap<String, u64>,
     /// Count of valid event lines per pipeline stage (bench lines have
     /// no stage and are excluded). Feeds `obs_validate --stats`.
@@ -47,6 +51,35 @@ impl ValidationSummary {
     }
 }
 
+/// One schema's ordering track: `seq` strictly increases and `tick`
+/// never goes backwards.
+#[derive(Debug, Default)]
+struct Track {
+    last_seq: Option<u64>,
+    last_tick: Option<u64>,
+}
+
+impl Track {
+    /// Admits the next line's `seq`/`tick`; `label` prefixes the error.
+    fn advance(&mut self, label: &str, seq: u64, tick: u64) -> Result<(), String> {
+        if let Some(last) = self.last_seq {
+            if seq <= last {
+                return Err(format!("{label}seq {seq} not greater than previous {last}"));
+            }
+        }
+        self.last_seq = Some(seq);
+        if let Some(last) = self.last_tick {
+            if tick < last {
+                return Err(format!(
+                    "{label}tick {tick} went backwards (previous {last})"
+                ));
+            }
+        }
+        self.last_tick = Some(tick);
+        Ok(())
+    }
+}
+
 /// Line-by-line validator with cross-line state.
 ///
 /// Two schemas are understood: `dynawave-obs` event/bench lines and
@@ -56,10 +89,8 @@ impl ValidationSummary {
 #[derive(Debug, Default)]
 pub struct SchemaValidator {
     line_no: u64,
-    last_seq: Option<u64>,
-    last_tick: Option<u64>,
-    serve_last_seq: Option<u64>,
-    serve_last_tick: Option<u64>,
+    obs: Track,
+    serve: Track,
     summary: ValidationSummary,
 }
 
@@ -116,72 +147,19 @@ impl SchemaValidator {
     }
 
     fn check_inner(&mut self, line: &str) -> Result<(), String> {
-        let value = json::parse(line).map_err(|e| format!("not valid JSON: {e}"))?;
-        let obj = value.as_object().ok_or("line is not a JSON object")?;
-
-        match obj.get("schema").and_then(Value::as_str) {
-            Some(SCHEMA_NAME) => {}
-            Some(SERVE_SCHEMA) => return self.check_serve(obj),
-            Some(other) => return Err(format!("unknown schema '{other}'")),
-            None => return Err("missing 'schema' field".to_string()),
+        let obj = json::parse_object(line)?;
+        if obj.get("schema").and_then(Value::as_str) == Some(SERVE_SCHEMA) {
+            return self.check_serve(&obj);
         }
-        match obj.get("v").and_then(Value::as_u64) {
-            Some(SCHEMA_VERSION) => {}
-            Some(other) => return Err(format!("unsupported schema version {other}")),
-            None => return Err("missing or non-integer 'v' field".to_string()),
-        }
-
-        let kind = obj
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or("missing 'kind' field")?
-            .to_string();
-        *self.summary.kinds.entry(kind.clone()).or_insert(0) += 1;
-
-        if kind == "bench" {
-            return check_bench(obj);
-        }
-
-        let parsed_kind =
-            EventKind::parse(&kind).ok_or_else(|| format!("unknown kind '{kind}'"))?;
-
-        let seq = obj
-            .get("seq")
-            .and_then(Value::as_u64)
-            .ok_or("missing or non-integer 'seq'")?;
-        if let Some(last) = self.last_seq {
-            if seq <= last {
-                return Err(format!("seq {seq} not greater than previous {last}"));
+        let decoded = ObsLine::from_json(&obj)?;
+        let stage = match &decoded {
+            ObsLine::Event(e) => {
+                self.obs.advance("", e.seq, e.tick)?;
+                Some(e.stage())
             }
-        }
-        self.last_seq = Some(seq);
-
-        let tick = obj
-            .get("tick")
-            .and_then(Value::as_u64)
-            .ok_or("missing or non-integer 'tick'")?;
-        if let Some(last) = self.last_tick {
-            if tick < last {
-                return Err(format!("tick {tick} went backwards (previous {last})"));
-            }
-        }
-        self.last_tick = Some(tick);
-
-        let name = obj
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("missing 'name' field")?;
-        if name.is_empty() {
-            return Err("empty 'name'".to_string());
-        }
-        let stage = name.split('.').next().unwrap_or(name);
-        self.summary.stages.insert(stage.to_string());
-        check_kind_fields(parsed_kind, obj)?;
-        *self
-            .summary
-            .stage_counts
-            .entry(stage.to_string())
-            .or_insert(0) += 1;
+            ObsLine::Bench(_) => None,
+        };
+        self.tally(decoded.kind_name().to_string(), stage);
         Ok(())
     }
 
@@ -199,33 +177,12 @@ impl SchemaValidator {
         let kind = obj
             .get("kind")
             .and_then(Value::as_str)
-            .ok_or("missing 'kind' field")?
-            .to_string();
-        if !SERVE_RESPONSE_KINDS.contains(&kind.as_str()) {
+            .ok_or("missing 'kind' field")?;
+        if !SERVE_RESPONSE_KINDS.contains(&kind) {
             return Err(format!("unknown serve response kind '{kind}'"));
         }
-        *self
-            .summary
-            .kinds
-            .entry(format!("serve:{kind}"))
-            .or_insert(0) += 1;
-
         let seq = require_u64(obj, "seq")?;
-        if let Some(last) = self.serve_last_seq {
-            if seq <= last {
-                return Err(format!("serve seq {seq} not greater than previous {last}"));
-            }
-        }
-        self.serve_last_seq = Some(seq);
         let tick = require_u64(obj, "tick")?;
-        if let Some(last) = self.serve_last_tick {
-            if tick < last {
-                return Err(format!(
-                    "serve tick {tick} went backwards (previous {last})"
-                ));
-            }
-        }
-        self.serve_last_tick = Some(tick);
         match obj.get("id") {
             Some(Value::String(_)) | Some(Value::Null) => {}
             Some(_) => return Err("serve 'id' must be a string or null".to_string()),
@@ -234,119 +191,24 @@ impl SchemaValidator {
         if kind == "stats" {
             check_serve_stats(obj)?;
         }
-        self.summary.stages.insert("serve".to_string());
-        *self
-            .summary
-            .stage_counts
-            .entry("serve".to_string())
-            .or_insert(0) += 1;
+        self.serve.advance("serve ", seq, tick)?;
+        self.tally(format!("serve:{kind}"), Some("serve"));
         Ok(())
     }
-}
 
-fn require_u64(obj: &BTreeMap<String, Value>, field: &str) -> Result<u64, String> {
-    obj.get(field)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer '{field}'"))
-}
-
-fn require_finite(obj: &BTreeMap<String, Value>, field: &str) -> Result<f64, String> {
-    let v = obj
-        .get(field)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric '{field}'"))?;
-    if v.is_finite() {
-        Ok(v)
-    } else {
-        Err(format!("non-finite '{field}'"))
-    }
-}
-
-fn check_kind_fields(kind: EventKind, obj: &BTreeMap<String, Value>) -> Result<(), String> {
-    match kind {
-        EventKind::SpanEnter => {
-            require_u64(obj, "depth")?;
-        }
-        EventKind::SpanExit => {
-            require_u64(obj, "depth")?;
-            require_u64(obj, "ticks")?;
-        }
-        EventKind::Counter => {
-            require_u64(obj, "count")?;
-        }
-        EventKind::Gauge => {
-            require_finite(obj, "value")?;
-        }
-        EventKind::Histogram => {
-            let bounds = obj
-                .get("bounds")
-                .and_then(Value::as_array)
-                .ok_or("missing 'bounds' array")?;
-            for b in bounds {
-                let v = b.as_f64().ok_or("non-numeric histogram bound")?;
-                if !v.is_finite() {
-                    return Err("non-finite histogram bound".to_string());
-                }
-            }
-            let counts = obj
-                .get("counts")
-                .and_then(Value::as_array)
-                .ok_or("missing 'counts' array")?;
-            if counts.len() != bounds.len() + 1 {
-                return Err(format!(
-                    "counts length {} != bounds length {} + 1",
-                    counts.len(),
-                    bounds.len()
-                ));
-            }
-            for c in counts {
-                c.as_u64().ok_or("non-integer histogram count")?;
-            }
-        }
-        EventKind::Marker => {}
-    }
-    Ok(())
-}
-
-fn check_bench(obj: &BTreeMap<String, Value>) -> Result<(), String> {
-    let bench = obj
-        .get("bench")
-        .and_then(Value::as_str)
-        .ok_or("bench line missing 'bench' name")?;
-    if bench.is_empty() {
-        return Err("empty 'bench' name".to_string());
-    }
-    require_finite(obj, "median_ns")?;
-    for field in ["min_ns", "max_ns"] {
-        if obj.contains_key(field) {
-            require_finite(obj, field)?;
+    /// Counts one valid line under its kind and, for stream lines, its
+    /// stage.
+    fn tally(&mut self, kind: String, stage: Option<&str>) {
+        *self.summary.kinds.entry(kind).or_insert(0) += 1;
+        if let Some(stage) = stage {
+            self.summary.stages.insert(stage.to_string());
+            *self
+                .summary
+                .stage_counts
+                .entry(stage.to_string())
+                .or_insert(0) += 1;
         }
     }
-    // Bench lines carry their own sub-schema version. Version 1 (the
-    // committed seed baseline) has no `unit` field; version 2 may name
-    // the measurement unit. Both stay valid — baselines never bit-rot.
-    let version = match obj.get("schema_version") {
-        Some(v) => v
-            .as_u64()
-            .ok_or("non-integer bench 'schema_version'".to_string())?,
-        None => 1,
-    };
-    if version == 0 || version > BENCH_SCHEMA_VERSION {
-        return Err(format!("unsupported bench schema_version {version}"));
-    }
-    match obj.get("unit") {
-        None => {}
-        Some(_) if version < 2 => {
-            return Err("'unit' field requires bench schema_version >= 2".to_string());
-        }
-        Some(unit) => {
-            let unit = unit.as_str().ok_or("non-string bench 'unit'")?;
-            if unit.is_empty() {
-                return Err("empty bench 'unit'".to_string());
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Validates the `stats` snapshot payload of a serve `stats` response:
@@ -428,7 +290,7 @@ pub fn validate_stream(text: &str) -> ValidationSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{encode_lines, Event};
+    use crate::event::{encode_lines, Event, EventKind};
 
     fn ev(seq: u64, tick: u64, kind: EventKind, name: &str) -> Event {
         Event::new(seq, tick, kind, name)
@@ -548,6 +410,16 @@ mod tests {
                 "{\"schema\":\"dynawave-obs\",\"v\":1,\"seq\":0,\"tick\":0,\
                  \"kind\":\"hist\",\"name\":\"x\",\"bounds\":[1],\"counts\":[1]}",
                 "short counts",
+            ),
+            (
+                "{\"schema\":\"dynawave-obs\",\"v\":1,\"seq\":0,\"tick\":0,\
+                 \"kind\":\"marker\",\"name\":\"x\",\"detail\":7}",
+                "non-string detail",
+            ),
+            (
+                "{\"schema\":\"dynawave-obs\",\"v\":1,\"kind\":\"bench\",\
+                 \"bench\":\"x\",\"median_ns\":1,\"iters\":1.5}",
+                "fractional iters",
             ),
         ] {
             let summary = validate_stream(line);

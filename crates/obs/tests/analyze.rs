@@ -142,3 +142,45 @@ fn obs_report_cli_is_deterministic_over_a_stream_file() {
     // Garbage input exits 2.
     assert_eq!(run_bin(exe, &["Cargo.toml"]).status.code(), Some(2));
 }
+
+/// Three lines `obs_validate` refuses: a histogram whose counts lack the
+/// overflow bucket, a span exit without `depth`, and a gauge without
+/// `schema` whose value overflows to infinity.
+const MALFORMED: &str = concat!(
+    r#"{"schema":"dynawave-obs","v":1,"seq":0,"tick":1,"kind":"hist","name":"serve.latency.predict","bounds":[1,4,16],"counts":[0,5,0]}"#,
+    "\n",
+    r#"{"schema":"dynawave-obs","v":1,"seq":1,"tick":2,"kind":"span_exit","name":"serve.request","ticks":1}"#,
+    "\n",
+    r#"{"v":1,"seq":2,"tick":3,"kind":"gauge","name":"serve.load","value":1e999}"#,
+    "\n",
+);
+
+#[test]
+fn obs_report_refuses_the_lines_obs_validate_refuses() {
+    let summary = dynawave_obs::validate_stream(MALFORMED);
+    let lines: Vec<u64> = summary.errors.iter().map(|(line, _)| *line).collect();
+    assert_eq!(lines, vec![1, 2, 3], "{:?}", summary.errors);
+
+    let path = std::env::temp_dir().join(format!(
+        "dynawave-obs-malformed-{}.jsonl",
+        std::process::id()
+    ));
+    std::fs::write(&path, MALFORMED).expect("scratch is writable");
+    let path_str = path.to_string_lossy().to_string();
+    let exe = env!("CARGO_BIN_EXE_obs_report");
+    // Neither a report nor an SLO verdict comes from a malformed stream.
+    let runs = [
+        run_bin(exe, &[path_str.as_str()]),
+        run_bin(exe, &["--slo", "predict:p99<=4", path_str.as_str()]),
+    ];
+    let _ = std::fs::remove_file(&path);
+    for out in runs {
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        assert!(out.stdout.is_empty(), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("line 1: counts length 3 != bounds length 3 + 1"),
+            "{stderr}"
+        );
+    }
+}

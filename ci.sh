@@ -131,8 +131,8 @@ if [ "$PAR" = 1 ]; then
   echo "=== par: thread-count determinism matrix ==="
   # The dedicated concurrency battery: byte-identical reports and
   # journals across thread counts, a killed 4-shard run resumed at 1-4
-  # threads, chaos degradation independence, and the seeded interleaving
-  # stress harness against the sequential oracle.
+  # threads, chaos degradation independence, and the seeded property that
+  # resumes out-of-order, torn journals to the sequential oracle's bytes.
   TMPDIR="$CI_TMP" cargo test -q --offline -p dynawave-core --test parallel
   # Hard gate: the full-space demo's stdout (the report document) must
   # be byte-identical at 1 and 4 worker threads. Small scale keeps the

@@ -17,7 +17,8 @@
 //! exercise degraded durability. The two target sets are disjoint on
 //! purpose: replay does not consult the journal fault site, so mixing
 //! them in one plan would shift the shared fault-RNG stream between live
-//! and replay runs.
+//! and replay runs. `--chaos-rate` and `--chaos-journal` without
+//! `--chaos-seed` are refused at start-up.
 //!
 //! Model scale comes from the usual `DYNAWAVE_TRAIN` / `DYNAWAVE_TEST` /
 //! `DYNAWAVE_SAMPLES` / `DYNAWAVE_INTERVAL` / `DYNAWAVE_SEED` env knobs;
@@ -44,7 +45,7 @@ struct Cli {
     journal: Option<PathBuf>,
     replay_log: Option<PathBuf>,
     chaos_seed: Option<u64>,
-    chaos_rate: f64,
+    chaos_rate: Option<f64>,
     chaos_journal: bool,
     flight_recorder: Option<usize>,
 }
@@ -83,7 +84,7 @@ fn parse_cli() -> Cli {
         journal: None,
         replay_log: None,
         chaos_seed: None,
-        chaos_rate: 0.05,
+        chaos_rate: None,
         chaos_journal: false,
         flight_recorder: None,
     };
@@ -114,7 +115,7 @@ fn parse_cli() -> Cli {
             "--chaos-rate" => {
                 let raw = value(&mut argv, "--chaos-rate");
                 match raw.parse::<f64>() {
-                    Ok(r) if r.is_finite() && (0.0..=1.0).contains(&r) => cli.chaos_rate = r,
+                    Ok(r) if r.is_finite() && (0.0..=1.0).contains(&r) => cli.chaos_rate = Some(r),
                     _ => {
                         eprintln!("serve: --chaos-rate must be a probability, got '{raw}'");
                         std::process::exit(2);
@@ -134,6 +135,15 @@ fn parse_cli() -> Cli {
             }
         }
     }
+    if cli.chaos_seed.is_none() && (cli.chaos_rate.is_some() || cli.chaos_journal) {
+        let flag = if cli.chaos_journal {
+            "--chaos-journal"
+        } else {
+            "--chaos-rate"
+        };
+        eprintln!("serve: {flag} needs --chaos-seed");
+        std::process::exit(2);
+    }
     cli
 }
 
@@ -149,14 +159,15 @@ fn parse_u64(raw: &str) -> u64 {
 
 fn chaos_plan(cli: &Cli) -> Option<FaultPlan> {
     let seed = cli.chaos_seed?;
+    let rate = cli.chaos_rate.unwrap_or(0.05);
     let plan = if cli.chaos_journal {
         FaultPlan::new(seed)
-            .rate(cli.chaos_rate)
+            .rate(rate)
             .targeting(&[FaultSite::JournalAppend])
             .kinds(&[FaultKind::EarlyStop])
     } else {
         FaultPlan::new(seed)
-            .rate(cli.chaos_rate)
+            .rate(rate)
             .targeting(&FaultSite::SOLVER_SITES)
             .kinds(&[FaultKind::Singular, FaultKind::NonFinite])
     };

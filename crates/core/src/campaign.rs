@@ -42,9 +42,9 @@
 //! **byte-identical for any thread count**, including under kill-and-resume
 //! (a killed run resumes at any `N`) and fault injection (all
 //! fault-injection sites live in training, which stays sequential on the
-//! caller's thread). See DESIGN.md §10 for the full determinism argument,
-//! and [`CampaignRunner::run_shard_next`] for the per-shard step the
-//! stress harness drives.
+//! caller's thread). See DESIGN.md §10 for the full determinism argument.
+//! Every campaign runs through this one file-backed driver:
+//! [`run_journaled`] and [`advance_journaled`] are its one-thread cases.
 //!
 //! # Examples
 //!
@@ -301,19 +301,18 @@ impl From<std::io::Error> for CampaignError {
     }
 }
 
-/// Executes a campaign one design point at a time, tracking completion
-/// per [`WorkUnit`] so an interrupted campaign resumes exactly where it
-/// stopped.
+/// A campaign's state: which [`WorkUnit`]s are complete and their traces,
+/// so an interrupted campaign resumes exactly where it stopped.
 ///
 /// Design points are numbered benchmark by benchmark, training design
 /// first. Units keep their canonical order — benchmark, metric, role,
 /// point index — in which the journal and the report list them.
 ///
-/// The runner itself is storage-agnostic: [`CampaignRunner::run_next`]
-/// and [`CampaignRunner::run_shard_next`] hand back the journal lines of
-/// each completed point and [`CampaignRunner::resume`] rebuilds state
-/// from journal text, whatever order its unit lines are in. The
-/// file-backed driver is [`run_journaled_parallel`].
+/// [`CampaignRunner::resume`] rebuilds the state from journal text,
+/// whatever order its unit lines are in, [`CampaignRunner::journal`]
+/// writes it back in canonical order and [`CampaignRunner::finish`]
+/// scores it. Its design points run only through the file-backed driver
+/// behind [`run_journaled_parallel`] and [`advance_journaled`].
 #[derive(Debug, Clone)]
 pub struct CampaignRunner {
     spec: CampaignSpec,
@@ -321,12 +320,6 @@ pub struct CampaignRunner {
     completed: BTreeMap<usize, Vec<f64>>,
     train_design: Vec<DesignPoint>,
     test_design: Vec<DesignPoint>,
-    /// Every design point before it is complete; points at or after it
-    /// may be complete or pending in any pattern.
-    cursor: usize,
-    /// The stream [`CampaignRunner::run_shard_next`] replays; released
-    /// once every point is complete.
-    stream: BenchmarkStream,
 }
 
 /// The instruction stream of the benchmark a worker is on. Design points
@@ -335,7 +328,7 @@ pub struct CampaignRunner {
 /// pending point, replays it into every later point of the benchmark,
 /// and drops it before generating the next benchmark's: one stream per
 /// worker at most (`24 B × samples × interval_instructions`).
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct BenchmarkStream {
     benchmark: Option<Benchmark>,
     instructions: Vec<Instruction>,
@@ -374,8 +367,6 @@ impl CampaignRunner {
             completed: BTreeMap::new(),
             train_design,
             test_design,
-            cursor: 0,
-            stream: BenchmarkStream::default(),
         }
     }
 
@@ -600,32 +591,6 @@ impl CampaignRunner {
             return None;
         }
         (from..self.point_count()).find(|&p| p % shards == shard && self.is_pending(p))
-    }
-
-    /// Runs shard `shard` of `shards`'s next design point with pending
-    /// units and records its traces. Returns the point's newline-terminated
-    /// journal lines — one per metric still pending there — or `None` when
-    /// the shard has no pending work or its index is out of range. Append
-    /// the lines to durable storage, in one write, *before* acting on the
-    /// result to keep the journal ahead of the computation.
-    pub fn run_shard_next(&mut self, shard: usize, shards: usize) -> Option<String> {
-        let point = self.next_pending(shard, shards, self.cursor)?;
-        let mut stream = std::mem::take(&mut self.stream);
-        let (traces, lines) = self.run_point(point, &mut stream);
-        self.completed.extend(traces);
-        while self.cursor < self.point_count() && !self.is_pending(self.cursor) {
-            self.cursor += 1;
-        }
-        if self.cursor < self.point_count() {
-            self.stream = stream;
-        }
-        Some(lines)
-    }
-
-    /// Simulates the next design point with pending units: the one-shard
-    /// case of [`CampaignRunner::run_shard_next`].
-    pub fn run_next(&mut self) -> Option<String> {
-        self.run_shard_next(0, 1)
     }
 
     /// The full journal text for the current state: header plus one line
@@ -973,7 +938,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report;
 
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec::single(
@@ -988,6 +952,25 @@ mod tests {
                 ..ExperimentConfig::default()
             },
         )
+    }
+
+    /// The final journal and evaluations of one uninterrupted
+    /// [`run_journaled`] run of `spec`.
+    fn completed_run(spec: &CampaignSpec, tag: &str) -> (String, Vec<BenchmarkEvaluation>) {
+        let path = std::env::temp_dir().join(format!(
+            "dynawave-campaign-{}-{tag}.journal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let evals = run_journaled(spec, &path).unwrap();
+        let journal = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        (journal, evals)
+    }
+
+    /// A journal's two header lines and its first `units` unit lines.
+    fn journal_prefix(journal: &str, units: usize) -> String {
+        journal.split_inclusive('\n').take(2 + units).collect()
     }
 
     #[test]
@@ -1034,49 +1017,43 @@ mod tests {
 
     #[test]
     fn run_to_completion_and_finish() {
-        let mut runner = CampaignRunner::new(tiny_spec());
-        let mut executed = 0;
-        while runner.run_next().is_some() {
-            executed += 1;
-        }
-        assert_eq!(executed, 16);
+        let spec = tiny_spec();
+        let (journal, evals) = completed_run(&spec, "finish");
+        assert_eq!(journal.lines().count(), 2 + 16);
+        let runner = CampaignRunner::resume(spec, &journal).unwrap();
         assert!(runner.is_complete());
-        let evals = runner.finish().unwrap();
+        assert_eq!(runner.journal(), journal);
         assert_eq!(evals.len(), 1);
         assert_eq!(evals[0].nmse_per_test.len(), 4);
         assert!(evals[0].degradation.is_pristine());
+        assert_eq!(
+            runner.finish().unwrap()[0].nmse_per_test,
+            evals[0].nmse_per_test
+        );
     }
 
     #[test]
     fn finish_before_completion_is_rejected() {
-        let mut runner = CampaignRunner::new(tiny_spec());
-        runner.run_next();
         assert!(matches!(
-            runner.finish(),
-            Err(CampaignError::Incomplete { remaining: 15 })
+            CampaignRunner::new(tiny_spec()).finish(),
+            Err(CampaignError::Incomplete { remaining: 16 })
         ));
     }
 
     #[test]
     fn journal_roundtrip_restores_progress() {
         let spec = tiny_spec();
-        let mut runner = CampaignRunner::new(spec.clone());
-        for _ in 0..5 {
-            runner.run_next();
-        }
-        let restored = CampaignRunner::resume(spec, &runner.journal()).unwrap();
+        let partial = journal_prefix(&completed_run(&spec, "roundtrip").0, 5);
+        let restored = CampaignRunner::resume(spec, &partial).unwrap();
         assert_eq!(restored.completed_count(), 5);
         assert_eq!(restored.remaining(), 11);
+        assert_eq!(restored.journal(), partial);
     }
 
     #[test]
     fn resume_drops_partial_tail_but_rejects_corrupt_complete_lines() {
         let spec = tiny_spec();
-        let mut runner = CampaignRunner::new(spec.clone());
-        for _ in 0..3 {
-            runner.run_next();
-        }
-        let journal = runner.journal();
+        let journal = journal_prefix(&completed_run(&spec, "tail").0, 3);
         // A kill mid-write: the last line loses its tail (and newline).
         let cut = journal.len() - 10;
         let killed = &journal[..cut];
@@ -1093,9 +1070,7 @@ mod tests {
     #[test]
     fn resume_rejects_non_finite_and_short_traces() {
         let spec = tiny_spec();
-        let mut runner = CampaignRunner::new(spec.clone());
-        runner.run_next();
-        let journal = runner.journal();
+        let journal = journal_prefix(&completed_run(&spec, "non-finite").0, 1);
         let header_len = journal.find("unit").unwrap();
         let (header, unit_line) = journal.split_at(header_len);
         // Replace the first sample with NaN.
@@ -1140,74 +1115,6 @@ mod tests {
             Err(CampaignError::BadMagic)
         ));
         assert!(CampaignRunner::resume(spec, "").is_err());
-    }
-
-    #[test]
-    fn killed_and_resumed_campaign_report_is_byte_identical() {
-        let spec = tiny_spec();
-        // Uninterrupted reference run.
-        let mut reference = CampaignRunner::new(spec.clone());
-        while reference.run_next().is_some() {}
-        let ref_report = report::full_report("campaign", &reference.finish().unwrap());
-        // Killed after 7 units, mid-line, then resumed from the journal.
-        let mut first = CampaignRunner::new(spec.clone());
-        for _ in 0..7 {
-            first.run_next();
-        }
-        let journal = first.journal();
-        let killed = &journal[..journal.len() - 3];
-        let mut resumed = CampaignRunner::resume(spec, killed).unwrap();
-        assert_eq!(resumed.completed_count(), 6);
-        while resumed.run_next().is_some() {}
-        let resumed_report = report::full_report("campaign", &resumed.finish().unwrap());
-        assert_eq!(ref_report, resumed_report);
-    }
-
-    #[test]
-    fn sharded_merge_is_byte_identical_to_sequential_for_any_shard_count() {
-        let spec = tiny_spec();
-        let mut sequential = CampaignRunner::new(spec.clone());
-        while sequential.run_next().is_some() {}
-        let want = sequential.journal();
-        for shards in [1, 2, 3, 5, 16, 17] {
-            let mut runner = CampaignRunner::new(spec.clone());
-            // Drain shards round-robin — any schedule reaches the same
-            // canonical bytes.
-            loop {
-                let mut progressed = false;
-                for shard in 0..shards {
-                    progressed |= runner.run_shard_next(shard, shards).is_some();
-                }
-                if !progressed {
-                    break;
-                }
-            }
-            assert!(runner.is_complete());
-            assert!(runner.run_shard_next(shards, shards).is_none());
-            assert_eq!(runner.journal(), want, "{shards} shards diverged");
-        }
-    }
-
-    #[test]
-    fn out_of_order_torn_journal_resumes_to_canonical_text() {
-        let spec = tiny_spec();
-        let mut runner = CampaignRunner::new(spec.clone());
-        // Shards finish out of point order; their lines land in the one
-        // journal in completion order, as the single writer appends them.
-        let mut text = runner.journal();
-        let mut last = String::new();
-        for _ in 0..2 {
-            for shard in [2, 0, 1] {
-                last = runner.run_shard_next(shard, 3).unwrap();
-                text.push_str(&last);
-            }
-        }
-        assert_ne!(text, runner.journal(), "lines must be out of order");
-        // Tear the final point's line, as a kill mid-write would.
-        let torn = &text[..text.len() - 9];
-        let restored = CampaignRunner::resume(spec, torn).unwrap();
-        assert_eq!(restored.completed_count(), 5);
-        assert_eq!(restored.journal(), runner.journal().replace(&last, ""));
     }
 
     #[test]

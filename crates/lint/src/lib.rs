@@ -27,7 +27,7 @@
 //! * **D011** — float determinism: `partial_cmp` comparators and float
 //!   reductions over unordered hash iteration.
 //! * **D012** — concurrency containment: threads, locks, atomics,
-//!   channels and `static mut` only in the approved modules.
+//!   channels and `static mut` only in the campaign executor.
 //! * **D013** — schema-literal drift from the canonical vocabulary in
 //!   `dynawave_obs::schema`.
 //!

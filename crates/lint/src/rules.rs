@@ -14,7 +14,7 @@
 //! | D007 | `Instant::now()` / `SystemTime` anywhere — tests included — outside the harness crates and the obs clock impls | wall-clock reads belong behind `dynawave_obs::Clock`, so even test timing is deterministic |
 //! | D010 | public library fns that transitively reach a panic site through the call graph, or that index their own parameters without an assert contract | a panic N calls below the public surface still aborts a campaign |
 //! | D011 | float comparators built on `partial_cmp`, and float reductions over unordered map/set iteration | NaN and hash order make results run-dependent; use `total_cmp` and sorted iteration |
-//! | D012 | thread spawns, sync primitives, atomics and `static mut` outside the approved containment modules | concurrency is quarantined to the campaign executor, testkit stress harness and obs absorb |
+//! | D012 | thread spawns, sync primitives, atomics and `static mut` outside the containment module | concurrency is quarantined to the campaign executor |
 //! | D013 | schema-ish string literals, bench units and instrument names that are not in the canonical `dynawave_obs::schema` vocabulary | a typo'd tag or stage silently forks the byte-stream fleet |
 //! | D000 | malformed `dynalint:allow` suppressions | suppressions must name rules and carry a reason |
 
@@ -48,7 +48,7 @@ pub enum RuleId {
     /// Run-dependent float ordering (`partial_cmp` comparators,
     /// reductions over unordered iteration).
     D011,
-    /// Concurrency primitive outside the containment modules.
+    /// Concurrency primitive outside the containment module.
     D012,
     /// String literal drifts from the canonical schema vocabulary.
     D013,
@@ -120,7 +120,7 @@ impl RuleId {
             RuleId::D007 => "direct wall-clock read outside the sanctioned clock impls",
             RuleId::D010 => "public library fn that can transitively reach a panic",
             RuleId::D011 => "run-dependent float ordering (partial_cmp, unordered reduction)",
-            RuleId::D012 => "concurrency primitive outside the containment modules",
+            RuleId::D012 => "concurrency primitive outside the containment module",
             RuleId::D013 => "string literal drifting from the canonical schema vocabulary",
         }
     }
@@ -172,8 +172,8 @@ impl RuleId {
             RuleId::D012 => {
                 "determinism is enforced by quarantine: threads, locks, channels, \
                  atomics and `static mut` live only in the campaign executor \
-                 (crates/core/src/campaign.rs), the testkit stress harness and the obs \
-                 absorb path, where their merge order is proven deterministic"
+                 (crates/core/src/campaign.rs), where their merge order is proven \
+                 deterministic"
             }
             RuleId::D013 => {
                 "every byte stream the workspace speaks is named in \
@@ -201,8 +201,8 @@ impl RuleId {
             }
             RuleId::D011 => "sort with `total_cmp`; iterate sorted keys before reducing",
             RuleId::D012 => {
-                "route the parallelism through `dynawave_core::campaign` or move the \
-                 code into an approved containment module"
+                "route the parallelism through the campaign executor \
+                 (`dynawave_core::campaign`), the one containment module"
             }
             RuleId::D013 => {
                 "use the constants in `dynawave_obs::schema` (SCHEMA_TAGS, BENCH_UNITS) \
@@ -865,14 +865,10 @@ fn chain_root_is_unordered(recv: &Expr, unordered: &[String]) -> bool {
     }
 }
 
-/// The modules allowed to hold threads, locks and shared mutable state.
-/// Everything else is single-threaded by policy so campaign results merge
-/// deterministically.
-const D012_APPROVED: [&str; 3] = [
-    "crates/core/src/campaign.rs",
-    "crates/testkit/src/stress.rs",
-    "crates/obs/src/lib.rs",
-];
+/// The one module allowed to hold threads, locks and shared mutable
+/// state. Everything else is single-threaded by policy so campaign
+/// results merge deterministically.
+const D012_APPROVED: [&str; 1] = ["crates/core/src/campaign.rs"];
 
 /// Sync-primitive type names that signal shared-state concurrency.
 const D012_SYNC_SEGS: [&str; 7] = [
@@ -895,8 +891,8 @@ fn is_thread_spawn_path(segs: &[String]) -> bool {
 }
 
 /// D012: concurrency containment. Thread spawns, sync primitives,
-/// atomics, channels and `static mut` may appear only in the approved
-/// modules; anywhere else they undermine the workspace's deterministic
+/// atomics, channels and `static mut` may appear only in the campaign
+/// executor; anywhere else they undermine the workspace's deterministic
 /// single-threaded execution model.
 fn d012_concurrency_containment(sf: &SourceFile, findings: &mut Vec<Finding>) {
     if sf.kind == FileKind::Test || D012_APPROVED.contains(&sf.path.as_str()) {
@@ -910,8 +906,8 @@ fn d012_concurrency_containment(sf: &SourceFile, findings: &mut Vec<Finding>) {
                 line,
                 col,
                 message: format!(
-                    "{what} outside the concurrency-containment modules (campaign \
-                     executor, testkit stress harness, obs absorb)"
+                    "{what} outside the concurrency-containment module (campaign \
+                     executor)"
                 ),
             });
         }
@@ -1400,7 +1396,13 @@ mod tests {
     fn d012_containment_modules_and_d004_probes_are_exempt() {
         let spawn = "fn go() { std::thread::spawn(|| {}); }";
         assert!(rules_fired("crates/core/src/campaign.rs", spawn).is_empty());
-        assert!(rules_fired("crates/testkit/src/stress.rs", spawn).is_empty());
+        // The campaign executor is the only containment module.
+        for outside in ["crates/testkit/src/stress.rs", "crates/obs/src/lib.rs"] {
+            assert!(
+                rules_fired(outside, spawn).contains(&RuleId::D012),
+                "{outside}"
+            );
+        }
         // Capacity probes are D004's business, not containment's.
         let probe = "fn go() { let _ = std::thread::available_parallelism(); }";
         assert!(!rules_fired("crates/bench/src/bin/par.rs", probe).contains(&RuleId::D012));

@@ -1,7 +1,7 @@
 //! Composable input generators.
 //!
 //! A generator is any `Fn(&mut Rng) -> T`; these helpers cover the common
-//! shapes (uniform scalars, bounded vectors, choices) and compose with
+//! shapes (uniform scalars, bounded vectors, text) and compose with
 //! plain closures for everything else:
 //!
 //! ```
@@ -65,19 +65,6 @@ where
         let len = rng.range_usize(min_len, max_len + 1);
         (0..len).map(|_| element(rng)).collect()
     }
-}
-
-/// One of the given choices, uniformly.
-///
-/// ```
-/// use dynawave_testkit::{gen, Rng};
-/// let mut rng = Rng::new(1);
-/// let n = gen::one_of(&[8usize, 16, 32, 64])(&mut rng);
-/// assert!([8, 16, 32, 64].contains(&n));
-/// ```
-pub fn one_of<T: Clone>(choices: &[T]) -> impl Fn(&mut Rng) -> T + '_ {
-    assert!(!choices.is_empty(), "one_of needs at least one choice");
-    move |rng| choices[rng.range_usize(0, choices.len())].clone()
 }
 
 /// `Vec<f64>` whose length is one of the given power-of-two sizes — the
@@ -188,16 +175,6 @@ mod tests {
             assert!((2..=5).contains(&v.len()));
             assert!(v.iter().all(|x| (0.0..1.0).contains(x)));
         }
-    }
-
-    #[test]
-    fn one_of_draws_each_choice() {
-        let mut rng = Rng::new(4);
-        let mut seen = [false; 3];
-        for _ in 0..100 {
-            seen[one_of(&[0usize, 1, 2])(&mut rng)] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

@@ -52,10 +52,8 @@ use dynawave_numeric::rng::{derive_seed, splitmix64};
 
 pub mod gen;
 mod shrink;
-pub mod stress;
 
 pub use shrink::Shrink;
-pub use stress::{stress_parallel, StressOp, StressPlan};
 
 /// Outcome of a single property case: `Err` carries the failure message.
 pub type CaseResult = Result<(), String>;
@@ -66,6 +64,9 @@ pub const DEFAULT_CASES: u32 = 64;
 
 /// Default base seed; stable so CI runs are reproducible by default.
 pub const DEFAULT_SEED: u64 = 0x00D1_7A0A_7E57_5EED;
+
+/// Cap on shrink iterations after a failure.
+const MAX_SHRINK_STEPS: u32 = 512;
 
 /// Fails the current case with a formatted message unless `cond` holds.
 ///
@@ -109,7 +110,6 @@ pub struct Checker {
     label: String,
     cases: u32,
     seed: u64,
-    max_shrink_steps: u32,
 }
 
 impl Checker {
@@ -127,7 +127,6 @@ impl Checker {
             label: label.to_string(),
             cases,
             seed,
-            max_shrink_steps: 512,
         }
     }
 
@@ -140,12 +139,6 @@ impl Checker {
     /// Sets the base seed (default [`DEFAULT_SEED`]).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Caps the number of shrink iterations on failure (default 512).
-    pub fn max_shrink_steps(mut self, steps: u32) -> Self {
-        self.max_shrink_steps = steps;
         self
     }
 
@@ -205,7 +198,7 @@ impl Checker {
 
     /// Greedily shrinks a failing input: repeatedly takes the first
     /// [`Shrink::shrink`] candidate that still fails, until no candidate
-    /// fails or the step budget runs out. Returns the smallest failure
+    /// fails or [`MAX_SHRINK_STEPS`] run out. Returns the smallest failure
     /// found and its error message.
     fn shrink_failure<T, P>(
         &self,
@@ -217,7 +210,7 @@ impl Checker {
         T: Clone + std::fmt::Debug + Shrink,
         P: FnMut(&T) -> CaseResult,
     {
-        for _ in 0..self.max_shrink_steps {
+        for _ in 0..MAX_SHRINK_STEPS {
             let mut shrunk = false;
             for candidate in failing.shrink() {
                 if let Err(err) = property(&candidate) {

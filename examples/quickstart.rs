@@ -18,7 +18,7 @@
 //! predictor, campaign) and is byte-identical for any worker count.
 
 use dynawave_core::campaign::{
-    run_journaled_parallel, threads_from_env, CampaignRunner, CampaignSpec,
+    advance_journaled, run_journaled_parallel, threads_from_env, CampaignSpec,
 };
 use dynawave_core::experiment::ExperimentConfig;
 use dynawave_core::{
@@ -87,7 +87,7 @@ fn main() {
     println!("NMSE: {:.2}%", nmse_percent(&actual, &forecast));
 
     if tracing {
-        // 6. Under tracing, also run a miniature in-memory campaign with a
+        // 6. Under tracing, also run a miniature journaled campaign with a
         //    simulated kill-and-resume, so the event stream demonstrates
         //    heartbeats and the `resumed_from` marker.
         let spec = CampaignSpec::single(
@@ -102,20 +102,18 @@ fn main() {
                 ..ExperimentConfig::default()
             },
         );
-        let mut first = CampaignRunner::new(spec.clone());
-        for _ in 0..5 {
-            first.run_next();
-        }
-        // Persist the partial journal, then let the parallel executor
-        // resume and finish it: DYNAWAVE_THREADS workers simulate, and
-        // this thread appends their points to the one journal. The
-        // merged event stream is byte-identical for any worker count —
-        // `ci.sh --obs` cross-checks the `obs_report` renders.
         let journal = std::env::temp_dir().join(format!(
             "dynawave-quickstart-{}.journal",
             std::process::id()
         ));
-        std::fs::write(&journal, first.journal()).expect("temp journal is writable");
+        let _ = std::fs::remove_file(&journal);
+        // A run killed after five design points leaves their units in the
+        // journal. The parallel executor then resumes and finishes it:
+        // DYNAWAVE_THREADS workers simulate, and this thread appends their
+        // points to the one journal. The merged event stream is
+        // byte-identical for any worker count — `ci.sh --obs`
+        // cross-checks the `obs_report` renders.
+        advance_journaled(&spec, &journal, 5).expect("temp journal is writable");
         let threads = threads_from_env().expect("DYNAWAVE_THREADS must be a positive integer");
         let evals = run_journaled_parallel(&spec, &journal, threads)
             .expect("the default recovery policy cannot fail training");

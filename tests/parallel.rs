@@ -2,9 +2,9 @@
 //! journals, and obs event streams must be byte-identical for any thread
 //! count — including under deterministic fault injection and under
 //! kill-and-resume, whatever thread count the killed run used. A seeded
-//! interleaving stress harness drives the runner's per-shard steps
-//! through randomized schedules and mid-run kills against the sequential
-//! oracle.
+//! property resumes the file-backed driver from journals that hold any
+//! subset of the sequential oracle's unit lines, in any order, with the
+//! last one torn, and checks it against the oracle.
 
 use dynawave_core::campaign::{
     advance_journaled, run_journaled, run_journaled_parallel, threads_from_env, CampaignRunner,
@@ -13,8 +13,9 @@ use dynawave_core::campaign::{
 use dynawave_core::experiment::ExperimentConfig;
 use dynawave_core::{report, trace_for, Metric};
 use dynawave_obs::EventKind;
-use dynawave_testkit::stress::{stress_parallel, StressOp};
+use dynawave_testkit::{check, ensure, Rng};
 use dynawave_workloads::Benchmark;
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 
@@ -105,6 +106,22 @@ fn huge_thread_counts_spawn_one_worker_per_pending_point_at_most() {
     assert_eq!(fs::read_to_string(&scratch.0).unwrap(), want_journal);
 }
 
+/// The design point a journal unit line belongs to:
+/// `<benchmark> <role> <index>`.
+fn point_of(unit_line: &str) -> String {
+    let fields: Vec<&str> = unit_line.split(' ').collect();
+    format!("{} {} {}", fields[1], fields[3], fields[4])
+}
+
+/// The unit lines `journal` holds for design point `point`, in metric
+/// order: what one worker hands the journal's writer for that point.
+fn point_lines(journal: &str, point: &str) -> String {
+    journal
+        .split_inclusive('\n')
+        .filter(|line| line.starts_with("unit ") && point_of(line) == point)
+        .collect()
+}
+
 /// Runs `f` under a fresh tick-clock recorder and returns its result with
 /// the number of simulator runs (`sim.run_trace` spans) it made.
 fn counting_sim_runs<T>(f: impl FnOnce() -> T) -> (T, usize) {
@@ -179,31 +196,30 @@ fn resuming_a_partly_journaled_point_simulates_it_once_for_the_missing_metric() 
 
     // The first point journals its cpi and power lines in one append; a
     // kill tears the power line.
-    let mut first = CampaignRunner::new(spec.clone());
-    let lines = first.run_next().unwrap();
-    assert!(lines.starts_with("unit eon cpi train 0 "));
-    let journal = first.journal();
-    let power_line = lines.lines().nth(1).unwrap();
+    let header = CampaignRunner::new(spec.clone()).journal();
+    let first = point_lines(&want_journal, "eon train 0");
+    assert!(first.starts_with("unit eon cpi train 0 "));
+    let power_line = first.lines().nth(1).unwrap();
     assert!(power_line.starts_with("unit eon power train 0 "));
-    assert!(journal.ends_with(&format!("{power_line}\n")));
-    let torn = &journal[..journal.len() - 7];
-
-    // In memory: the resumed point runs once and yields the power line only.
-    let mut resumed = CampaignRunner::resume(spec.clone(), torn).unwrap();
-    assert_eq!(resumed.completed_count(), 1);
-    let (lines, runs) = counting_sim_runs(|| resumed.run_next().unwrap());
-    assert_eq!(runs, 1);
-    assert_eq!(lines.lines().count(), 1);
-    assert!(lines.starts_with("unit eon power train 0 "), "{lines}");
-
-    // On disk: the resume simulates every point once and ends on the
-    // reference bytes.
     let victim = Scratch::new("partial-point");
-    fs::write(&victim.0, torn).unwrap();
+    fs::write(&victim.0, format!("{header}{}", &first[..first.len() - 7])).unwrap();
+
+    // A one-point resume simulates the point once and appends its power
+    // line only.
+    let (units, runs) = counting_sim_runs(|| advance_journaled(&spec, &victim.0, 1));
+    assert_eq!(units.unwrap(), 2);
+    assert_eq!(runs, 1);
+    assert_eq!(
+        fs::read_to_string(&victim.0).unwrap(),
+        format!("{header}{first}")
+    );
+
+    // Finishing the campaign simulates every other point once and ends on
+    // the reference bytes.
     let (evals, runs) = counting_sim_runs(|| run_journaled(&spec, &victim.0));
     evals.unwrap();
     let points = spec.benchmarks.len() * (spec.config.train_points + spec.config.test_points);
-    assert_eq!(runs, points);
+    assert_eq!(runs, points - 1);
     assert_eq!(fs::read_to_string(&victim.0).unwrap(), want_journal);
 }
 
@@ -246,18 +262,20 @@ fn killed_4_shard_run_resumes_byte_identical_at_any_thread_count() {
     let want = report::full_report("campaign", &run_journaled(&spec, &reference.0).unwrap());
     let want_journal = fs::read_to_string(&reference.0).unwrap();
 
-    // A killed 4-thread run: its shards finished points out of order, the
-    // writer appended each as it came, and the kill tore the last append.
-    let mut partial = CampaignRunner::new(spec.clone());
-    let mut text = partial.journal();
-    for _ in 0..2 {
-        for shard in [3, 1, 2, 0] {
-            text.push_str(&partial.run_shard_next(shard, 4).unwrap());
-        }
+    // A killed 4-thread run: shard k owns eon's points k and k + 4, the
+    // shards finished them out of order, the writer appended each point's
+    // lines as they came, and the kill tore the last append.
+    let mut text = CampaignRunner::new(spec.clone()).journal();
+    for point in [
+        "train 3", "train 1", "train 2", "train 0", "test 1", "train 5", "test 0", "train 4",
+    ] {
+        text.push_str(&point_lines(&want_journal, &format!("eon {point}")));
     }
     assert_ne!(
         text,
-        partial.journal(),
+        CampaignRunner::resume(spec.clone(), &text)
+            .unwrap()
+            .journal(),
         "lines must be out of canonical order"
     );
     text.truncate(text.len() - 9);
@@ -417,89 +435,68 @@ fn stream_analysis_is_deterministic_and_sums_like_the_profile() {
 
 #[test]
 fn stress_randomized_schedules_match_the_sequential_oracle() {
-    // The wide spec journals two lines per step, so its kills also tear
-    // a design point's append between its metrics.
-    for (label, spec) in [
-        ("sharded campaign vs sequential oracle", tiny_spec(73)),
-        (
-            "multi-metric sharded campaign vs sequential oracle",
-            wide_spec(73),
-        ),
-    ] {
-        stress_against_sequential_oracle(label, &spec);
-    }
-}
-
-fn stress_against_sequential_oracle(label: &str, spec: &CampaignSpec) {
-    // Sequential oracle, computed once.
-    let mut oracle = CampaignRunner::new(spec.clone());
-    while oracle.run_next().is_some() {}
-    let oracle_journal = oracle.journal();
-    let oracle_report = report::full_report("campaign", &oracle.finish().unwrap());
-
-    stress_parallel(label, 3, 12, |plan| {
-        let shards = plan.shards;
-        let mut campaign = CampaignRunner::new(spec.clone());
-        // Shadow "disk": the one journal. Every shard's steps append to
-        // it, as the single writer of the file-backed driver does.
-        let mut journal = campaign.journal();
-        let header_len = journal.len();
-        let step = |campaign: &mut CampaignRunner, journal: &mut String, shard: usize| {
-            let lines = campaign.run_shard_next(shard % shards, shards);
-            journal.push_str(lines.as_deref().unwrap_or_default());
-            lines.is_some()
-        };
-        for op in &plan.ops {
-            match *op {
-                StressOp::Step(shard) => {
-                    step(&mut campaign, &mut journal, shard);
-                }
-                StressOp::Kill { drop_bytes } => {
-                    // Tear the tail (never the header: it was written
-                    // whole at start), then rebuild the executor from the
-                    // persisted journal alone and rewrite it, as a resume
-                    // does.
-                    let keep = journal.len() - drop_bytes.min(journal.len() - header_len);
-                    journal.truncate(keep);
-                    campaign = CampaignRunner::resume(spec.clone(), &journal)
-                        .map_err(|e| format!("resume failed: {e}"))?;
-                    journal = campaign.journal();
+    // A schedule is what a killed run leaves in its journal: which of the
+    // oracle's unit lines it kept and in what completion order, how many
+    // bytes the kill tore off the last one, and the resuming thread count.
+    let spec = wide_spec(73);
+    let reference = Scratch::new("schedules-ref");
+    let want = report::full_report("campaign", &run_journaled(&spec, &reference.0).unwrap());
+    let want_journal = fs::read_to_string(&reference.0).unwrap();
+    let header = CampaignRunner::new(spec.clone()).journal();
+    let units: Vec<&str> = want_journal[header.len()..].split_inclusive('\n').collect();
+    let points = spec.benchmarks.len() * (spec.config.train_points + spec.config.test_points);
+    let schedule = |rng: &mut Rng| {
+        let mut order: Vec<usize> = (0..units.len()).collect();
+        rng.shuffle(&mut order);
+        order.truncate(rng.range_usize(0, units.len() + 1));
+        (order, rng.range_usize(0, 64), rng.range_usize(1, 5))
+    };
+    let victim = Scratch::new("schedules");
+    check("journaled schedules resume to the sequential oracle")
+        .cases(24)
+        .run(schedule, |(order, tear, threads)| {
+            // Shrinking may repeat or overflow an index; a journal holds
+            // each unit once.
+            let mut kept: Vec<usize> = Vec::new();
+            for i in order.iter().map(|i| i % units.len()) {
+                if !kept.contains(&i) {
+                    kept.push(i);
                 }
             }
-        }
-        // Drain whatever the schedule left pending, round-robin.
-        loop {
-            let mut progressed = false;
-            for shard in 0..shards {
-                progressed |= step(&mut campaign, &mut journal, shard);
+            let mut text = header.clone();
+            for &i in &kept {
+                text.push_str(units[i]);
             }
-            if !progressed {
-                break;
+            let torn = (*tear).min(kept.last().map_or(0, |&i| units[i].len()));
+            text.truncate(text.len() - torn);
+            if torn > 0 {
+                kept.pop();
             }
-        }
-        if !campaign.is_complete() {
-            return Err(format!(
-                "campaign stalled at {}/{} units",
-                campaign.completed_count(),
-                spec.unit_count()
-            ));
-        }
-        if campaign.journal() != oracle_journal {
-            return Err("canonical journal diverged from sequential oracle".into());
-        }
-        // The appended journal, in completion order, resumes to the same
-        // canonical bytes.
-        let resumed = CampaignRunner::resume(spec.clone(), &journal)
-            .map_err(|e| format!("resume of the appended journal failed: {e}"))?;
-        if resumed.journal() != oracle_journal {
-            return Err("appended journal resumed to different bytes".into());
-        }
-        let evals = campaign.finish().map_err(|e| format!("finish: {e}"))?;
-        if report::full_report("campaign", &evals) != oracle_report {
-            return Err("report diverged from sequential oracle".into());
-        }
-        Ok(())
-    });
+            let mut journaled = BTreeMap::new();
+            for &i in &kept {
+                *journaled.entry(point_of(units[i])).or_insert(0) += 1;
+            }
+            let complete = (journaled.values())
+                .filter(|&&n| n == spec.metrics.len())
+                .count();
+            fs::write(&victim.0, &text).map_err(|e| e.to_string())?;
+            let (evals, runs) = counting_sim_runs(|| {
+                run_journaled_parallel(&spec, &victim.0, (*threads).clamp(1, 4))
+            });
+            let evals = evals.map_err(|e| format!("resume failed: {e}"))?;
+            ensure!(
+                runs == points - complete,
+                "{runs} simulator runs for {} points with a missing unit",
+                points - complete
+            );
+            let journal = fs::read_to_string(&victim.0).map_err(|e| e.to_string())?;
+            ensure!(journal == want_journal, "final journal diverged");
+            ensure!(
+                report::full_report("campaign", &evals) == want,
+                "report diverged"
+            );
+            Ok(())
+        });
 }
 
 #[test]

@@ -778,6 +778,21 @@ fn daemon_solver_chaos_is_deterministic_across_runs() {
     assert_eq!(a, b, "chaos transcripts must be byte-identical");
 }
 
+#[test]
+fn daemon_refuses_chaos_flags_without_a_seed() {
+    // Without a seed there is no fault plan: the daemon would serve
+    // pristine answers under flags that ask for faults.
+    for args in [
+        &["--chaos-rate", "1.0", "--strict-recovery"][..],
+        &["--chaos-journal"][..],
+    ] {
+        let (stdout, stderr, code) = run_daemon(args, "");
+        assert_eq!(code, 2, "{args:?} must be refused: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} served: {stdout}");
+        assert!(stderr.contains("--chaos-seed"), "{args:?}: {stderr}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Telemetry: stats snapshots, SLO verdicts and the flight recorder.
 // ---------------------------------------------------------------------

@@ -3,8 +3,11 @@
 //! These guard the hermetic in-tree RNG — any change to its stream or to a
 //! consumer's draw order shows up here before it silently shifts results.
 
-use dynawave_core::experiment::{evaluate_benchmark, ExperimentConfig};
-use dynawave_core::Metric;
+use dynawave_core::experiment::{evaluate_benchmark, score_model, ExperimentConfig};
+use dynawave_core::{
+    collect_domain_traces, Metric, PortableCoeffModel, PortableModel, PredictorParams,
+    WaveletNeuralPredictor,
+};
 use dynawave_sampling::{lhs, random, DesignSpace, Split};
 use dynawave_sim::{MachineConfig, SimOptions, Simulator};
 use dynawave_workloads::{Benchmark, TraceGenerator};
@@ -226,4 +229,86 @@ fn chaos_runs_are_bit_identical_across_runs() {
     assert!(a.degradation.degraded_count() > 0);
     assert_eq!(a.nmse_per_test, b.nmse_per_test);
     assert_eq!(a.predictions, b.predictions);
+}
+
+/// Folds one 64-bit value into a running digest.
+fn fold(digest: u64, bits: u64) -> u64 {
+    dynawave_numeric::rng::splitmix64(digest ^ bits)
+}
+
+fn fold_f64s(digest: u64, values: &[f64]) -> u64 {
+    values.iter().fold(digest, |d, v| fold(d, v.to_bits()))
+}
+
+/// Folds every trained parameter of a predictor: coefficient indices,
+/// normalizer minima and spans, unit centres and radii, output weights
+/// and biases, and constant fallbacks.
+fn fold_portable(mut digest: u64, model: &PortableModel) -> u64 {
+    for &i in &model.indices {
+        digest = fold(digest, i as u64);
+    }
+    for m in &model.models {
+        digest = match m {
+            PortableCoeffModel::Rbf(net) => {
+                let mut d = fold_f64s(digest, &net.mins);
+                d = fold_f64s(d, &net.spans);
+                for (c, r) in net.centers.iter().zip(&net.radii) {
+                    d = fold_f64s(fold_f64s(d, c), r);
+                }
+                d = fold_f64s(d, &net.weights);
+                fold(d, net.bias.map_or(u64::MAX, f64::to_bits))
+            }
+            PortableCoeffModel::Linear {
+                mins,
+                spans,
+                weights,
+                bias,
+            } => {
+                let d = fold_f64s(fold_f64s(digest, mins), spans);
+                fold(fold_f64s(d, weights), bias.to_bits())
+            }
+            PortableCoeffModel::Constant(v) => fold(digest, v.to_bits()),
+        };
+    }
+    digest
+}
+
+/// The trained weights themselves, not just their run-to-run identity,
+/// are pinned: a digest over every parameter of gcc's CPI, power and AVF
+/// predictors at 16 and 128 coefficients, and over every test-point NMSE
+/// they score. A rewrite of a training kernel that changes a single bit
+/// of any weight fails here; one that only reorders work does not.
+#[test]
+fn trained_predictor_bits_are_pinned() {
+    let cfg = ExperimentConfig {
+        train_points: 40,
+        test_points: 6,
+        samples: 128,
+        interval_instructions: 64,
+        seed: 20260806,
+        ..ExperimentConfig::default()
+    };
+    let opts = cfg.sim_options();
+    let train = collect_domain_traces(Benchmark::Gcc, &cfg.train_design(), &opts);
+    let test = collect_domain_traces(Benchmark::Gcc, &cfg.test_design(), &opts);
+    let mut digest = 0u64;
+    for k in [16, 128] {
+        let params = PredictorParams {
+            coefficients: k,
+            ..cfg.predictor.clone()
+        };
+        for (tr, te) in train.iter().zip(&test) {
+            let (model, degradation) =
+                WaveletNeuralPredictor::train_resilient(tr, &params, &cfg.recovery)
+                    .expect("resilient training");
+            assert!(degradation.is_pristine(), "{}: {degradation}", tr.metric);
+            digest = fold_portable(digest, &model.to_portable());
+            let eval = score_model(tr.benchmark, tr.metric, model, te.clone());
+            digest = fold_f64s(digest, &eval.nmse_per_test);
+        }
+    }
+    assert_eq!(
+        digest, 0xf79a_1a2f_07ce_e0ec,
+        "trained predictor bits changed: digest {digest:#018x}"
+    );
 }

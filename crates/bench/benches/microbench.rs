@@ -18,8 +18,8 @@
 //! name substring can be passed as a CLI filter:
 //! `cargo bench -p dynawave-bench -- wavelet`.
 
-use dynawave_neural::{RbfNetwork, RbfParams};
-use dynawave_numeric::Matrix;
+use dynawave_neural::{Normalizer, RbfNetwork, RbfParams, RegressionTree, TreeParams};
+use dynawave_numeric::{solve, Matrix};
 use dynawave_sampling::{lhs, DesignSpace};
 use dynawave_sim::{MachineConfig, SimOptions, Simulator};
 use dynawave_wavelet::{wavedec, waverec, Wavelet};
@@ -152,6 +152,59 @@ fn bench_rbf(h: &Harness) {
     let net = RbfNetwork::fit(&x, &y, &RbfParams::default()).unwrap();
     h.bench("rbf/predict", 1, || {
         net.predict(black_box(points[0].values()))
+    });
+    // The two stages of a fit: center placement and the weight solve.
+    let tree = TreeParams::default();
+    h.bench("rbf/tree_fit", 200, || {
+        RegressionTree::fit(black_box(&x), black_box(&y), &tree).unwrap()
+    });
+    let phi = gaussian_design(&x, 56);
+    h.bench("rbf/ridge_solve", 200, || {
+        solve::ridge_regression(black_box(&phi), black_box(&y), 3e-4).unwrap()
+    });
+}
+
+/// A `rows x (units + 1)` RBF design on the min-max normalized `x`:
+/// `units` Gaussians centred on evenly spaced rows, then a bias column.
+fn gaussian_design(x: &Matrix, units: usize) -> Matrix {
+    let xn = Normalizer::fit(x).transform_matrix(x);
+    let n = xn.rows();
+    let mut data = Vec::with_capacity(n * (units + 1));
+    for r in 0..n {
+        for u in 0..units {
+            let center = xn.row(u * n / units);
+            let s: f64 = xn
+                .row(r)
+                .iter()
+                .zip(center)
+                .map(|(a, c)| ((a - c) / 0.7).powi(2))
+                .sum();
+            data.push((-s).exp());
+        }
+        data.push(1.0);
+    }
+    Matrix::from_vec(n, units + 1, data).unwrap()
+}
+
+/// One predictor's training: wavedec, selection and 128 coefficient fits
+/// on a simulated 200-point gcc CPI training set of 128 samples.
+fn bench_predictor(h: &Harness) {
+    use dynawave_core::WaveletNeuralPredictor;
+    use dynawave_core::{collect_traces, Metric, PredictorParams, RecoveryPolicy};
+    let points = lhs::sample(&DesignSpace::micro2007(), 200, 1);
+    let opts = SimOptions {
+        samples: 128,
+        interval_instructions: 64,
+        seed: 1,
+    };
+    let train = collect_traces(Benchmark::Gcc, &points, Metric::Cpi, &opts);
+    let params = PredictorParams {
+        coefficients: 128,
+        ..PredictorParams::default()
+    };
+    let policy = RecoveryPolicy::default();
+    h.bench("predictor/train", 128, || {
+        WaveletNeuralPredictor::train_resilient(black_box(&train), &params, &policy).unwrap()
     });
 }
 
@@ -318,6 +371,7 @@ fn main() {
     let h = Harness::new();
     bench_wavelet(&h);
     bench_rbf(&h);
+    bench_predictor(&h);
     bench_simulator(&h);
     bench_trace_generation(&h);
     bench_sampling(&h);

@@ -2,7 +2,9 @@
 
 use crate::dataset::TraceSet;
 use crate::recovery::{CoeffRecovery, DegradationReport, RecoveryPolicy, RecoveryRung};
-use dynawave_neural::{LinearModel, ModelError, Normalizer, RbfNetwork, RbfNetworkData, RbfParams};
+use dynawave_neural::{
+    FitContext, LinearModel, ModelError, Normalizer, RbfNetwork, RbfNetworkData, RbfParams,
+};
 use dynawave_numeric::Matrix;
 use dynawave_sampling::DesignPoint;
 use dynawave_wavelet::{select, wavedec, waverec, Decomposition, Wavelet};
@@ -140,8 +142,9 @@ impl WaveletNeuralPredictor {
     ///
     /// # Errors
     ///
-    /// Structural problems (empty set, ragged or non-power-of-two traces)
-    /// are never recoverable and still error. Fit failures error only when
+    /// Structural problems (empty set, ragged or non-power-of-two traces,
+    /// a design point with a NaN or infinite parameter) are never
+    /// recoverable and still error. Fit failures error only when
     /// `policy` forbids the remaining rungs (for example
     /// [`RecoveryPolicy::strict`]).
     pub fn train_resilient(
@@ -192,6 +195,9 @@ impl WaveletNeuralPredictor {
             xdata.extend_from_slice(p.values());
         }
         let x = Matrix::from_vec(train.len(), dims, xdata)?;
+        // Normalization and feature ranks depend on the design alone, so
+        // every coefficient's fit shares them.
+        let ctx = FitContext::new(&x)?;
         // One regressor per selected coefficient; training is independent
         // per coefficient, which is what keeps each sub-network simple —
         // and what lets one coefficient degrade without touching the rest.
@@ -199,7 +205,7 @@ impl WaveletNeuralPredictor {
         let mut records = Vec::with_capacity(indices.len());
         for (rank, &idx) in indices.iter().enumerate() {
             let y: Vec<f64> = coeff_rows.iter().map(|row| row[idx]).collect();
-            let (model, record) = fit_coefficient(&x, &y, rank, idx, params, policy)?;
+            let (model, record) = fit_coefficient(&ctx, &y, rank, idx, params, policy)?;
             models.push(model);
             records.push(record);
         }
@@ -379,7 +385,7 @@ impl WaveletNeuralPredictor {
 /// Fits one coefficient's regressor with the configured model kind and an
 /// explicit ridge strength (the knob the recovery ladder escalates).
 fn fit_primary(
-    x: &Matrix,
+    ctx: &FitContext,
     y: &[f64],
     rank: usize,
     params: &PredictorParams,
@@ -391,24 +397,24 @@ fn fit_primary(
                 ridge_lambda: lambda,
                 ..params.rbf.clone()
             };
-            RbfNetwork::fit(x, y, &rbf).map(CoeffModel::Rbf)
+            RbfNetwork::fit_in(ctx, y, &rbf).map(CoeffModel::Rbf)
         }
         ModelKind::RandomRbf => {
             let rbf = RbfParams {
                 ridge_lambda: lambda,
                 ..params.rbf.clone()
             };
-            RbfNetwork::fit_with_random_centers(x, y, params.random_centers, &rbf, rank as u64)
+            RbfNetwork::fit_with_random_centers_in(ctx, y, params.random_centers, &rbf, rank as u64)
                 .map(CoeffModel::Rbf)
         }
-        ModelKind::Linear => LinearModel::fit(x, y, lambda).map(CoeffModel::Linear),
+        ModelKind::Linear => LinearModel::fit_in(ctx, y, lambda).map(CoeffModel::Linear),
     }
 }
 
 /// Walks one coefficient down the recovery ladder until a rung produces a
 /// finite model or `policy` forbids descending further.
 fn fit_coefficient(
-    x: &Matrix,
+    ctx: &FitContext,
     y: &[f64],
     rank: usize,
     coefficient: usize,
@@ -421,7 +427,7 @@ fn fit_coefficient(
     for escalation in 0..=policy.ridge_escalations {
         attempts += 1;
         let lambda = params.rbf.ridge_lambda * policy.ridge_growth.powi(escalation as i32);
-        match fit_primary(x, y, rank, params, lambda) {
+        match fit_primary(ctx, y, rank, params, lambda) {
             Ok(model) if model.parameters_are_finite() => {
                 let rung = if escalation == 0 {
                     RecoveryRung::Primary
@@ -448,7 +454,7 @@ fn fit_coefficient(
     // Rung 3: ridge-linear fallback, defined for any non-degenerate design.
     if policy.allow_linear {
         attempts += 1;
-        match LinearModel::fit(x, y, params.rbf.ridge_lambda.max(1e-6)) {
+        match LinearModel::fit_in(ctx, y, params.rbf.ridge_lambda.max(1e-6)) {
             Ok(m) if m.parameters_are_finite() => {
                 return Ok((
                     CoeffModel::Linear(m),
@@ -766,6 +772,48 @@ mod tests {
         assert!(pred.iter().all(|v| v.is_finite()));
         let rebuilt = WaveletNeuralPredictor::from_portable(model.to_portable()).unwrap();
         assert_eq!(pred, rebuilt.predict(&probe));
+    }
+
+    #[test]
+    fn non_finite_design_point_is_a_structural_error() {
+        let mut set = synthetic_set(12, 32);
+        set.points[3] = DesignPoint::new(vec![f64::NAN, 1.0]);
+        let err = WaveletNeuralPredictor::train_resilient(
+            &set,
+            &PredictorParams::default(),
+            &RecoveryPolicy::default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::NonFinite {
+                context: "design matrix"
+            }
+        );
+    }
+
+    #[test]
+    fn ladder_attempt_budget() {
+        use dynawave_numeric::fault::{self, FaultKind, FaultPlan, FaultSite};
+        let set = synthetic_set(12, 32);
+        let params = PredictorParams::default();
+        // A clean strict fit takes one attempt per coefficient.
+        let (_, clean) =
+            WaveletNeuralPredictor::train_resilient(&set, &params, &RecoveryPolicy::strict())
+                .unwrap();
+        assert!(clean.records().iter().all(|r| r.attempts == 1));
+        // With every solve failing, the default ladder spends its whole
+        // budget: the primary fit, 3 ridge escalations, linear, mean.
+        let plan = FaultPlan::new(5)
+            .rate(1.0)
+            .targeting(&[FaultSite::RbfWeightFit, FaultSite::RidgeSolve])
+            .kinds(&[FaultKind::Singular]);
+        let (out, _) = fault::with_plan(plan, || {
+            WaveletNeuralPredictor::train_resilient(&set, &params, &RecoveryPolicy::default())
+        });
+        let (_, degraded) = out.unwrap();
+        assert!(degraded.records().iter().all(|r| r.attempts == 6));
+        assert_eq!(degraded.total_attempts(), 16 * 6);
     }
 
     #[test]

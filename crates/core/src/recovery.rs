@@ -100,11 +100,6 @@ impl RecoveryPolicy {
             allow_mean: false,
         }
     }
-
-    /// Total fit attempts the ladder may make for one coefficient.
-    pub fn max_attempts(&self) -> u32 {
-        1 + self.ridge_escalations + u32::from(self.allow_linear) + u32::from(self.allow_mean)
-    }
 }
 
 /// Where one coefficient's model landed, and how much work it took.
@@ -236,12 +231,6 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("3 coefficients"));
         assert!(text.contains("1 ridge-escalated"));
-    }
-
-    #[test]
-    fn policy_attempt_budget() {
-        assert_eq!(RecoveryPolicy::strict().max_attempts(), 1);
-        assert_eq!(RecoveryPolicy::default().max_attempts(), 6);
     }
 
     #[test]

@@ -24,13 +24,16 @@ pub enum ModelError {
     },
     /// An underlying linear-algebra routine failed.
     Numeric(NumericError),
-    /// A fit produced non-finite (NaN/inf) parameters.
+    /// A fit met or produced non-finite (NaN/inf) values.
     ///
     /// Raised instead of silently keeping a poisoned model: a single
     /// non-finite weight would turn every downstream prediction into
     /// NaN. Recovery policies treat this exactly like a solve failure.
+    /// With context `"design matrix"` the fit's input held a NaN or an
+    /// infinity, and no model was fitted.
     NonFinite {
-        /// Which fit produced the non-finite parameters.
+        /// Which fit produced the non-finite parameters, or
+        /// `"design matrix"` for a non-finite input.
         context: &'static str,
     },
     /// An internal invariant was violated.

@@ -46,12 +46,14 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod context;
 mod error;
 mod linear;
 mod normalize;
 mod rbf;
 mod tree;
 
+pub use context::FitContext;
 pub use error::ModelError;
 pub use linear::LinearModel;
 pub use normalize::Normalizer;

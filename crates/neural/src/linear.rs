@@ -1,5 +1,6 @@
 //! Ridge-regularized linear regression baseline.
 
+use crate::context::FitContext;
 use crate::normalize::Normalizer;
 use crate::ModelError;
 use dynawave_numeric::{solve, Matrix};
@@ -36,20 +37,22 @@ impl LinearModel {
     ///
     /// # Errors
     ///
-    /// [`ModelError::EmptyTrainingSet`], [`ModelError::SampleCountMismatch`]
+    /// [`ModelError::EmptyTrainingSet`], [`ModelError::NonFinite`] for a
+    /// design holding a NaN or infinity, [`ModelError::SampleCountMismatch`]
     /// or a wrapped numeric failure.
     pub fn fit(x: &Matrix, y: &[f64], lambda: f64) -> Result<Self, ModelError> {
-        if x.rows() == 0 || x.cols() == 0 {
-            return Err(ModelError::EmptyTrainingSet);
-        }
-        if x.rows() != y.len() {
-            return Err(ModelError::SampleCountMismatch {
-                features: x.rows(),
-                targets: y.len(),
-            });
-        }
-        let normalizer = Normalizer::fit(x);
-        let xn = normalizer.transform_matrix(x);
+        Self::fit_in(&FitContext::new(x)?, y, lambda)
+    }
+
+    /// Fits the model like [`LinearModel::fit`] on the design `ctx` was
+    /// built from, reusing its normalization.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::SampleCountMismatch`] or a wrapped numeric failure.
+    pub fn fit_in(ctx: &FitContext, y: &[f64], lambda: f64) -> Result<Self, ModelError> {
+        ctx.check_targets(y)?;
+        let xn = ctx.x();
         // Augment with a bias column.
         let n = xn.rows();
         let d = xn.cols();
@@ -64,7 +67,7 @@ impl LinearModel {
             .pop()
             .ok_or(ModelError::Internal("ridge fit returned no weights"))?;
         Ok(LinearModel {
-            normalizer,
+            normalizer: ctx.normalizer().clone(),
             weights: w,
             bias,
         })

@@ -1,5 +1,6 @@
 //! Gaussian RBF networks with tree-derived or random centers.
 
+use crate::context::FitContext;
 use crate::normalize::Normalizer;
 use crate::tree::{RegressionTree, TreeParams};
 use crate::ModelError;
@@ -100,22 +101,24 @@ impl RbfNetwork {
     ///
     /// # Errors
     ///
-    /// [`ModelError::EmptyTrainingSet`], [`ModelError::SampleCountMismatch`]
+    /// [`ModelError::EmptyTrainingSet`], [`ModelError::NonFinite`] for a
+    /// design holding a NaN or infinity, [`ModelError::SampleCountMismatch`]
     /// or a wrapped [`ModelError::Numeric`] if the weight solve fails.
     pub fn fit(x: &Matrix, y: &[f64], params: &RbfParams) -> Result<Self, ModelError> {
+        Self::fit_in(&FitContext::new(x)?, y, params)
+    }
+
+    /// Trains a network like [`RbfNetwork::fit`] on the design `ctx` was
+    /// built from, reusing its normalization and feature ranks.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::SampleCountMismatch`] when `y.len() != ctx.rows()`,
+    /// or a wrapped [`ModelError::Numeric`] if the weight solve fails.
+    pub fn fit_in(ctx: &FitContext, y: &[f64], params: &RbfParams) -> Result<Self, ModelError> {
         let _span = dynawave_obs::span("neural.rbf_fit");
-        if x.rows() == 0 || x.cols() == 0 {
-            return Err(ModelError::EmptyTrainingSet);
-        }
-        if x.rows() != y.len() {
-            return Err(ModelError::SampleCountMismatch {
-                features: x.rows(),
-                targets: y.len(),
-            });
-        }
-        let normalizer = Normalizer::fit(x);
-        let xn = normalizer.transform_matrix(x);
-        let tree = RegressionTree::fit(&xn, y, &params.tree)?;
+        ctx.check_targets(y)?;
+        let tree = RegressionTree::fit_in(ctx, y, &params.tree);
         let units: Vec<RbfUnit> = tree
             .nodes()
             .iter()
@@ -128,9 +131,9 @@ impl RbfNetwork {
                     .collect(),
             })
             .collect();
-        let (weights, bias_weight) = fit_weights(&xn, y, &units, params)?;
+        let (weights, bias_weight) = fit_weights(ctx.x(), y, &units, params)?;
         Ok(RbfNetwork {
-            normalizer,
+            normalizer: ctx.normalizer().clone(),
             units,
             weights,
             bias_weight,
@@ -154,17 +157,24 @@ impl RbfNetwork {
         params: &RbfParams,
         seed: u64,
     ) -> Result<Self, ModelError> {
-        if x.rows() == 0 || x.cols() == 0 {
-            return Err(ModelError::EmptyTrainingSet);
-        }
-        if x.rows() != y.len() {
-            return Err(ModelError::SampleCountMismatch {
-                features: x.rows(),
-                targets: y.len(),
-            });
-        }
-        let normalizer = Normalizer::fit(x);
-        let xn = normalizer.transform_matrix(x);
+        Self::fit_with_random_centers_in(&FitContext::new(x)?, y, n_centers, params, seed)
+    }
+
+    /// [`RbfNetwork::fit_with_random_centers`] on the design `ctx` was
+    /// built from.
+    ///
+    /// # Errors
+    ///
+    /// As for [`RbfNetwork::fit_in`].
+    pub fn fit_with_random_centers_in(
+        ctx: &FitContext,
+        y: &[f64],
+        n_centers: usize,
+        params: &RbfParams,
+        seed: u64,
+    ) -> Result<Self, ModelError> {
+        ctx.check_targets(y)?;
+        let xn = ctx.x();
         let n = xn.rows();
         let k = n_centers.clamp(1, n);
         // Deterministic stride-based subsample driven by the seed.
@@ -180,9 +190,9 @@ impl RbfNetwork {
                 }
             })
             .collect();
-        let (weights, bias_weight) = fit_weights(&xn, y, &units, params)?;
+        let (weights, bias_weight) = fit_weights(xn, y, &units, params)?;
         Ok(RbfNetwork {
-            normalizer,
+            normalizer: ctx.normalizer().clone(),
             units,
             weights,
             bias_weight,
@@ -401,6 +411,53 @@ mod tests {
         let x = Matrix::zeros(4, 2);
         assert!(matches!(
             RbfNetwork::fit(&x, &[0.0; 3], &RbfParams::default()),
+            Err(ModelError::SampleCountMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_a_non_finite_design() {
+        let non_finite = ModelError::NonFinite {
+            context: "design matrix",
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let (mut x, y) = grid_2d(4, |a, b| a + b);
+            x[(5, 1)] = bad;
+            let params = RbfParams::default();
+            assert_eq!(RbfNetwork::fit(&x, &y, &params).unwrap_err(), non_finite);
+            assert_eq!(
+                RbfNetwork::fit_with_random_centers(&x, &y, 4, &params, 1).unwrap_err(),
+                non_finite
+            );
+            assert_eq!(
+                crate::LinearModel::fit(&x, &y, 1e-6).unwrap_err(),
+                non_finite
+            );
+        }
+    }
+
+    #[test]
+    fn fits_in_a_shared_context_match_standalone_fits() {
+        let (x, y) = grid_2d(6, |a, b| (3.0 * a).sin() + b * b);
+        let ctx = FitContext::new(&x).unwrap();
+        let params = RbfParams::default();
+        let y2: Vec<f64> = y.iter().map(|v| v * v).collect();
+        for y in [&y, &y2] {
+            let shared = RbfNetwork::fit_in(&ctx, y, &params).unwrap();
+            assert_eq!(
+                shared.to_data(),
+                RbfNetwork::fit(&x, y, &params).unwrap().to_data()
+            );
+            let random = RbfNetwork::fit_with_random_centers_in(&ctx, y, 9, &params, 3).unwrap();
+            assert_eq!(
+                random.to_data(),
+                RbfNetwork::fit_with_random_centers(&x, y, 9, &params, 3)
+                    .unwrap()
+                    .to_data()
+            );
+        }
+        assert!(matches!(
+            RbfNetwork::fit_in(&ctx, &y[1..], &params),
             Err(ModelError::SampleCountMismatch { .. })
         ));
     }

@@ -1,5 +1,6 @@
 //! CART-style regression tree with split introspection.
 
+use crate::context::{check_design, check_targets, FitContext};
 use crate::ModelError;
 use dynawave_numeric::Matrix;
 
@@ -90,18 +91,23 @@ impl RegressionTree {
     /// # Errors
     ///
     /// [`ModelError::EmptyTrainingSet`] for an empty design,
+    /// [`ModelError::NonFinite`] if `x` holds a NaN or infinity,
     /// [`ModelError::SampleCountMismatch`] when `y.len() != x.rows()`.
     pub fn fit(x: &Matrix, y: &[f64], params: &TreeParams) -> Result<Self, ModelError> {
+        check_design(x)?;
+        check_targets(x, y)?;
+        Ok(Self::fit_ranked(x, &FeatureRanks::new(x), y, params))
+    }
+
+    /// Fits a tree on the context's normalized design. The caller has
+    /// checked `y` against the context.
+    pub(crate) fn fit_in(ctx: &FitContext, y: &[f64], params: &TreeParams) -> Self {
+        Self::fit_ranked(ctx.x(), ctx.ranks(), y, params)
+    }
+
+    /// Fits a tree on a validated, finite `x` whose features `ranks` ranks.
+    fn fit_ranked(x: &Matrix, ranks: &FeatureRanks, y: &[f64], params: &TreeParams) -> Self {
         let _span = dynawave_obs::span("neural.tree_fit");
-        if x.rows() == 0 || x.cols() == 0 {
-            return Err(ModelError::EmptyTrainingSet);
-        }
-        if x.rows() != y.len() {
-            return Err(ModelError::SampleCountMismatch {
-                features: x.rows(),
-                targets: y.len(),
-            });
-        }
         let mut tree = RegressionTree {
             nodes: Vec::new(),
             dims: x.cols(),
@@ -111,8 +117,15 @@ impl RegressionTree {
         // Guard against a constant target: any positive threshold then
         // blocks all splits, which is correct (single-node tree).
         let sse_floor = params.min_impurity_decrease * root_sse.max(f64::EPSILON);
-        tree.grow(x, y, all, 0, params, sse_floor);
-        Ok(tree)
+        let fit = Fit {
+            x,
+            ranks,
+            y,
+            params,
+            sse_floor,
+        };
+        tree.grow(&fit, all, 0, &mut SplitScratch::default());
+        tree
     }
 
     /// Number of nodes (== number of RBF units derived from the tree).
@@ -186,32 +199,29 @@ impl RegressionTree {
 
     fn grow(
         &mut self,
-        x: &Matrix,
-        y: &[f64],
+        fit: &Fit<'_>,
         samples: Vec<usize>,
         depth: usize,
-        params: &TreeParams,
-        sse_floor: f64,
+        scratch: &mut SplitScratch,
     ) -> usize {
+        let x = fit.x;
         let node_idx = self.nodes.len();
-        self.nodes.push(make_leaf(x, y, &samples));
+        self.nodes.push(make_leaf(x, fit.y, &samples));
 
-        if depth >= params.max_depth || samples.len() < params.min_samples_split {
+        if depth >= fit.params.max_depth || samples.len() < fit.params.min_samples_split {
             return node_idx;
         }
-        let Some((feature, threshold, decrease)) =
-            best_split(x, y, &samples, params.min_samples_leaf)
-        else {
+        let Some((feature, threshold, decrease)) = best_split(fit, &samples, scratch) else {
             return node_idx;
         };
-        if decrease < sse_floor {
+        if decrease < fit.sse_floor {
             return node_idx;
         }
         let (left, right): (Vec<usize>, Vec<usize>) =
             samples.iter().partition(|&&s| x[(s, feature)] <= threshold);
         debug_assert!(!left.is_empty() && !right.is_empty());
-        let l = self.grow(x, y, left, depth + 1, params, sse_floor);
-        let r = self.grow(x, y, right, depth + 1, params, sse_floor);
+        let l = self.grow(fit, left, depth + 1, scratch);
+        let r = self.grow(fit, right, depth + 1, scratch);
         self.nodes[node_idx].split = Some(SplitInfo {
             feature,
             threshold,
@@ -222,6 +232,96 @@ impl RegressionTree {
         self.nodes[node_idx].right = Some(r);
         node_idx
     }
+}
+
+/// Each feature's samples ranked by value, computed once per design so
+/// that split search orders a node's samples by counting instead of
+/// sorting.
+///
+/// Ranks follow `f64::total_cmp`: equal ranks mean bit-equal values, and
+/// `-0.0` ranks below `+0.0`. Ordering a node's samples by rank, ties in
+/// node order, therefore reproduces a stable `total_cmp` sort of them.
+#[derive(Debug, Clone)]
+pub(crate) struct FeatureRanks {
+    rows: usize,
+    /// Distinct values per feature.
+    levels: Vec<usize>,
+    /// `ranks[f * rows + s]`: the rank of sample `s`'s value among the
+    /// distinct values of feature `f`, smallest first.
+    ranks: Vec<usize>,
+}
+
+impl FeatureRanks {
+    /// Ranks every feature of `x`: the tree's only sort.
+    pub(crate) fn new(x: &Matrix) -> Self {
+        let (rows, dims) = x.shape();
+        let mut levels = Vec::with_capacity(dims);
+        let mut ranks = vec![0; rows * dims];
+        let mut order: Vec<usize> = (0..rows).collect();
+        for (feature, rank) in ranks.chunks_exact_mut(rows.max(1)).enumerate().take(dims) {
+            let column = x.col(feature);
+            order.sort_unstable_by(|&a, &b| column[a].total_cmp(&column[b]));
+            let mut level = 0;
+            let mut prev: Option<f64> = None;
+            for &s in &order {
+                let v = column[s];
+                if prev.is_some_and(|p| p.total_cmp(&v).is_ne()) {
+                    level += 1;
+                }
+                prev = Some(v);
+                rank[s] = level;
+            }
+            levels.push(level + 1);
+        }
+        FeatureRanks {
+            rows,
+            levels,
+            ranks,
+        }
+    }
+
+    /// Writes `samples` into `scratch.order` ascending by their value of
+    /// `feature`, equal values in `samples` order: a stable counting sort
+    /// over the ranks.
+    fn order_into(&self, feature: usize, samples: &[usize], scratch: &mut SplitScratch) {
+        let rank = &self.ranks[feature * self.rows..(feature + 1) * self.rows];
+        let next = &mut scratch.next;
+        next.clear();
+        next.resize(self.levels[feature] + 1, 0);
+        for &s in samples {
+            next[rank[s] + 1] += 1;
+        }
+        for level in 1..next.len() {
+            next[level] += next[level - 1];
+        }
+        let order = &mut scratch.order;
+        order.clear();
+        order.resize(samples.len(), 0);
+        for &s in samples {
+            let slot = &mut next[rank[s]];
+            order[*slot] = s;
+            *slot += 1;
+        }
+    }
+}
+
+/// One tree fit's inputs: the matrix it splits on with its feature
+/// ranks, the targets, the parameters and the absolute SSE floor.
+struct Fit<'a> {
+    x: &'a Matrix,
+    ranks: &'a FeatureRanks,
+    y: &'a [f64],
+    params: &'a TreeParams,
+    sse_floor: f64,
+}
+
+/// Buffers the split search reuses across features and nodes.
+#[derive(Default)]
+struct SplitScratch {
+    /// A node's samples in value order for the feature being scanned.
+    order: Vec<usize>,
+    /// Per rank, the next free slot in `order`.
+    next: Vec<usize>,
 }
 
 fn make_leaf(x: &Matrix, y: &[f64], samples: &[usize]) -> Node {
@@ -266,54 +366,238 @@ fn sse(y: &[f64], samples: &[usize]) -> f64 {
     samples.iter().map(|&s| (y[s] - mean).powi(2)).sum()
 }
 
-/// Exhaustive best-split search: O(d * n log n).
+/// Exhaustive best-split search over every feature and every boundary
+/// between distinct values: O(d * (n + levels)) per node, where `levels`
+/// is a feature's number of distinct values in the whole design.
+///
+/// Each feature's samples are ordered by rank ([`FeatureRanks`]) and
+/// scanned once with prefix sums. The order, and so every sum, matches a
+/// stable sort of the samples by value.
 fn best_split(
-    x: &Matrix,
-    y: &[f64],
+    fit: &Fit<'_>,
     samples: &[usize],
-    min_leaf: usize,
+    scratch: &mut SplitScratch,
 ) -> Option<(usize, f64, f64)> {
-    let parent_sse = sse(y, samples);
-    let n = samples.len();
+    let parent_sse = sse(fit.y, samples);
     let mut best: Option<(usize, f64, f64)> = None;
-    for feature in 0..x.cols() {
-        let mut order: Vec<usize> = samples.to_vec();
-        order.sort_by(|&a, &b| x[(a, feature)].total_cmp(&x[(b, feature)]));
-        // Prefix sums over the sorted order for O(1) SSE of both sides.
-        let mut sum_left = 0.0;
-        let mut sumsq_left = 0.0;
-        let total: f64 = order.iter().map(|&s| y[s]).sum();
-        let totalsq: f64 = order.iter().map(|&s| y[s] * y[s]).sum();
-        for i in 0..n - 1 {
-            let yi = y[order[i]];
-            sum_left += yi;
-            sumsq_left += yi * yi;
-            let v_here = x[(order[i], feature)];
-            let v_next = x[(order[i + 1], feature)];
-            if v_here == v_next {
-                continue; // cannot separate equal values
-            }
-            let n_left = i + 1;
-            let n_right = n - n_left;
-            if n_left < min_leaf || n_right < min_leaf {
-                continue;
-            }
-            let sse_left = sumsq_left - sum_left * sum_left / n_left as f64;
-            let sum_right = total - sum_left;
-            let sse_right = (totalsq - sumsq_left) - sum_right * sum_right / n_right as f64;
-            let decrease = parent_sse - (sse_left + sse_right);
-            let threshold = (v_here + v_next) / 2.0;
-            if best.is_none_or(|(_, _, d)| decrease > d) {
-                best = Some((feature, threshold, decrease));
-            }
-        }
+    for feature in 0..fit.x.cols() {
+        fit.ranks.order_into(feature, samples, scratch);
+        let order = &scratch.order;
+        scan_feature(fit, feature, order, parent_sse, &mut best);
     }
     best
+}
+
+/// Scans `order` (a node's samples in value order of `feature`) for the
+/// boundary with the largest SSE decrease, replacing `best` only on a
+/// strictly larger one.
+fn scan_feature(
+    fit: &Fit<'_>,
+    feature: usize,
+    order: &[usize],
+    parent_sse: f64,
+    best: &mut Option<(usize, f64, f64)>,
+) {
+    let (x, y, min_leaf) = (fit.x, fit.y, fit.params.min_samples_leaf);
+    let n = order.len();
+    // Prefix sums over the value order for O(1) SSE of both sides.
+    let mut sum_left = 0.0;
+    let mut sumsq_left = 0.0;
+    let total: f64 = order.iter().map(|&s| y[s]).sum();
+    let totalsq: f64 = order.iter().map(|&s| y[s] * y[s]).sum();
+    for i in 0..n.saturating_sub(1) {
+        let yi = y[order[i]];
+        sum_left += yi;
+        sumsq_left += yi * yi;
+        let v_here = x[(order[i], feature)];
+        let v_next = x[(order[i + 1], feature)];
+        if v_here == v_next {
+            continue; // cannot separate equal values
+        }
+        let n_left = i + 1;
+        let n_right = n - n_left;
+        if n_left < min_leaf || n_right < min_leaf {
+            continue;
+        }
+        let sse_left = sumsq_left - sum_left * sum_left / n_left as f64;
+        let sum_right = total - sum_left;
+        let sse_right = (totalsq - sumsq_left) - sum_right * sum_right / n_right as f64;
+        let decrease = parent_sse - (sse_left + sse_right);
+        let threshold = (v_here + v_next) / 2.0;
+        if best.is_none_or(|(_, _, d)| decrease > d) {
+            *best = Some((feature, threshold, decrease));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynawave_testkit::{check, Rng};
+
+    /// The split search as it was before feature ranks: a stable sort of
+    /// the node's samples per feature, then the same prefix-sum scan. Kept
+    /// as the oracle the rank-based search must match bit for bit.
+    fn best_split_sorted(
+        x: &Matrix,
+        y: &[f64],
+        samples: &[usize],
+        min_leaf: usize,
+    ) -> Option<(usize, f64, f64)> {
+        let parent_sse = sse(y, samples);
+        let n = samples.len();
+        let mut best: Option<(usize, f64, f64)> = None;
+        for feature in 0..x.cols() {
+            let mut order: Vec<usize> = samples.to_vec();
+            order.sort_by(|&a, &b| x[(a, feature)].total_cmp(&x[(b, feature)]));
+            let mut sum_left = 0.0;
+            let mut sumsq_left = 0.0;
+            let total: f64 = order.iter().map(|&s| y[s]).sum();
+            let totalsq: f64 = order.iter().map(|&s| y[s] * y[s]).sum();
+            for i in 0..n - 1 {
+                let yi = y[order[i]];
+                sum_left += yi;
+                sumsq_left += yi * yi;
+                let v_here = x[(order[i], feature)];
+                let v_next = x[(order[i + 1], feature)];
+                if v_here == v_next {
+                    continue;
+                }
+                let n_left = i + 1;
+                let n_right = n - n_left;
+                if n_left < min_leaf || n_right < min_leaf {
+                    continue;
+                }
+                let sse_left = sumsq_left - sum_left * sum_left / n_left as f64;
+                let sum_right = total - sum_left;
+                let sse_right = (totalsq - sumsq_left) - sum_right * sum_right / n_right as f64;
+                let decrease = parent_sse - (sse_left + sse_right);
+                let threshold = (v_here + v_next) / 2.0;
+                if best.is_none_or(|(_, _, d)| decrease > d) {
+                    best = Some((feature, threshold, decrease));
+                }
+            }
+        }
+        best
+    }
+
+    /// One feature column of `rows` values, drawn as one of the shapes the
+    /// split search must handle: 1–5 levels (Table 2 parameters over an
+    /// LHS design), all-distinct continuous values, heavy duplicates, or
+    /// a mix of `-0.0`, `+0.0` and a few other values.
+    fn feature_column(rng: &mut Rng, rows: usize) -> Vec<f64> {
+        let pool: Vec<f64> = match rng.range_usize(0, 4) {
+            0 => (0..rng.range_usize(1, 6))
+                .map(|l| 2f64.powi(l as i32) * rng.range_f64(0.5, 1.5))
+                .collect(),
+            1 => return (0..rows).map(|_| rng.range_f64(-5.0, 5.0)).collect(),
+            2 => (0..(rows / 3).max(1))
+                .map(|_| rng.range_f64(-1.0, 1.0))
+                .collect(),
+            _ => vec![-0.0, 0.0, -0.0, 0.0, 1.0, -1.0, 0.5],
+        };
+        (0..rows)
+            .map(|_| pool[rng.range_usize(0, pool.len())])
+            .collect()
+    }
+
+    /// Targets: continuous, few-valued, or signed zeros.
+    fn targets(rng: &mut Rng, rows: usize) -> Vec<f64> {
+        let kind = rng.range_usize(0, 3);
+        (0..rows)
+            .map(|_| match kind {
+                0 => rng.range_f64(-10.0, 10.0),
+                1 => rng.range_usize(0, 3) as f64,
+                _ => [-0.0, 0.0, 1e-300][rng.range_usize(0, 3)],
+            })
+            .collect()
+    }
+
+    type SplitCase = (Vec<Vec<f64>>, Vec<f64>, (usize, Vec<bool>));
+
+    fn split_case(rng: &mut Rng) -> SplitCase {
+        let rows = rng.range_usize(1, 41);
+        let dims = rng.range_usize(1, 6);
+        let columns = (0..dims).map(|_| feature_column(rng, rows)).collect();
+        let y = targets(rng, rows);
+        let keep = (0..rows).map(|_| rng.next_bool()).collect();
+        (columns, y, (rng.range_usize(1, 5), keep))
+    }
+
+    #[test]
+    fn rank_split_search_matches_the_sorting_oracle_bit_for_bit() {
+        check("rank split search == sorted split search")
+            .cases(256)
+            .run(split_case, |(columns, y, (min_leaf, keep))| {
+                let rows = columns
+                    .iter()
+                    .map(Vec::len)
+                    .chain([y.len(), keep.len()])
+                    .min()
+                    .unwrap_or(0);
+                if rows == 0 || columns.is_empty() {
+                    return Ok(());
+                }
+                let data = (0..rows)
+                    .flat_map(|r| columns.iter().map(move |c| c[r]))
+                    .collect();
+                let x = Matrix::from_vec(rows, columns.len(), data).unwrap();
+                let y = &y[..rows];
+                let ranks = FeatureRanks::new(&x);
+                let params = TreeParams {
+                    min_samples_leaf: *min_leaf,
+                    ..TreeParams::default()
+                };
+                let fit = Fit {
+                    x: &x,
+                    ranks: &ranks,
+                    y,
+                    params: &params,
+                    sse_floor: 0.0,
+                };
+                let all: Vec<usize> = (0..rows).collect();
+                let kept: Vec<usize> = (0..rows).filter(|&r| keep[r]).collect();
+                let mut scratch = SplitScratch::default();
+                for samples in [all, kept] {
+                    if samples.is_empty() {
+                        continue;
+                    }
+                    let bits = |s: Option<(usize, f64, f64)>| {
+                        s.map(|(f, t, d)| (f, t.to_bits(), d.to_bits()))
+                    };
+                    let got = bits(best_split(&fit, &samples, &mut scratch));
+                    let want = bits(best_split_sorted(&x, y, &samples, *min_leaf));
+                    if got != want {
+                        return Err(format!("samples {samples:?}: {got:?} != oracle {want:?}"));
+                    }
+                }
+                Ok(())
+            });
+    }
+
+    #[test]
+    fn rejects_a_non_finite_design() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let x = Matrix::from_rows(&[&[0.0], &[bad], &[1.0], &[2.0]]);
+            assert_eq!(
+                RegressionTree::fit(&x, &[0.0, 1.0, 2.0, 3.0], &TreeParams::default()).unwrap_err(),
+                ModelError::NonFinite {
+                    context: "design matrix"
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn ranks_follow_total_order_with_signed_zeros_apart() {
+        let x = Matrix::from_rows(&[&[0.0], &[-0.0], &[2.0], &[-1.0], &[0.0]]);
+        let ranks = FeatureRanks::new(&x);
+        assert_eq!(ranks.levels, vec![4]);
+        assert_eq!(ranks.ranks, vec![2, 1, 3, 0, 2]);
+        let mut scratch = SplitScratch::default();
+        ranks.order_into(0, &[0, 1, 2, 4], &mut scratch);
+        assert_eq!(scratch.order, vec![1, 0, 4, 2]);
+    }
 
     fn step_data() -> (Matrix, Vec<f64>) {
         let mut rows = Vec::new();

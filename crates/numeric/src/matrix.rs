@@ -137,11 +137,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consumes the matrix and returns the flat row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -203,23 +198,30 @@ impl Matrix {
     }
 
     /// Gram matrix `selfᵀ * self`, computed without forming the transpose.
+    ///
+    /// Each row `r` adds `r_i · r[i..]` to row `i` of the upper triangle,
+    /// skipping exact-zero `r_i`, so every entry sums its products in row
+    /// order.
     pub fn gram(&self) -> Matrix {
-        let mut g = Matrix::zeros(self.cols, self.cols);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for i in 0..self.cols {
-                let ri = row[i];
+        let n = self.cols;
+        let mut g = Matrix::zeros(n, n);
+        for row in self.data.chunks_exact(n.max(1)).take(self.rows) {
+            for (i, (&ri, g_row)) in row
+                .iter()
+                .zip(g.data.chunks_exact_mut(n.max(1)))
+                .enumerate()
+            {
                 // dynalint:allow(D003) -- exact-zero skip: only bit-zero entries may be elided
                 if ri == 0.0 {
                     continue;
                 }
-                for j in i..self.cols {
-                    g[(i, j)] += ri * row[j];
+                for (gij, &rj) in g_row[i..].iter_mut().zip(&row[i..]) {
+                    *gij += ri * rj;
                 }
             }
         }
         // Mirror the upper triangle.
-        for i in 0..self.cols {
+        for i in 0..n {
             for j in 0..i {
                 g[(i, j)] = g[(j, i)];
             }
@@ -230,6 +232,11 @@ impl Matrix {
     /// Cholesky factorization of a symmetric positive-definite matrix.
     ///
     /// Returns lower-triangular `L` with `L * Lᵀ == self`.
+    ///
+    /// Row `i` keeps one accumulator per entry `l_ij`. As soon as `l_ij`
+    /// is final it is subtracted, times column `j` of `L`, from every
+    /// later accumulator of the row, so each entry sees the subtractions
+    /// `l_ik · l_jk` for `k = 0, 1, …, j−1` in that order.
     ///
     /// # Errors
     ///
@@ -243,21 +250,34 @@ impl Matrix {
             });
         }
         let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
+        // Column-major L: `cols[j * n + m]` is `l_mj`, so column `j` of L
+        // is contiguous for the accumulator update.
+        let mut cols = vec![0.0; n * n];
+        let mut acc = vec![0.0; n];
+        for (i, a_row) in self.data.chunks_exact(n.max(1)).take(n).enumerate() {
+            acc.copy_from_slice(a_row);
             for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
+                let (col_j, _) = cols.split_at_mut((j + 1) * n);
+                let col_j = &mut col_j[j * n..];
+                let sum = acc[j];
+                let l_ij = if i == j {
                     if sum <= 0.0 || !sum.is_finite() {
                         return Err(NumericError::Singular);
                     }
-                    l[(i, j)] = sum.sqrt();
+                    sum.sqrt()
                 } else {
-                    l[(i, j)] = sum / l[(j, j)];
+                    sum / col_j[j]
+                };
+                col_j[i] = l_ij;
+                for (a, &l_mj) in acc[j + 1..=i].iter_mut().zip(&col_j[j + 1..=i]) {
+                    *a -= l_ij * l_mj;
                 }
+            }
+        }
+        let mut l = Matrix::zeros(n, n);
+        for (j, col) in cols.chunks_exact(n.max(1)).take(n).enumerate() {
+            for (m, &v) in col.iter().enumerate().skip(j) {
+                l.data[m * n + j] = v;
             }
         }
         Ok(l)
@@ -423,8 +443,128 @@ impl fmt::Display for Matrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use dynawave_testkit::{check, Rng};
+
+    /// `Matrix::gram` as it was before the row-slice kernel: the oracle
+    /// the kernel must match bit for bit.
+    fn gram_oracle(a: &Matrix) -> Matrix {
+        let mut g = Matrix::zeros(a.cols, a.cols);
+        for r in 0..a.rows {
+            let row = a.row(r);
+            for i in 0..a.cols {
+                let ri = row[i];
+                if ri == 0.0 {
+                    continue;
+                }
+                for j in i..a.cols {
+                    g[(i, j)] += ri * row[j];
+                }
+            }
+        }
+        for i in 0..a.cols {
+            for j in 0..i {
+                g[(i, j)] = g[(j, i)];
+            }
+        }
+        g
+    }
+
+    /// `Matrix::cholesky` as it was before the column accumulators: the
+    /// oracle the kernel must match bit for bit.
+    fn cholesky_oracle(a: &Matrix) -> Result<Matrix, NumericError> {
+        let n = a.rows;
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return Err(NumericError::Singular);
+                    }
+                    l[(i, j)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    /// An entry that is often an exact `+0.0` or `-0.0`, so kernels that
+    /// skip zeros take both branches.
+    pub(crate) fn entry(rng: &mut Rng) -> f64 {
+        match rng.range_usize(0, 4) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.range_f64(-2.0, 2.0),
+        }
+    }
+
+    /// A `rows x cols` matrix as `(row-major entries, cols)`.
+    pub(crate) fn matrix_case(rng: &mut Rng) -> (Vec<f64>, usize) {
+        let cols = rng.range_usize(1, 13);
+        let rows = rng.range_usize(1, 31);
+        ((0..rows * cols).map(|_| entry(rng)).collect(), cols)
+    }
+
+    /// Rebuilds the matrix of a (possibly shrunk) case; `None` when empty.
+    pub(crate) fn case_matrix((data, cols): &(Vec<f64>, usize)) -> Option<Matrix> {
+        let rows = data.len() / (*cols).max(1);
+        if rows == 0 || *cols == 0 {
+            return None;
+        }
+        Matrix::from_vec(rows, *cols, data[..rows * cols].to_vec()).ok()
+    }
+
+    pub(crate) fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn gram_matches_the_oracle_bit_for_bit() {
+        check("gram == oracle").cases(256).run(matrix_case, |case| {
+            let Some(a) = case_matrix(case) else {
+                return Ok(());
+            };
+            let (got, want) = (a.gram(), gram_oracle(&a));
+            if !same_bits(got.as_slice(), want.as_slice()) {
+                return Err(format!("gram {got:?} != oracle {want:?}"));
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn cholesky_matches_the_oracle_bit_for_bit() {
+        // Gram matrices plus a ridge of 0, tiny or unit size: positive
+        // definite, semi-definite and indefinite-by-rounding inputs alike.
+        check("cholesky == oracle")
+            .cases(256)
+            .run(matrix_case, |case| {
+                let Some(a) = case_matrix(case) else {
+                    return Ok(());
+                };
+                for ridge in [0.0, 1e-12, 1.0] {
+                    let mut g = a.gram();
+                    for i in 0..g.rows() {
+                        g[(i, i)] += ridge;
+                    }
+                    let same = match (g.cholesky(), cholesky_oracle(&g)) {
+                        (Ok(l), Ok(o)) => same_bits(l.as_slice(), o.as_slice()),
+                        (got, want) => got == want,
+                    };
+                    if !same {
+                        return Err(format!("ridge {ridge}: cholesky differs from the oracle"));
+                    }
+                }
+                Ok(())
+            });
+    }
 
     #[test]
     fn zeros_and_identity() {

@@ -135,7 +135,7 @@ pub fn ridge_regression(x: &Matrix, y: &[f64], lambda: f64) -> Result<Vec<f64>, 
     for i in 0..gram.rows() {
         gram[(i, i)] += lambda;
     }
-    let xty = x.transpose().matvec(y)?;
+    let xty = transpose_times(x, y);
     // Cholesky is the fast path; fall back to LU when lambda == 0 leaves the
     // normal matrix only semi-definite.
     match cholesky_solve(&gram, &xty) {
@@ -145,9 +145,59 @@ pub fn ridge_regression(x: &Matrix, y: &[f64], lambda: f64) -> Result<Vec<f64>, 
     }
 }
 
+/// `Xᵀ y`, accumulated one row of `x` at a time. Each entry starts at
+/// `-0.0` and adds `x_rc · y_r` in row order, exactly as
+/// `x.transpose().matvec(y)` sums it, without forming the transpose.
+/// The caller guarantees `y.len() == x.rows()`.
+fn transpose_times(x: &Matrix, y: &[f64]) -> Vec<f64> {
+    let mut acc = vec![-0.0; x.cols()];
+    for (row, &yr) in x.as_slice().chunks_exact(x.cols().max(1)).zip(y) {
+        for (a, &v) in acc.iter_mut().zip(row) {
+            *a += v * yr;
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::tests::{case_matrix, entry, matrix_case, same_bits};
+    use dynawave_testkit::check;
+
+    #[test]
+    fn transpose_times_matches_transpose_matvec_bit_for_bit() {
+        check("Xᵀy == x.transpose().matvec(y)").cases(256).run(
+            |rng: &mut dynawave_testkit::Rng| {
+                let (data, cols) = matrix_case(rng);
+                let y = (0..data.len() / cols).map(|_| entry(rng)).collect();
+                ((data, cols), y)
+            },
+            |(case, y): &((Vec<f64>, usize), Vec<f64>)| {
+                let Some(x) = case_matrix(case) else {
+                    return Ok(());
+                };
+                if y.len() < x.rows() {
+                    return Ok(());
+                }
+                let y = &y[..x.rows()];
+                let (got, want) = (transpose_times(&x, y), x.transpose().matvec(y).unwrap());
+                if !same_bits(&got, &want) {
+                    return Err(format!("{got:?} != {want:?}"));
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn transpose_times_keeps_the_sign_of_an_all_negative_zero_sum() {
+        let x = Matrix::from_rows(&[&[-0.0, 1.0], &[0.0, 2.0]]);
+        let got = transpose_times(&x, &[1.0, -0.0]);
+        let want = x.transpose().matvec(&[1.0, -0.0]).unwrap();
+        assert!(same_bits(&got, &want), "{got:?} vs {want:?}");
+        assert!(got[0].is_sign_negative());
+    }
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());

@@ -57,16 +57,6 @@ impl FitContext {
         })
     }
 
-    /// Number of training samples.
-    pub fn rows(&self) -> usize {
-        self.x.rows()
-    }
-
-    /// Input dimensionality.
-    pub fn dims(&self) -> usize {
-        self.x.cols()
-    }
-
     /// The normalizer fitted on the raw design.
     pub(crate) fn normalizer(&self) -> &Normalizer {
         &self.normalizer
@@ -80,11 +70,6 @@ impl FitContext {
     /// Per-feature ranks of the normalized design.
     pub(crate) fn ranks(&self) -> &FeatureRanks {
         &self.ranks
-    }
-
-    /// Checks that `y` holds one target per training sample.
-    pub(crate) fn check_targets(&self, y: &[f64]) -> Result<(), ModelError> {
-        check_targets(&self.x, y)
     }
 }
 
@@ -143,12 +128,11 @@ mod tests {
     fn holds_the_normalized_design() {
         let x = Matrix::from_rows(&[&[2.0, 10.0], &[4.0, 30.0], &[6.0, 20.0]]);
         let ctx = FitContext::new(&x).unwrap();
-        assert_eq!((ctx.rows(), ctx.dims()), (3, 2));
         let normalizer = Normalizer::fit(&x);
         assert_eq!(ctx.normalizer(), &normalizer);
         assert_eq!(ctx.x(), &normalizer.transform_matrix(&x));
         assert!(matches!(
-            ctx.check_targets(&[1.0, 2.0]),
+            check_targets(ctx.x(), &[1.0, 2.0]),
             Err(ModelError::SampleCountMismatch {
                 features: 3,
                 targets: 2

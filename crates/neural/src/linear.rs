@@ -1,6 +1,6 @@
 //! Ridge-regularized linear regression baseline.
 
-use crate::context::FitContext;
+use crate::context::{check_targets, FitContext};
 use crate::normalize::Normalizer;
 use crate::ModelError;
 use dynawave_numeric::{solve, Matrix};
@@ -51,8 +51,8 @@ impl LinearModel {
     ///
     /// [`ModelError::SampleCountMismatch`] or a wrapped numeric failure.
     pub fn fit_in(ctx: &FitContext, y: &[f64], lambda: f64) -> Result<Self, ModelError> {
-        ctx.check_targets(y)?;
         let xn = ctx.x();
+        check_targets(xn, y)?;
         // Augment with a bias column.
         let n = xn.rows();
         let d = xn.cols();

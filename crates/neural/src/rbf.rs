@@ -1,6 +1,6 @@
 //! Gaussian RBF networks with tree-derived or random centers.
 
-use crate::context::FitContext;
+use crate::context::{check_targets, FitContext};
 use crate::normalize::Normalizer;
 use crate::tree::{RegressionTree, TreeParams};
 use crate::ModelError;
@@ -113,12 +113,13 @@ impl RbfNetwork {
     ///
     /// # Errors
     ///
-    /// [`ModelError::SampleCountMismatch`] when `y.len() != ctx.rows()`,
-    /// or a wrapped [`ModelError::Numeric`] if the weight solve fails.
+    /// [`ModelError::SampleCountMismatch`] unless `y` has one target per
+    /// design row, or a wrapped [`ModelError::Numeric`] if the weight
+    /// solve fails.
     pub fn fit_in(ctx: &FitContext, y: &[f64], params: &RbfParams) -> Result<Self, ModelError> {
         let _span = dynawave_obs::span("neural.rbf_fit");
-        ctx.check_targets(y)?;
-        let tree = RegressionTree::fit_in(ctx, y, &params.tree);
+        check_targets(ctx.x(), y)?;
+        let tree = RegressionTree::fit_ranked(ctx.x(), ctx.ranks(), y, &params.tree);
         let units: Vec<RbfUnit> = tree
             .nodes()
             .iter()
@@ -173,8 +174,8 @@ impl RbfNetwork {
         params: &RbfParams,
         seed: u64,
     ) -> Result<Self, ModelError> {
-        ctx.check_targets(y)?;
         let xn = ctx.x();
+        check_targets(xn, y)?;
         let n = xn.rows();
         let k = n_centers.clamp(1, n);
         // Deterministic stride-based subsample driven by the seed.

@@ -1,6 +1,6 @@
 //! CART-style regression tree with split introspection.
 
-use crate::context::{check_design, check_targets, FitContext};
+use crate::context::{check_design, check_targets};
 use crate::ModelError;
 use dynawave_numeric::Matrix;
 
@@ -99,14 +99,14 @@ impl RegressionTree {
         Ok(Self::fit_ranked(x, &FeatureRanks::new(x), y, params))
     }
 
-    /// Fits a tree on the context's normalized design. The caller has
-    /// checked `y` against the context.
-    pub(crate) fn fit_in(ctx: &FitContext, y: &[f64], params: &TreeParams) -> Self {
-        Self::fit_ranked(ctx.x(), ctx.ranks(), y, params)
-    }
-
-    /// Fits a tree on a validated, finite `x` whose features `ranks` ranks.
-    fn fit_ranked(x: &Matrix, ranks: &FeatureRanks, y: &[f64], params: &TreeParams) -> Self {
+    /// Fits a tree on a validated, finite `x` whose features `ranks`
+    /// ranks, with one target per row in `y`.
+    pub(crate) fn fit_ranked(
+        x: &Matrix,
+        ranks: &FeatureRanks,
+        y: &[f64],
+        params: &TreeParams,
+    ) -> Self {
         let _span = dynawave_obs::span("neural.tree_fit");
         let mut tree = RegressionTree {
             nodes: Vec::new(),
@@ -378,56 +378,43 @@ fn best_split(
     samples: &[usize],
     scratch: &mut SplitScratch,
 ) -> Option<(usize, f64, f64)> {
-    let parent_sse = sse(fit.y, samples);
+    let (x, y, min_leaf) = (fit.x, fit.y, fit.params.min_samples_leaf);
+    let parent_sse = sse(y, samples);
+    let n = samples.len();
     let mut best: Option<(usize, f64, f64)> = None;
-    for feature in 0..fit.x.cols() {
+    for feature in 0..x.cols() {
         fit.ranks.order_into(feature, samples, scratch);
         let order = &scratch.order;
-        scan_feature(fit, feature, order, parent_sse, &mut best);
+        // Prefix sums over the value order for O(1) SSE of both sides.
+        let mut sum_left = 0.0;
+        let mut sumsq_left = 0.0;
+        let total: f64 = order.iter().map(|&s| y[s]).sum();
+        let totalsq: f64 = order.iter().map(|&s| y[s] * y[s]).sum();
+        for i in 0..n.saturating_sub(1) {
+            let yi = y[order[i]];
+            sum_left += yi;
+            sumsq_left += yi * yi;
+            let v_here = x[(order[i], feature)];
+            let v_next = x[(order[i + 1], feature)];
+            if v_here == v_next {
+                continue; // cannot separate equal values
+            }
+            let n_left = i + 1;
+            let n_right = n - n_left;
+            if n_left < min_leaf || n_right < min_leaf {
+                continue;
+            }
+            let sse_left = sumsq_left - sum_left * sum_left / n_left as f64;
+            let sum_right = total - sum_left;
+            let sse_right = (totalsq - sumsq_left) - sum_right * sum_right / n_right as f64;
+            let decrease = parent_sse - (sse_left + sse_right);
+            let threshold = (v_here + v_next) / 2.0;
+            if best.is_none_or(|(_, _, d)| decrease > d) {
+                best = Some((feature, threshold, decrease));
+            }
+        }
     }
     best
-}
-
-/// Scans `order` (a node's samples in value order of `feature`) for the
-/// boundary with the largest SSE decrease, replacing `best` only on a
-/// strictly larger one.
-fn scan_feature(
-    fit: &Fit<'_>,
-    feature: usize,
-    order: &[usize],
-    parent_sse: f64,
-    best: &mut Option<(usize, f64, f64)>,
-) {
-    let (x, y, min_leaf) = (fit.x, fit.y, fit.params.min_samples_leaf);
-    let n = order.len();
-    // Prefix sums over the value order for O(1) SSE of both sides.
-    let mut sum_left = 0.0;
-    let mut sumsq_left = 0.0;
-    let total: f64 = order.iter().map(|&s| y[s]).sum();
-    let totalsq: f64 = order.iter().map(|&s| y[s] * y[s]).sum();
-    for i in 0..n.saturating_sub(1) {
-        let yi = y[order[i]];
-        sum_left += yi;
-        sumsq_left += yi * yi;
-        let v_here = x[(order[i], feature)];
-        let v_next = x[(order[i + 1], feature)];
-        if v_here == v_next {
-            continue; // cannot separate equal values
-        }
-        let n_left = i + 1;
-        let n_right = n - n_left;
-        if n_left < min_leaf || n_right < min_leaf {
-            continue;
-        }
-        let sse_left = sumsq_left - sum_left * sum_left / n_left as f64;
-        let sum_right = total - sum_left;
-        let sse_right = (totalsq - sumsq_left) - sum_right * sum_right / n_right as f64;
-        let decrease = parent_sse - (sse_left + sse_right);
-        let threshold = (v_here + v_next) / 2.0;
-        if best.is_none_or(|(_, _, d)| decrease > d) {
-            *best = Some((feature, threshold, decrease));
-        }
-    }
 }
 
 #[cfg(test)]

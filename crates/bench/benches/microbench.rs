@@ -60,15 +60,20 @@ impl Harness {
         }
     }
 
+    /// `true` unless a name filter excludes `name`.
+    fn selects(&self, name: &str) -> bool {
+        self.filter
+            .as_ref()
+            .is_none_or(|f| name.contains(f.as_str()))
+    }
+
     /// Times `op`, auto-calibrated so each batch runs at least
     /// [`min_batch_nanos`], and prints a text summary plus a JSON line.
     /// `throughput_elems` (elements processed per op) is echoed into the
     /// JSON so rates can be derived downstream.
     fn bench<T>(&self, name: &str, throughput_elems: u64, mut op: impl FnMut() -> T) {
-        if let Some(f) = &self.filter {
-            if !name.contains(f.as_str()) {
-                return;
-            }
+        if !self.selects(name) {
+            return;
         }
         // Calibrate: grow the per-batch iteration count until a batch
         // takes long enough to time reliably.
@@ -191,6 +196,10 @@ fn gaussian_design(x: &Matrix, units: usize) -> Matrix {
 fn bench_predictor(h: &Harness) {
     use dynawave_core::WaveletNeuralPredictor;
     use dynawave_core::{collect_traces, Metric, PredictorParams, RecoveryPolicy};
+    // Skip the training-set simulation when the filter drops the line.
+    if !h.selects("predictor/train") {
+        return;
+    }
     let points = lhs::sample(&DesignSpace::micro2007(), 200, 1);
     let opts = SimOptions {
         samples: 128,

@@ -9,7 +9,7 @@ use dynawave_core::{
     WaveletNeuralPredictor,
 };
 use dynawave_sampling::{lhs, random, DesignSpace, Split};
-use dynawave_sim::{MachineConfig, SimOptions, Simulator};
+use dynawave_sim::{IntervalStats, MachineConfig, SimOptions, Simulator};
 use dynawave_workloads::{Benchmark, TraceGenerator};
 
 fn cfg() -> ExperimentConfig {
@@ -310,5 +310,167 @@ fn trained_predictor_bits_are_pinned() {
     assert_eq!(
         digest, 0xf79a_1a2f_07ce_e0ec,
         "trained predictor bits changed: digest {digest:#018x}"
+    );
+}
+
+/// Folds every field of one interval: counters as they are, integrals
+/// by their bit patterns. The destructuring is exhaustive, so a new
+/// field fails to compile here until it is folded too.
+fn fold_interval(mut digest: u64, interval: &IntervalStats) -> u64 {
+    let IntervalStats {
+        instructions,
+        cycles,
+        il1_accesses,
+        il1_misses,
+        itlb_misses,
+        branches,
+        mispredicts,
+        btb_misses,
+        int_alu_ops,
+        int_mul_ops,
+        fp_alu_ops,
+        fp_mul_ops,
+        issues,
+        dl1_accesses,
+        dl1_misses,
+        dtlb_misses,
+        l2_accesses,
+        l2_misses,
+        iq_occupancy,
+        iq_ace,
+        rob_occupancy,
+        rob_ace,
+        lsq_occupancy,
+        lsq_ace,
+        dvm_stall_cycles,
+        dvm_triggers,
+        dtm_engaged_windows,
+        prefetch_fills,
+        store_forwards,
+    } = *interval;
+    for v in [
+        instructions,
+        cycles,
+        il1_accesses,
+        il1_misses,
+        itlb_misses,
+        branches,
+        mispredicts,
+        btb_misses,
+        int_alu_ops,
+        int_mul_ops,
+        fp_alu_ops,
+        fp_mul_ops,
+        issues,
+        dl1_accesses,
+        dl1_misses,
+        dtlb_misses,
+        l2_accesses,
+        l2_misses,
+    ] {
+        digest = fold(digest, v);
+    }
+    digest = fold_f64s(
+        digest,
+        &[
+            iq_occupancy,
+            iq_ace,
+            rob_occupancy,
+            rob_ace,
+            lsq_occupancy,
+            lsq_ace,
+        ],
+    );
+    for v in [
+        dvm_stall_cycles,
+        dvm_triggers,
+        dtm_engaged_windows,
+        prefetch_fills,
+        store_forwards,
+    ] {
+        digest = fold(digest, v);
+    }
+    digest
+}
+
+/// The simulator's output itself, not just its run-to-run identity, is
+/// pinned: a digest over every field of every interval of six
+/// benchmarks on the Table 1 baseline, Table 2 corner and mixed points
+/// (widths 2 and 16, ROB 96 and 160, LSQ 16 and 64, L2 256 and
+/// 4096 KB), and the baseline with each extension the engine models:
+/// the bimodal predictor, DTM fetch throttling at two throttle factors,
+/// DVM through the tenth design value, next-line prefetching, store
+/// forwarding (also with a 2-entry, 2-way DTLB, where a load that
+/// forwards and still touches the DTLB would move its LRU order) and a
+/// warmed-up run. A timing-model rewrite that moves a
+/// single counter or integral bit fails here; one that only reorders
+/// work does not.
+#[test]
+fn simulated_interval_bits_are_pinned() {
+    use dynawave_sim::dtm::DtmConfig;
+    use dynawave_sim::BranchPredictorKind;
+    let opts = SimOptions {
+        samples: 8,
+        interval_instructions: 384,
+        seed: 20260806,
+    };
+    let baseline = MachineConfig::baseline();
+    let mut bimodal = baseline.clone();
+    bimodal.bp_kind = BranchPredictorKind::Bimodal;
+    let dtm = |throttle_factor| {
+        baseline.clone().with_dtm(DtmConfig {
+            ipc_trigger: 0.2,
+            throttle_factor,
+        })
+    };
+    let mut small_dtlb = baseline.clone().with_store_forwarding();
+    small_dtlb.dtlb_entries = 2;
+    small_dtlb.tlb_ways = 2;
+    let configs = [
+        baseline.clone(),
+        MachineConfig::from_design_values(&[2.0, 96.0, 32.0, 16.0, 256.0, 8.0, 8.0, 8.0, 1.0]),
+        MachineConfig::from_design_values(&[
+            16.0, 160.0, 128.0, 64.0, 4096.0, 20.0, 64.0, 64.0, 4.0,
+        ]),
+        MachineConfig::from_design_values(&[16.0, 96.0, 64.0, 16.0, 256.0, 20.0, 8.0, 64.0, 4.0]),
+        MachineConfig::from_design_values(&[2.0, 160.0, 128.0, 64.0, 4096.0, 8.0, 64.0, 8.0, 2.0]),
+        bimodal,
+        dtm(0.5),
+        dtm(0.3),
+        MachineConfig::from_design_values(&[
+            8.0, 96.0, 96.0, 48.0, 2048.0, 12.0, 32.0, 64.0, 1.0, 0.1,
+        ]),
+        baseline.clone().with_next_line_prefetch(),
+        baseline.clone().with_store_forwarding(),
+        small_dtlb,
+    ];
+    let benches = [
+        Benchmark::Gcc,
+        Benchmark::Mcf,
+        Benchmark::Swim,
+        Benchmark::Crafty,
+        Benchmark::Vortex,
+        Benchmark::Gap,
+    ];
+    let mut digest = 0u64;
+    let mut totals = vec![IntervalStats::default(); configs.len()];
+    for bench in benches {
+        for (config, total) in configs.iter().zip(&mut totals) {
+            let run = Simulator::new(config.clone()).run(bench, &opts);
+            digest = run.intervals.iter().fold(digest, fold_interval);
+            run.intervals.iter().for_each(|i| total.absorb(i));
+        }
+        let warmed = Simulator::new(baseline.clone()).run_with_warmup(bench, &opts, 2000);
+        digest = warmed.intervals.iter().fold(digest, fold_interval);
+    }
+    // Each extension is exercised, not just configured.
+    assert!(totals[6].dtm_engaged_windows > 0 && totals[7].dtm_engaged_windows > 0);
+    assert!(totals[8].dvm_triggers > 0);
+    assert!(totals[9].prefetch_fills > 0);
+    assert!(totals[10].store_forwards > 0 && totals[11].store_forwards > 0);
+    assert_ne!(totals[5].mispredicts, totals[0].mispredicts);
+    assert_eq!(
+        digest, 0x4229_885f_8244_d955,
+        "simulated interval bits changed: digest {digest:#018x}"
     );
 }

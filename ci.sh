@@ -23,7 +23,8 @@ cd "$(dirname "$0")"
 # journal temp file or shard sidecar is left behind, and a demo start-up
 # with DYNAWAVE_SAMPLES=0 that must exit 2 naming the variable.
 # --perf adds the perf-trajectory ratchet: a quick microbench subset
-# diffed against the committed BENCH_seed.json baseline with
+# (wavelet and simulator/run lines) diffed against the committed
+# BENCH_seed.json baseline with
 # compare_bench. Soft by default (regressions warn, like the lint
 # baseline); --strict-perf turns flagged regressions into failures.
 # --serve adds the daemon chaos gate: the serve test battery (replay
@@ -285,14 +286,18 @@ fi
 
 if [ "$PERF" = 1 ]; then
   echo "=== perf: trajectory ratchet vs BENCH_seed.json ==="
-  # A quick microbench subset (the wavelet stage: cheap, stable) at
-  # reduced sampling, diffed against the committed seed baseline. Only
-  # noise-aware flags count: a delta must beat the relative threshold
-  # AND escape the baseline's min/max band. Benches outside the subset
-  # show up as "Removed" in the report, which is informational.
-  DYNAWAVE_BENCH_SAMPLES=7 DYNAWAVE_BENCH_MIN_BATCH_MS=5 \
-    cargo bench --offline -q -p dynawave-bench --bench microbench -- wavelet \
-    > "$CI_TMP/bench_now.json"
+  # A quick microbench subset (the wavelet stage, and the simulator's
+  # runs of gcc and mcf) at reduced sampling, diffed against the
+  # committed seed baseline. Only noise-aware flags count: a delta must
+  # beat the relative threshold AND escape the baseline's min/max band.
+  # Benches outside the subset show up as "Removed" in the report, which
+  # is informational.
+  : > "$CI_TMP/bench_now.json"
+  for filter in wavelet simulator/run/; do
+    DYNAWAVE_BENCH_SAMPLES=7 DYNAWAVE_BENCH_MIN_BATCH_MS=5 \
+      cargo bench --offline -q -p dynawave-bench --bench microbench -- "$filter" \
+      >> "$CI_TMP/bench_now.json"
+  done
   STRICT_FLAG=""
   [ "$STRICT_PERF" = 1 ] && STRICT_FLAG="--strict"
   cargo run -q --release --offline -p dynawave-obs --bin compare_bench -- \

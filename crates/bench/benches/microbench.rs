@@ -21,7 +21,7 @@
 use dynawave_neural::{Normalizer, RbfNetwork, RbfParams, RegressionTree, TreeParams};
 use dynawave_numeric::{solve, Matrix};
 use dynawave_sampling::{lhs, DesignSpace};
-use dynawave_sim::{MachineConfig, SimOptions, Simulator};
+use dynawave_sim::{FrontEndOutcomes, MachineConfig, SimOptions, Simulator};
 use dynawave_wavelet::{wavedec, waverec, Wavelet};
 use dynawave_workloads::{Benchmark, TraceGenerator};
 use std::hint::black_box;
@@ -192,12 +192,13 @@ fn gaussian_design(x: &Matrix, units: usize) -> Matrix {
 }
 
 /// One predictor's training: wavedec, selection and 128 coefficient fits
-/// on a simulated 200-point gcc CPI training set of 128 samples.
+/// on a simulated 200-point gcc CPI training set of 128 samples; then
+/// its prediction of one unsimulated point's 128-sample trace.
 fn bench_predictor(h: &Harness) {
     use dynawave_core::WaveletNeuralPredictor;
     use dynawave_core::{collect_traces, Metric, PredictorParams, RecoveryPolicy};
-    // Skip the training-set simulation when the filter drops the line.
-    if !h.selects("predictor/train") {
+    // Skip the training-set simulation when the filter drops both lines.
+    if !h.selects("predictor/train") && !h.selects("predictor/predict") {
         return;
     }
     let points = lhs::sample(&DesignSpace::micro2007(), 200, 1);
@@ -215,6 +216,9 @@ fn bench_predictor(h: &Harness) {
     h.bench("predictor/train", 128, || {
         WaveletNeuralPredictor::train_resilient(black_box(&train), &params, &policy).unwrap()
     });
+    let (model, _) = WaveletNeuralPredictor::train_resilient(&train, &params, &policy).unwrap();
+    let query = &lhs::sample(&DesignSpace::micro2007(), 1, 2)[0];
+    h.bench("predictor/predict", 128, || model.predict(black_box(query)));
 }
 
 fn bench_simulator(h: &Harness) {
@@ -238,6 +242,19 @@ fn bench_simulator(h: &Harness) {
     h.bench("simulator/engine/gcc", instructions, || {
         Simulator::new(MachineConfig::baseline())
             .run_trace(black_box(&stream).iter().copied(), black_box(&opts))
+    });
+    // A campaign worker's sweep: one gcc stream replayed into 16 Table 2
+    // points, its front-end outcomes computed once inside the op.
+    let configs: Vec<MachineConfig> = lhs::sample(&DesignSpace::micro2007(), 16, 1)
+        .iter()
+        .map(|p| MachineConfig::from_design_values(p.values()))
+        .collect();
+    h.bench("simulator/engine/sweep_gcc", instructions * 16, || {
+        let stream = black_box(&stream);
+        let outcomes = FrontEndOutcomes::new(&MachineConfig::baseline(), stream);
+        (configs.iter())
+            .map(|c| Simulator::new(c.clone()).run_replay(stream, &outcomes, black_box(&opts)))
+            .collect::<Vec<_>>()
     });
 }
 

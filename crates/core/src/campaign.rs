@@ -62,13 +62,13 @@
 //! # Ok::<(), dynawave_core::campaign::CampaignError>(())
 //! ```
 
-use crate::dataset::{simulate_metrics, Metric, TraceSet};
+use crate::dataset::{front_end_outcomes, simulate_metrics, Metric, TraceSet};
 use crate::experiment::{score_model, BenchmarkEvaluation, EnvConfigError, ExperimentConfig};
 use crate::journal::{self, Appender, HeaderError};
 use crate::predictor::WaveletNeuralPredictor;
 use dynawave_neural::ModelError;
 use dynawave_sampling::DesignPoint;
-use dynawave_sim::SimOptions;
+use dynawave_sim::{FrontEndOutcomes, SimOptions};
 use dynawave_workloads::{Benchmark, Instruction};
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -322,37 +322,46 @@ pub struct CampaignRunner {
     test_design: Vec<DesignPoint>,
 }
 
-/// The instruction stream of the benchmark a worker is on. Design points
-/// are numbered benchmark by benchmark, so a worker generates each
-/// benchmark's stream once, when it reaches that benchmark's first
-/// pending point, replays it into every later point of the benchmark,
-/// and drops it before generating the next benchmark's: one stream per
-/// worker at most (`24 B × samples × interval_instructions`).
+/// The instruction stream of the benchmark a worker is on, with its
+/// front-end outcomes. Design points are numbered benchmark by
+/// benchmark, so a worker generates each benchmark's stream once, when
+/// it reaches that benchmark's first pending point, replays it into
+/// every later point of the benchmark, and drops it before generating
+/// the next benchmark's: one stream per worker at most
+/// (`25 B × samples × interval_instructions`).
 #[derive(Default)]
 struct BenchmarkStream {
-    benchmark: Option<Benchmark>,
-    instructions: Vec<Instruction>,
+    held: Option<(Benchmark, Vec<Instruction>, FrontEndOutcomes)>,
 }
 
 impl BenchmarkStream {
-    /// `benchmark`'s stream under `opts`, generated unless it is the one
-    /// already held.
-    fn of(&mut self, benchmark: Benchmark, opts: &SimOptions) -> &[Instruction] {
-        if self.benchmark != Some(benchmark) {
-            // Free the held stream first, so only one is ever allocated.
-            self.instructions = Vec::new();
-            self.instructions = opts.stream(benchmark);
-            self.benchmark = Some(benchmark);
-        }
-        &self.instructions
+    /// `benchmark`'s stream under `opts` and its front-end outcomes,
+    /// generated unless they are the ones already held.
+    fn of(
+        &mut self,
+        benchmark: Benchmark,
+        opts: &SimOptions,
+    ) -> (&[Instruction], &FrontEndOutcomes) {
+        let held = match self.held.take() {
+            Some(held) if held.0 == benchmark => held,
+            stale => {
+                // Free the held stream first, so only one is ever allocated.
+                drop(stale);
+                let instructions = opts.stream(benchmark);
+                let outcomes = front_end_outcomes(&instructions);
+                (benchmark, instructions, outcomes)
+            }
+        };
+        let (_, instructions, outcomes) = self.held.insert(held);
+        (instructions, outcomes)
     }
 }
 
 impl fmt::Debug for BenchmarkStream {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BenchmarkStream")
-            .field("benchmark", &self.benchmark)
-            .field("instructions", &self.instructions.len())
+            .field("benchmark", &self.held.as_ref().map(|h| h.0))
+            .field("instructions", &self.held.as_ref().map_or(0, |h| h.1.len()))
             .finish()
     }
 }
@@ -567,7 +576,8 @@ impl CampaignRunner {
             .filter(|(i, _)| !self.completed.contains_key(i))
             .unzip();
         let opts = self.spec.config.sim_options();
-        let traces = simulate_metrics(stream.of(benchmark, &opts), design, &metrics, &opts);
+        let (instructions, outcomes) = stream.of(benchmark, &opts);
+        let traces = simulate_metrics(instructions, outcomes, design, &metrics, &opts);
         let mut lines = String::new();
         for (metric, trace) in metrics.into_iter().zip(&traces) {
             let unit = WorkUnit {

@@ -3,7 +3,7 @@
 use dynawave_avf::{AvfModel, Structure};
 use dynawave_power::PowerModel;
 use dynawave_sampling::DesignPoint;
-use dynawave_sim::{MachineConfig, RunResult, SimOptions, Simulator};
+use dynawave_sim::{FrontEndOutcomes, MachineConfig, RunResult, SimOptions, Simulator};
 use dynawave_workloads::{Benchmark, Instruction};
 
 /// Which workload-dynamics metric a trace measures.
@@ -95,22 +95,31 @@ pub fn trace_for(
     metric: Metric,
     opts: &SimOptions,
 ) -> Vec<f64> {
-    simulate_metrics(&opts.stream(benchmark), point, &[metric], opts).swap_remove(0)
+    let stream = opts.stream(benchmark);
+    let outcomes = front_end_outcomes(&stream);
+    simulate_metrics(&stream, &outcomes, point, &[metric], opts).swap_remove(0)
+}
+
+/// The front-end outcomes of `stream` for every design point: points
+/// vary only Table 2 knobs, so each has the baseline's front end.
+pub(crate) fn front_end_outcomes(stream: &[Instruction]) -> FrontEndOutcomes {
+    FrontEndOutcomes::new(&MachineConfig::baseline(), stream)
 }
 
 /// Simulates one design point **once** by replaying `stream` — the
-/// benchmark's [`SimOptions::stream`], generated by the caller — and
-/// derives the trace of each of `metrics` from that run, in order: the
-/// one simulate path behind [`trace_for`], [`collect_metric_traces`] and
-/// campaign design points.
+/// benchmark's [`SimOptions::stream`], generated by the caller, with its
+/// [`front_end_outcomes`] — and derives the trace of each of `metrics`
+/// from that run, in order: the one simulate path behind [`trace_for`],
+/// [`collect_metric_traces`] and campaign design points.
 pub(crate) fn simulate_metrics(
     stream: &[Instruction],
+    outcomes: &FrontEndOutcomes,
     point: &DesignPoint,
     metrics: &[Metric],
     opts: &SimOptions,
 ) -> Vec<Vec<f64>> {
     let config = MachineConfig::from_design_values(point.values());
-    let run = Simulator::new(config).run_trace(stream.iter().copied(), opts);
+    let run = Simulator::new(config).run_replay(stream, outcomes, opts);
     metric_traces(&run, metrics)
 }
 
@@ -134,10 +143,10 @@ pub fn metric_traces(run: &RunResult, metrics: &[Metric]) -> Vec<Vec<f64>> {
 
 /// Simulates every design point **once** and derives the trace of each
 /// of `metrics` from the same runs: one [`TraceSet`] per metric, in
-/// order. The benchmark's instruction stream is generated once and
-/// replayed into every point; it is dropped on return. The trace-set
-/// collector behind [`collect_traces`], [`collect_domain_traces`] and
-/// the serve model cache.
+/// order. The benchmark's instruction stream and its front-end outcomes
+/// are computed once and replayed into every point; both are dropped on
+/// return. The trace-set collector behind [`collect_traces`],
+/// [`collect_domain_traces`] and the serve model cache.
 pub(crate) fn collect_metric_traces(
     benchmark: Benchmark,
     points: &[DesignPoint],
@@ -154,8 +163,9 @@ pub(crate) fn collect_metric_traces(
         })
         .collect();
     let stream = opts.stream(benchmark);
+    let outcomes = front_end_outcomes(&stream);
     for point in points {
-        let traces = simulate_metrics(&stream, point, metrics, opts);
+        let traces = simulate_metrics(&stream, &outcomes, point, metrics, opts);
         for (set, trace) in sets.iter_mut().zip(traces) {
             set.traces.push(trace);
         }

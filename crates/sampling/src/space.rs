@@ -149,11 +149,6 @@ impl DesignSpace {
         &self.parameters
     }
 
-    /// Index of a parameter by name, if present.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.parameters.iter().position(|p| p.name() == name)
-    }
-
     /// Total number of distinct configurations in the given split's grid.
     pub fn grid_size(&self, split: Split) -> usize {
         self.parameters
@@ -257,8 +252,7 @@ mod tests {
         assert_eq!(p.name(), "Fetch_width");
         assert_eq!(p.train_levels(), &[2.0, 4.0, 8.0, 16.0]);
         assert_eq!(p.test_levels(), &[2.0, 8.0]);
-        assert_eq!(s.index_of("dl1_lat"), Some(8));
-        assert_eq!(s.index_of("bogus"), None);
+        assert_eq!(s.parameters()[8].name(), "dl1_lat");
     }
 
     #[test]

@@ -164,12 +164,6 @@ impl Cache {
             self.misses as f64 / self.accesses as f64
         }
     }
-
-    /// Clears the access/miss counters (contents are kept).
-    pub fn reset_counters(&mut self) {
-        self.accesses = 0;
-        self.misses = 0;
-    }
 }
 
 fn prev_power_of_two(v: usize) -> usize {
@@ -284,9 +278,6 @@ mod tests {
         c.access(0);
         c.access(0);
         assert_eq!(c.miss_rate(), 0.5);
-        c.reset_counters();
-        assert_eq!(c.accesses(), 0);
-        assert!(c.access(0)); // contents survived the counter reset
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //!   configurable sizes/latencies (the paper's Table 2 knobs), and
 //! * in-order commit bandwidth.
 //!
+//! The front end's predictor, BTB and TLBs are Table 1 structures, fixed
+//! across the design space and touched in program order, so their
+//! outcome for each instruction of a stream is the same at every design
+//! point: [`FrontEndOutcomes`] computes it once per stream, and
+//! [`Simulator::run_replay`] replays the stream into a configuration
+//! without running them again.
+//!
 //! The model produces per-interval statistics ([`IntervalStats`]) —
 //! cycles, activity counters for the Wattch-style power model
 //! (`dynawave-power`) and ACE-residency integrals for the AVF model
@@ -43,10 +50,12 @@ pub mod cache;
 mod config;
 pub mod dtm;
 pub mod dvm;
+mod frontend;
 mod pipeline;
 mod resources;
 mod stats;
 
 pub use config::{BranchPredictorKind, DvmConfig, MachineConfig};
+pub use frontend::FrontEndOutcomes;
 pub use pipeline::{SimOptions, Simulator};
 pub use stats::{IntervalStats, RunResult};

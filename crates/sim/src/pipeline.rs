@@ -1,17 +1,16 @@
 //! The one-pass out-of-order timing model.
 
-use crate::branch::{Bimodal, Btb, Gshare};
-use crate::cache::{Cache, Tlb};
-use crate::config::BranchPredictorKind;
+use crate::cache::Cache;
 use crate::config::MachineConfig;
 use crate::dtm::DtmState;
 use crate::dvm::DvmState;
+use crate::frontend::{FrontEnd, FrontEndOutcomes, BTB_MISS, DTLB_MISS, ITLB_MISS, MISPREDICT};
 use crate::resources::{CompletionWindow, OccupancyRing, ServerPool};
 use crate::stats::{IntervalStats, RunResult};
 use dynawave_workloads::{Benchmark, Instruction, OpClass, TraceGenerator};
 
-/// Dependency window size; must exceed the workload generator's maximum
-/// dependency distance.
+/// Dependency window size: a power of two, so the window masks, that
+/// must exceed the workload generator's maximum dependency distance.
 const DEP_WINDOW: usize = 512;
 
 /// Fraction of a dynamically dead instruction's bits that remain ACE
@@ -108,11 +107,13 @@ impl Simulator {
     /// The workload trace is a pure function of `(benchmark,
     /// opts.samples * opts.interval_instructions, opts.seed)`, so two runs
     /// with different configurations see the identical instruction stream.
-    /// Each call generates that stream anew, at roughly two thirds of the
-    /// engine's cost per instruction: a caller that loops over
-    /// configurations of one benchmark should generate it once with
-    /// [`SimOptions::stream`] and replay it through
-    /// [`Simulator::run_trace`], which gives the same result.
+    /// Each call generates that stream anew, at about the engine's own
+    /// cost per instruction, and runs the fixed front end (predictor, BTB
+    /// and TLBs) inline: a caller that loops over configurations of one
+    /// benchmark should generate the stream once with
+    /// [`SimOptions::stream`], compute its [`FrontEndOutcomes`] once, and
+    /// replay both through [`Simulator::run_replay`], which gives the same
+    /// result.
     ///
     /// # Panics
     ///
@@ -136,7 +137,8 @@ impl Simulator {
         warmup_instructions: u64,
     ) -> RunResult {
         let trace = opts.generator(benchmark, warmup_instructions);
-        self.run_stream(trace, opts, warmup_instructions)
+        let front_end = FrontEnd::new(&self.config);
+        self.run_stream(trace, front_end, opts, warmup_instructions)
     }
 
     /// Runs an explicit instruction stream: a custom workload, or a
@@ -147,16 +149,42 @@ impl Simulator {
     where
         I: IntoIterator<Item = Instruction>,
     {
-        self.run_stream(trace, opts, 0)
+        self.run_stream(trace, FrontEnd::new(&self.config), opts, 0)
     }
 
-    /// Shared core of [`Simulator::run_trace`] and
-    /// [`Simulator::run_with_warmup`]: one pass over `trace` on a fresh
-    /// engine that executes the first `warmup` instructions with their
-    /// statistics discarded and samples the rest.
-    fn run_stream<I>(&self, trace: I, opts: &SimOptions, warmup: u64) -> RunResult
+    /// Replays `stream` reading each instruction's front-end outcome from
+    /// `outcomes`, built beside it by [`FrontEndOutcomes::new`], instead
+    /// of running the predictor, BTB and TLBs again. The result is
+    /// exactly that of [`Simulator::run_trace`] on the same stream; a
+    /// configuration the stored outcomes do not hold for (another front
+    /// end, store forwarding on, or a stream of another length) runs the
+    /// front end inline.
+    pub fn run_replay(
+        &self,
+        stream: &[Instruction],
+        outcomes: &FrontEndOutcomes,
+        opts: &SimOptions,
+    ) -> RunResult {
+        match outcomes.for_config(&self.config, stream.len()) {
+            Some(bits) => self.run_stream(stream.iter().copied(), bits.iter(), opts, 0),
+            None => self.run_trace(stream.iter().copied(), opts),
+        }
+    }
+
+    /// Shared core of every run: one pass over `trace` on a fresh engine,
+    /// with front-end outcomes from `front_end`, that executes the first
+    /// `warmup` instructions with their statistics discarded and samples
+    /// the rest.
+    fn run_stream<I, S>(
+        &self,
+        trace: I,
+        mut front_end: S,
+        opts: &SimOptions,
+        warmup: u64,
+    ) -> RunResult
     where
         I: IntoIterator<Item = Instruction>,
+        S: OutcomeSource,
     {
         let _span = dynawave_obs::span("sim.run_trace");
         let c = &self.config;
@@ -174,7 +202,8 @@ impl Simulator {
 
         for instr in trace {
             let warm = warming > 0;
-            engine.step(&instr, if warm { &mut discarded } else { &mut current });
+            let stats = if warm { &mut discarded } else { &mut current };
+            engine.step(&instr, &mut front_end, stats);
             if warm {
                 warming -= 1;
                 interval_start_cycle = engine.last_commit;
@@ -234,15 +263,33 @@ impl Simulator {
     }
 }
 
-/// Internal per-run microarchitectural state.
+/// Where [`Engine::step`] reads each instruction's front-end outcome:
+/// the front end itself, run inline, or outcomes stored beside a stream.
+trait OutcomeSource {
+    /// The outcome bits of `instr`, the next instruction in program
+    /// order; `forwarded` when it is a load served by the store buffer.
+    fn outcome(&mut self, instr: &Instruction, forwarded: bool) -> u8;
+}
+
+impl OutcomeSource for FrontEnd {
+    fn outcome(&mut self, instr: &Instruction, forwarded: bool) -> u8 {
+        FrontEnd::outcome(self, instr, forwarded)
+    }
+}
+
+/// Stored outcomes, one per instruction; they hold only for runs with
+/// store forwarding off, so `forwarded` is never set.
+impl OutcomeSource for std::slice::Iter<'_, u8> {
+    fn outcome(&mut self, _instr: &Instruction, _forwarded: bool) -> u8 {
+        self.next().copied().unwrap_or(0)
+    }
+}
+
+/// Internal per-run microarchitectural state. The fixed front-end
+/// structures live in [`FrontEnd`]; the engine sees only their outcomes.
 struct Engine {
     // Front end.
     il1: Cache,
-    itlb: Tlb,
-    gshare: Gshare,
-    bimodal: Bimodal,
-    bp_kind: BranchPredictorKind,
-    btb: Btb,
     fetch_pool: ServerPool,
     fetch_ready: u64,
     last_line: u64,
@@ -261,7 +308,6 @@ struct Engine {
     fp_mul: ServerPool,
     dl1_ports: ServerPool,
     dl1: Cache,
-    dtlb: Tlb,
     l2: Cache,
     last_commit: u64,
     // Config scalars.
@@ -295,11 +341,6 @@ impl Engine {
     fn new(c: &MachineConfig) -> Self {
         Engine {
             il1: Cache::new(u64::from(c.il1_kb) * 1024, c.il1_ways, c.il1_line),
-            itlb: Tlb::new(c.itlb_entries, c.tlb_ways),
-            gshare: Gshare::new(c.bp_entries, c.bp_history_bits),
-            bimodal: Bimodal::new(c.bp_entries),
-            bp_kind: c.bp_kind,
-            btb: Btb::new(c.btb_entries, c.btb_ways),
             fetch_pool: ServerPool::new(c.fetch_width),
             fetch_ready: 0,
             last_line: u64::MAX,
@@ -316,7 +357,6 @@ impl Engine {
             fp_mul: ServerPool::new(c.fp_mul_units),
             dl1_ports: ServerPool::new(c.dl1_ports),
             dl1: Cache::new(u64::from(c.dl1_kb) * 1024, c.dl1_ways, c.dl1_line),
-            dtlb: Tlb::new(c.dtlb_entries, c.tlb_ways),
             l2: Cache::new(u64::from(c.l2_kb) * 1024, c.l2_ways, c.l2_line),
             last_commit: 0,
             front_depth: u64::from(c.front_depth),
@@ -342,15 +382,43 @@ impl Engine {
         }
     }
 
-    /// Times one instruction and accumulates interval statistics.
-    fn step(&mut self, instr: &Instruction, stats: &mut IntervalStats) {
+    /// The completion cycle of the store a load at `addr` forwards from,
+    /// if one is still in the LSQ window. Decided in program order: the
+    /// tracker's addresses and instruction indices do not depend on
+    /// timing.
+    fn forwarding_store(&self, addr: u64) -> Option<u64> {
+        let slot = ((addr >> 3) as usize) & (STORE_TRACKER - 1);
+        if self.store_addrs[slot] != addr >> 3 {
+            return None;
+        }
+        let (st_index, st_ready) = self.store_meta[slot];
+        (self.instr_index - st_index <= self.lsq_span).then_some(st_ready)
+    }
+
+    /// Times one instruction, with its front-end outcome from
+    /// `front_end`, and accumulates interval statistics.
+    fn step(
+        &mut self,
+        instr: &Instruction,
+        front_end: &mut impl OutcomeSource,
+        stats: &mut IntervalStats,
+    ) {
+        // A forwarded load skips the DTLB, so forwarding is decided before
+        // the front end is asked.
+        let forwarded = if self.forwarding && instr.class == OpClass::Load {
+            self.forwarding_store(instr.addr)
+        } else {
+            None
+        };
+        let outcome = front_end.outcome(instr, forwarded.is_some());
+
         // ---- Fetch ----
         let line = instr.pc >> self.line_shift;
         if line != self.last_line {
             self.last_line = line;
             stats.il1_accesses += 1;
             let mut fill = 0u64;
-            if !self.itlb.access(instr.pc) {
+            if outcome & ITLB_MISS != 0 {
                 stats.itlb_misses += 1;
                 fill += self.tlb_miss_lat;
             }
@@ -422,7 +490,7 @@ impl Engine {
                     // Stores retire through the store buffer; the cache state
                     // is still updated (write-allocate) for later loads.
                     stats.dl1_accesses += 1;
-                    if !self.dtlb.access(instr.addr) {
+                    if outcome & DTLB_MISS != 0 {
                         stats.dtlb_misses += 1;
                     }
                     if !self.dl1.access(instr.addr) {
@@ -442,24 +510,16 @@ impl Engine {
                     // Store-to-load forwarding: a load that hits a store still
                     // in the LSQ window reads from the store buffer at unit
                     // latency.
-                    let slot = ((instr.addr >> 3) as usize) & (STORE_TRACKER - 1);
-                    let mut forwarded = None;
-                    if self.forwarding && self.store_addrs[slot] == instr.addr >> 3 {
-                        let (st_index, st_ready) = self.store_meta[slot];
-                        if self.instr_index - st_index <= self.lsq_span {
-                            stats.store_forwards += 1;
-                            stats.dl1_accesses += 1;
-                            // The forwarded value is ready one cycle after
-                            // both the load issues and the store's data is.
-                            forwarded = Some(st_ready.saturating_sub(issue).max(1));
-                        }
-                    }
-                    if let Some(lat) = forwarded {
-                        lat
+                    if let Some(st_ready) = forwarded {
+                        stats.store_forwards += 1;
+                        stats.dl1_accesses += 1;
+                        // The forwarded value is ready one cycle after both
+                        // the load issues and the store's data is.
+                        st_ready.saturating_sub(issue).max(1)
                     } else {
                         stats.dl1_accesses += 1;
                         let mut lat = self.dl1_lat;
-                        if !self.dtlb.access(instr.addr) {
+                        if outcome & DTLB_MISS != 0 {
                             stats.dtlb_misses += 1;
                             lat += self.tlb_miss_lat;
                         }
@@ -491,22 +551,14 @@ impl Engine {
         // ---- Branch resolution ----
         if instr.is_branch() {
             stats.branches += 1;
-            let correct = match self.bp_kind {
-                BranchPredictorKind::Gshare => {
-                    self.gshare.predict_and_update(instr.pc, instr.taken)
-                }
-                BranchPredictorKind::Bimodal => {
-                    self.bimodal.predict_and_update(instr.pc, instr.taken)
-                }
-            };
-            if !correct {
+            if outcome & MISPREDICT != 0 {
                 stats.mispredicts += 1;
                 self.fetch_ready = self.fetch_ready.max(complete + self.mispredict_extra);
-            } else if instr.taken && !self.btb.access(instr.pc) {
+            } else if outcome & BTB_MISS != 0 {
+                // A correctly predicted taken branch whose target the BTB
+                // did not hold.
                 stats.btb_misses += 1;
                 self.fetch_ready = self.fetch_ready.max(fetch + BTB_MISS_BUBBLE);
-            } else if instr.taken {
-                // Correctly predicted taken branch: BTB provided the target.
             }
         }
 
@@ -842,6 +894,92 @@ mod tests {
         assert_eq!(r.intervals.len(), 4);
         assert_eq!(r.intervals[3].instructions, 127);
         assert_eq!(r.total_instructions(), 4 * 128 - 1);
+    }
+
+    /// Table 2 corner and mixed points, and the baseline with each
+    /// extension the engine models; store forwarding twice, once with a
+    /// 2-entry, 2-way DTLB whose LRU order a stray access would disturb.
+    fn config_matrix() -> Vec<MachineConfig> {
+        let baseline = MachineConfig::baseline();
+        let mut bimodal = baseline.clone();
+        bimodal.bp_kind = crate::BranchPredictorKind::Bimodal;
+        let dtm = |throttle_factor| {
+            baseline.clone().with_dtm(crate::dtm::DtmConfig {
+                ipc_trigger: 0.2,
+                throttle_factor,
+            })
+        };
+        let mut small_dtlb = baseline.clone().with_store_forwarding();
+        small_dtlb.dtlb_entries = 2;
+        small_dtlb.tlb_ways = 2;
+        vec![
+            baseline.clone(),
+            MachineConfig::from_design_values(&[2.0, 96.0, 32.0, 16.0, 256.0, 8.0, 8.0, 8.0, 1.0]),
+            MachineConfig::from_design_values(&[
+                16.0, 160.0, 128.0, 64.0, 4096.0, 20.0, 64.0, 64.0, 4.0,
+            ]),
+            bimodal,
+            dtm(0.5),
+            dtm(0.3),
+            MachineConfig::from_design_values(&[
+                8.0, 96.0, 96.0, 48.0, 2048.0, 12.0, 32.0, 64.0, 1.0, 0.1,
+            ]),
+            baseline.clone().with_next_line_prefetch(),
+            baseline.clone().with_store_forwarding(),
+            small_dtlb,
+        ]
+    }
+
+    #[test]
+    fn stored_outcomes_replay_exactly_like_the_inline_front_end() {
+        let configs = config_matrix();
+        let mut other = MachineConfig::baseline();
+        other.btb_entries = 512;
+        other.btb_ways = 2;
+        other.itlb_entries = 32;
+        other.dtlb_entries = 64;
+        let case = |rng: &mut dynawave_testkit::Rng| {
+            let bench = rng.range_usize(0, Benchmark::ALL.len());
+            (
+                bench,
+                rng.range_usize(0, configs.len()),
+                rng.range_u64(1, 1 << 20),
+            )
+        };
+        dynawave_testkit::check("stored front-end outcomes == inline front end")
+            .cases(48)
+            .run(case, |&(bench, index, seed)| {
+                let opts = SimOptions {
+                    samples: 4,
+                    interval_instructions: 200 + seed % 300,
+                    seed,
+                };
+                let bench = Benchmark::ALL[bench % Benchmark::ALL.len()];
+                let config = &configs[index % configs.len()];
+                let sim = Simulator::new(config.clone());
+                let stream = opts.stream(bench);
+                let want = sim.run(bench, &opts).intervals;
+                if sim.run_trace(stream.iter().copied(), &opts).intervals != want {
+                    return Err("inline replay differs from Simulator::run".into());
+                }
+                let own = FrontEndOutcomes::new(config, &stream);
+                let stored = own.for_config(config, stream.len()).is_some();
+                if stored == config.store_forwarding {
+                    return Err(format!("stored outcomes used: {stored}"));
+                }
+                let baseline = FrontEndOutcomes::new(&MachineConfig::baseline(), &stream);
+                let foreign = FrontEndOutcomes::new(&other, &stream);
+                if foreign.for_config(config, stream.len()).is_some() {
+                    return Err("outcomes of another front end were used".into());
+                }
+                for (name, outcomes) in [("own", own), ("baseline", baseline), ("foreign", foreign)]
+                {
+                    if sim.run_replay(&stream, &outcomes, &opts).intervals != want {
+                        return Err(format!("replay with {name} outcomes differs"));
+                    }
+                }
+                Ok(())
+            });
     }
 
     #[test]

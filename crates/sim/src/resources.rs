@@ -4,9 +4,16 @@
 /// A pool of `k` identical single-occupancy servers, the standard queueing
 /// abstraction for per-cycle bandwidth (a width-`W` stage is `W` servers
 /// with one-cycle service) and functional-unit contention.
+///
+/// An allocation's start depends only on the multiset of the servers'
+/// free times, not on which of several tied servers is taken. The pool
+/// therefore keeps just those times, ascending, in a ring: the head is
+/// the earliest-free server.
 #[derive(Debug, Clone)]
 pub struct ServerPool {
+    /// Free times in ascending order, starting at `head` and wrapping.
     free_at: Vec<u64>,
+    head: usize,
 }
 
 impl ServerPool {
@@ -19,23 +26,30 @@ impl ServerPool {
         assert!(k > 0, "server pool needs at least one server");
         ServerPool {
             free_at: vec![0; k as usize],
+            head: 0,
         }
     }
 
     /// Allocates the earliest-available server at or after `ready`,
     /// holding it for `busy` cycles. Returns the allocation (start) cycle.
     pub fn allocate(&mut self, ready: u64, busy: u64) -> u64 {
-        // Pools are small (<= 16); linear scan beats a heap here.
-        let mut best = 0usize;
-        let mut best_at = self.free_at[0];
-        for (i, &at) in self.free_at.iter().enumerate().skip(1) {
-            if at < best_at {
-                best_at = at;
-                best = i;
+        let k = self.free_at.len();
+        let start = ready.max(self.free_at[self.head]);
+        let freed = start + busy.max(1);
+        // The head's slot becomes the tail: take the head off, then shift
+        // later free times up one slot until `freed` fits. An in-order
+        // request (fetch, commit) frees last and costs one compare.
+        let mut slot = self.head;
+        self.head = if self.head + 1 == k { 0 } else { self.head + 1 };
+        while slot != self.head {
+            let prev = if slot == 0 { k - 1 } else { slot - 1 };
+            if self.free_at[prev] <= freed {
+                break;
             }
+            self.free_at[slot] = self.free_at[prev];
+            slot = prev;
         }
-        let start = ready.max(best_at);
-        self.free_at[best] = start + busy.max(1);
+        self.free_at[slot] = freed;
         start
     }
 }
@@ -49,7 +63,8 @@ impl ServerPool {
 #[derive(Debug, Clone)]
 pub struct OccupancyRing {
     free_cycles: Vec<u64>,
-    count: u64,
+    /// Slot of the next allocation, the oldest item's.
+    next: usize,
 }
 
 impl OccupancyRing {
@@ -62,21 +77,23 @@ impl OccupancyRing {
         assert!(capacity > 0, "occupancy ring needs capacity");
         OccupancyRing {
             free_cycles: vec![0; capacity as usize],
-            count: 0,
+            next: 0,
         }
     }
 
     /// Earliest cycle at which the next allocation finds a free slot.
     pub fn earliest_slot(&self) -> u64 {
-        self.free_cycles[(self.count % self.free_cycles.len() as u64) as usize]
+        self.free_cycles[self.next]
     }
 
     /// Records that the item just allocated will free its slot at
     /// `free_cycle`.
     pub fn push(&mut self, free_cycle: u64) {
-        let idx = (self.count % self.free_cycles.len() as u64) as usize;
-        self.free_cycles[idx] = free_cycle;
-        self.count += 1;
+        self.free_cycles[self.next] = free_cycle;
+        self.next += 1;
+        if self.next == self.free_cycles.len() {
+            self.next = 0;
+        }
     }
 }
 
@@ -86,6 +103,8 @@ impl OccupancyRing {
 #[derive(Debug, Clone)]
 pub struct CompletionWindow {
     cycles: Vec<u64>,
+    /// `cycles.len() - 1`; the size is a power of two.
+    mask: u64,
     count: u64,
 }
 
@@ -94,11 +113,15 @@ impl CompletionWindow {
     ///
     /// # Panics
     ///
-    /// Panics if `size == 0`.
+    /// Panics unless `size` is a power of two.
     pub fn new(size: usize) -> Self {
-        assert!(size > 0, "completion window needs a size");
+        assert!(
+            size.is_power_of_two(),
+            "completion window size must be a power of two"
+        );
         CompletionWindow {
             cycles: vec![0; size],
+            mask: size as u64 - 1,
             count: 0,
         }
     }
@@ -110,14 +133,12 @@ impl CompletionWindow {
         if d == 0 || d > self.count || d > self.cycles.len() as u64 {
             return 0;
         }
-        let idx = ((self.count - d) % self.cycles.len() as u64) as usize;
-        self.cycles[idx]
+        self.cycles[((self.count - d) & self.mask) as usize]
     }
 
     /// Appends the completion cycle of the newest instruction.
     pub fn push(&mut self, complete: u64) {
-        let idx = (self.count % self.cycles.len() as u64) as usize;
-        self.cycles[idx] = complete;
+        self.cycles[(self.count & self.mask) as usize] = complete;
         self.count += 1;
     }
 }
@@ -125,6 +146,69 @@ impl CompletionWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynawave_testkit::{check, Rng};
+
+    /// The pool as a plain scan over per-server free times, taking the
+    /// first earliest-free server: the oracle for the sorted ring.
+    struct ScanPool {
+        free_at: Vec<u64>,
+    }
+
+    impl ScanPool {
+        fn allocate(&mut self, ready: u64, busy: u64) -> u64 {
+            let mut best = 0usize;
+            let mut best_at = self.free_at[0];
+            for (i, &at) in self.free_at.iter().enumerate().skip(1) {
+                if at < best_at {
+                    best_at = at;
+                    best = i;
+                }
+            }
+            let start = ready.max(best_at);
+            self.free_at[best] = start + busy.max(1);
+            start
+        }
+    }
+
+    /// A pool width and `(ready, busy)` requests whose ready cycles are
+    /// monotone, near-monotone (small steps back) or random.
+    fn pool_case(rng: &mut Rng) -> (u32, Vec<(u64, u64)>) {
+        let k = rng.range_u32(1, 17);
+        let n = rng.range_usize(1, 200);
+        let shape = rng.range_u32(0, 3);
+        let mut ready = 0u64;
+        let requests = (0..n)
+            .map(|_| {
+                ready = match shape {
+                    0 => ready + rng.range_u64(0, 3),
+                    1 => (ready + rng.range_u64(0, 4)).saturating_sub(rng.range_u64(0, 3)),
+                    _ => rng.range_u64(0, 400),
+                };
+                (ready, rng.range_u64(1, 5))
+            })
+            .collect();
+        (k, requests)
+    }
+
+    #[test]
+    fn sorted_ring_allocates_exactly_like_the_scan() {
+        check("sorted-ring pool == scanning pool")
+            .cases(512)
+            .run(pool_case, |(k, requests)| {
+                let k = (*k).max(1);
+                let mut ring = ServerPool::new(k);
+                let mut scan = ScanPool {
+                    free_at: vec![0; k as usize],
+                };
+                for (i, &(ready, busy)) in requests.iter().enumerate() {
+                    let (got, want) = (ring.allocate(ready, busy), scan.allocate(ready, busy));
+                    if got != want {
+                        return Err(format!("request {i} ({ready}, {busy}): {got} != {want}"));
+                    }
+                }
+                Ok(())
+            });
+    }
 
     #[test]
     fn pool_serializes_when_single() {

@@ -46,11 +46,6 @@ impl OpClass {
     pub fn is_memory(self) -> bool {
         matches!(self, OpClass::Load | OpClass::Store)
     }
-
-    /// `true` for floating-point classes.
-    pub fn is_fp(self) -> bool {
-        matches!(self, OpClass::FpAlu | OpClass::FpMul)
-    }
 }
 
 /// One dynamic instruction of a synthetic trace.
@@ -99,8 +94,6 @@ mod tests {
         assert!(OpClass::Load.is_memory());
         assert!(OpClass::Store.is_memory());
         assert!(!OpClass::Branch.is_memory());
-        assert!(OpClass::FpMul.is_fp());
-        assert!(!OpClass::IntAlu.is_fp());
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl Component {
 /// A positive multiplier signal over the execution interval.
 ///
 /// The value at `t` is `1.0 + sum(components)` clamped to
-/// `[floor, ceiling]`.
+/// `[0.05, 4.0]`.
 ///
 /// # Examples
 ///
@@ -111,8 +111,6 @@ impl Component {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSignal {
     components: Vec<Component>,
-    floor: f64,
-    ceiling: f64,
 }
 
 impl PhaseSignal {
@@ -121,25 +119,14 @@ impl PhaseSignal {
         PhaseSignal::new(Vec::new())
     }
 
-    /// Builds a signal with default clamp range `[0.05, 4.0]`.
-    pub fn new(components: Vec<Component>) -> Self {
-        PhaseSignal {
-            components,
-            floor: 0.05,
-            ceiling: 4.0,
-        }
-    }
+    /// Lowest value a signal takes.
+    const FLOOR: f64 = 0.05;
+    /// Highest value a signal takes.
+    const CEILING: f64 = 4.0;
 
-    /// Overrides the clamp range.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 < floor <= ceiling`.
-    pub fn with_range(mut self, floor: f64, ceiling: f64) -> Self {
-        assert!(floor > 0.0 && floor <= ceiling, "invalid clamp range");
-        self.floor = floor;
-        self.ceiling = ceiling;
-        self
+    /// Builds a signal from its components.
+    pub fn new(components: Vec<Component>) -> Self {
+        PhaseSignal { components }
     }
 
     /// Evaluates the multiplier at trace position `t` (clamped to
@@ -147,7 +134,7 @@ impl PhaseSignal {
     pub fn value(&self, t: f64) -> f64 {
         let t = t.clamp(0.0, 1.0);
         let raw: f64 = 1.0 + self.components.iter().map(|c| c.eval(t)).sum::<f64>();
-        raw.clamp(self.floor, self.ceiling)
+        raw.clamp(Self::FLOOR, Self::CEILING)
     }
 
     /// The signal's components.
@@ -223,14 +210,8 @@ mod tests {
 
     #[test]
     fn clamping_applies() {
-        let s = PhaseSignal::new(vec![Component::Ramp { amp: 100.0 }]).with_range(0.5, 2.0);
-        assert_eq!(s.value(0.0), 0.5);
-        assert_eq!(s.value(1.0), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid clamp range")]
-    fn bad_range_panics() {
-        let _ = PhaseSignal::constant().with_range(0.0, 1.0);
+        let s = PhaseSignal::new(vec![Component::Ramp { amp: 100.0 }]);
+        assert_eq!(s.value(0.0), 0.05);
+        assert_eq!(s.value(1.0), 4.0);
     }
 }

@@ -193,7 +193,10 @@ fn gaussian_design(x: &Matrix, units: usize) -> Matrix {
 
 /// One predictor's training: wavedec, selection and 128 coefficient fits
 /// on a simulated 200-point gcc CPI training set of 128 samples; then
-/// its prediction of one unsimulated point's 128-sample trace.
+/// its prediction of one unsimulated point's 128-sample trace. The fits
+/// run on `DYNAWAVE_THREADS` workers, by default the machine's available
+/// parallelism, so `predictor/train` scales with the host; the `rbf/`
+/// lines time one fit on one thread.
 fn bench_predictor(h: &Harness) {
     use dynawave_core::WaveletNeuralPredictor;
     use dynawave_core::{collect_traces, Metric, PredictorParams, RecoveryPolicy};

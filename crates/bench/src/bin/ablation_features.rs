@@ -3,7 +3,7 @@
 //! their effect on CPI and L1D misses per benchmark.
 
 use dynawave_bench::{fmt, print_table, start};
-use dynawave_sim::{MachineConfig, RunResult, Simulator};
+use dynawave_sim::{FrontEndOutcomes, MachineConfig, RunResult, Simulator};
 use dynawave_workloads::Benchmark;
 
 fn main() {
@@ -35,9 +35,11 @@ fn main() {
         let mut base_cpi = 0.0;
         let mut base_misses = 0u64;
         let stream = opts.stream(bench);
+        // The forwarding configs run their front end inline.
+        let outcomes = FrontEndOutcomes::new(&base, &stream);
         for (i, (_, config)) in configs.iter().enumerate() {
             let run: RunResult =
-                Simulator::new(config.clone()).run_trace(stream.iter().copied(), &opts);
+                Simulator::new(config.clone()).run_replay(&stream, &outcomes, &opts);
             let cpi = run.aggregate_cpi();
             let misses: u64 = run.intervals.iter().map(|s| s.dl1_misses).sum();
             if i == 0 {

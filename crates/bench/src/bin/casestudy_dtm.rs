@@ -11,7 +11,7 @@
 
 use dynawave_bench::{fmt, print_table, start};
 use dynawave_power::PowerModel;
-use dynawave_sim::{dtm::DtmConfig, MachineConfig, Simulator};
+use dynawave_sim::{dtm::DtmConfig, FrontEndOutcomes, MachineConfig, Simulator};
 use dynawave_workloads::Benchmark;
 
 fn main() {
@@ -35,8 +35,9 @@ fn main() {
     for bench in Benchmark::ALL {
         eprintln!("simulating {bench} ...");
         let stream = opts.stream(bench);
+        let outcomes = FrontEndOutcomes::new(&base, &stream);
         let replay = |config: &MachineConfig| {
-            Simulator::new(config.clone()).run_trace(stream.iter().copied(), &opts)
+            Simulator::new(config.clone()).run_replay(&stream, &outcomes, &opts)
         };
         let run_of = |config: &MachineConfig, envelope: f64| {
             let run = replay(config);

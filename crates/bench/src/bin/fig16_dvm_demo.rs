@@ -3,7 +3,7 @@
 
 use dynawave_avf::{AvfModel, Structure};
 use dynawave_bench::{downsample, fmt, sparkline, start};
-use dynawave_sim::{DvmConfig, MachineConfig, Simulator};
+use dynawave_sim::{DvmConfig, FrontEndOutcomes, MachineConfig, Simulator};
 use dynawave_workloads::Benchmark;
 
 fn main() {
@@ -36,8 +36,9 @@ DVM_IQ {{
     });
     for bench in [Benchmark::Mcf, Benchmark::Gcc] {
         let stream = opts.stream(bench);
-        let plain = Simulator::new(base.clone()).run_trace(stream.iter().copied(), &opts);
-        let dvm = Simulator::new(managed.clone()).run_trace(stream.iter().copied(), &opts);
+        let outcomes = FrontEndOutcomes::new(&base, &stream);
+        let plain = Simulator::new(base.clone()).run_replay(&stream, &outcomes, &opts);
+        let dvm = Simulator::new(managed.clone()).run_replay(&stream, &outcomes, &opts);
         let avf_plain = AvfModel::new(&base).avf_trace(&plain, Structure::IssueQueue);
         let avf_dvm = AvfModel::new(&managed).avf_trace(&dvm, Structure::IssueQueue);
         let peak = |t: &[f64]| t.iter().cloned().fold(0.0f64, f64::max);

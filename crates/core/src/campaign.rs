@@ -41,10 +41,22 @@
 //! canonical unit order — so the final report and the final journal are
 //! **byte-identical for any thread count**, including under kill-and-resume
 //! (a killed run resumes at any `N`) and fault injection (all
-//! fault-injection sites live in training, which stays sequential on the
-//! caller's thread). See DESIGN.md §10 for the full determinism argument.
-//! Every campaign runs through this one file-backed driver:
-//! [`run_journaled`] and [`advance_journaled`] are its one-thread cases.
+//! fault-injection sites live in training, which fits on the caller's
+//! thread alone while a fault plan is installed). See DESIGN.md §10 for
+//! the full determinism argument. Every campaign runs through this one
+//! file-backed driver: [`run_journaled`] and [`advance_journaled`] are
+//! its one-thread cases.
+//!
+//! # Training fan-out
+//!
+//! This module is the workspace's one home of concurrency (lint rule
+//! D012), so it also holds the training fan-out: `fan_out` fits a
+//! predictor's coefficient networks on up to [`threads_from_env`]
+//! workers, the calling thread and scoped threads spawned for the call,
+//! which take coefficient ranks from one shared counter. Results, the
+//! first error and traced events come back in rank order, so a trained
+//! model, its degradation report and its event stream are the same at
+//! any worker count (see [`WaveletNeuralPredictor::train_resilient`]).
 //!
 //! # Examples
 //!
@@ -73,7 +85,9 @@ use dynawave_workloads::{Benchmark, Instruction};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 
 /// Format tag on the first line of every campaign journal.
@@ -705,11 +719,12 @@ fn observe_unit_done(unit: &WorkUnit) {
     }
 }
 
-/// Worker count for parallel campaigns: `DYNAWAVE_THREADS` when set, the
-/// machine's available parallelism otherwise. Deliberately *not* part of
-/// [`ExperimentConfig`] — the journal fingerprint covers the config, and
-/// the whole point of the deterministic merge is that the same journal
-/// serves any thread count.
+/// Worker count for parallel campaigns and for a predictor's coefficient
+/// fits: `DYNAWAVE_THREADS` when set, the machine's available
+/// parallelism otherwise. Deliberately *not* part of [`ExperimentConfig`]
+/// — the journal fingerprint covers the config, and the whole point of
+/// the deterministic merge is that the same journal serves any thread
+/// count.
 ///
 /// # Errors
 ///
@@ -934,6 +949,93 @@ fn run_shard(
     }
 }
 
+/// Runs `task` on every rank in `0..count` across up to `workers`
+/// workers and returns the results in rank order: the training fan-out
+/// behind [`WaveletNeuralPredictor::train_resilient`]. The calling thread
+/// is worker 0; the others are at most `count - 1` scoped threads spawned
+/// for this call. Workers take ranks from one shared counter, so a slow
+/// rank holds up only its own worker. A spawn the OS refuses leaves the
+/// remaining ranks to the workers already running.
+///
+/// Once a rank fails no higher rank starts, and the lowest failing
+/// rank's error is returned: what a loop over the ranks in order
+/// returns. With tracing on, each rank records to a recorder of its own,
+/// and the calling thread appends the ranks' events in rank order, up to
+/// the failing rank ([`dynawave_obs::append_segment`]), so the stream is
+/// the one-worker stream for every worker count.
+///
+/// # Errors
+///
+/// The lowest failing rank's error, or [`ModelError::Internal`] when a
+/// task panicked.
+pub(crate) fn fan_out<T: Send>(
+    count: usize,
+    workers: usize,
+    task: impl Fn(usize) -> Result<T, ModelError> + Sync,
+) -> Result<Vec<T>, ModelError> {
+    fan_out_on(std::thread::Builder::new, count, workers, task)
+}
+
+/// [`fan_out`], spawning its threads from `builder`'s builders.
+fn fan_out_on<T: Send>(
+    builder: impl Fn() -> std::thread::Builder,
+    count: usize,
+    workers: usize,
+    task: impl Fn(usize) -> Result<T, ModelError> + Sync,
+) -> Result<Vec<T>, ModelError> {
+    // Worker 0 records its ranks apart too; the caller's recorder waits.
+    let outer = dynawave_obs::take();
+    let traced = outer.is_some();
+    // Both counters publish no data (results come back through the joins),
+    // so relaxed ordering suffices.
+    let next = AtomicUsize::new(0);
+    let lowest_failed = AtomicUsize::new(usize::MAX);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let rank = next.fetch_add(1, Ordering::Relaxed);
+            if rank >= count || rank > lowest_failed.load(Ordering::Relaxed) {
+                return done;
+            }
+            if traced {
+                dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
+            }
+            let result = task(rank);
+            if result.is_err() {
+                lowest_failed.fetch_min(rank, Ordering::Relaxed);
+            }
+            done.push((rank, result, dynawave_obs::take()));
+        }
+    };
+    let finished = std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (1..workers.min(count))
+            .map_while(|_| builder().spawn_scoped(scope, work).ok())
+            .collect();
+        let mut finished = vec![catch_unwind(AssertUnwindSafe(work))];
+        finished.extend(handles.into_iter().map(|handle| handle.join()));
+        finished
+    });
+    // A rank that panicked here leaves its own recorder installed.
+    drop(dynawave_obs::take());
+    if let Some(outer) = outer {
+        dynawave_obs::install(outer);
+    }
+    let mut ranked = Vec::with_capacity(count);
+    for done in finished {
+        ranked.extend(done.map_err(|_| ModelError::Internal("a training worker panicked"))?);
+    }
+    ranked.sort_by_key(|&(rank, ..)| rank);
+    let mut results = Vec::with_capacity(ranked.len());
+    for (_, result, segment) in ranked {
+        if let Some(segment) = segment {
+            dynawave_obs::append_segment(segment);
+        }
+        results.push(result?);
+    }
+    Ok(results)
+}
+
 /// Best-effort stringification of a worker panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -1141,5 +1243,109 @@ mod tests {
         let mut other = spec;
         other.config.recovery.ridge_escalations += 1;
         assert_ne!(base, other.fingerprint());
+    }
+
+    /// A fan-out task that fails at ranks 3 and 6 with errors naming the
+    /// rank, and counts the ranks it ran.
+    fn failing_at_3_and_6(
+        ran: &AtomicUsize,
+    ) -> impl Fn(usize) -> Result<usize, ModelError> + Sync + '_ {
+        move |rank| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            match rank {
+                3 => Err(ModelError::Internal("rank 3")),
+                6 => Err(ModelError::Internal("rank 6")),
+                _ => Ok(rank * rank),
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_returns_ranks_in_order_or_the_lowest_failing_rank() {
+        for workers in [1, 2, 3, 8, 100] {
+            let squares = fan_out(9, workers, |rank| Ok(rank * rank));
+            assert_eq!(squares, Ok((0..9).map(|r| r * r).collect()), "{workers}");
+            let ran = AtomicUsize::new(0);
+            let failed = fan_out(9, workers, failing_at_3_and_6(&ran));
+            assert_eq!(failed, Err(ModelError::Internal("rank 3")), "{workers}");
+        }
+        // One worker stops at the first failure, as a loop over the ranks
+        // in order does.
+        let ran = AtomicUsize::new(0);
+        assert!(fan_out(9, 1, failing_at_3_and_6(&ran)).is_err());
+        assert_eq!(ran.into_inner(), 4);
+        assert_eq!(fan_out(0, 4, Ok), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn results_follow_rank_order_not_completion_order() {
+        // Ranks 0 and 1 wait for each other, so they run on different
+        // workers, and each worker then holds a run of later ranks.
+        for workers in [2, 3] {
+            let barrier = std::sync::Barrier::new(2);
+            let ranks = fan_out(9, workers, |rank| {
+                if rank < 2 {
+                    barrier.wait();
+                }
+                Ok(rank)
+            });
+            assert_eq!(ranks, Ok((0..9).collect()), "{workers}");
+        }
+    }
+
+    #[test]
+    fn refused_spawns_leave_the_ranks_to_the_running_workers() {
+        // A 4 EiB stack cannot be mapped, so the OS refuses every spawn
+        // after the first without starting a thread.
+        let spawns = AtomicUsize::new(0);
+        let builder = || match spawns.fetch_add(1, Ordering::Relaxed) {
+            0 => std::thread::Builder::new(),
+            _ => std::thread::Builder::new().stack_size(1 << 62),
+        };
+        let squares = fan_out_on(builder, 12, 4, |rank| Ok(rank * rank));
+        assert_eq!(squares, Ok((0..12).map(|r| r * r).collect()));
+        assert_eq!(spawns.into_inner(), 2, "the first refusal stops spawning");
+    }
+
+    #[test]
+    fn a_panicking_worker_is_an_internal_error_and_keeps_the_recorder() {
+        let prior = dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
+        dynawave_obs::counter_add("campaign.units_done", 1);
+        for workers in [1, 4] {
+            let out = fan_out(8, workers, |rank| {
+                let _span = dynawave_obs::span("neural.rbf_fit");
+                if rank == 5 {
+                    panic!("fit {rank} panicked");
+                }
+                Ok(rank)
+            });
+            assert_eq!(
+                out,
+                Err(ModelError::Internal("a training worker panicked")),
+                "{workers}"
+            );
+        }
+        // The caller's recorder is back in place and holds none of the
+        // aborted call's events.
+        let events = dynawave_obs::drain().expect("caller's recorder restored");
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].name, "campaign.units_done");
+        if let Some(prior) = prior {
+            dynawave_obs::install(prior);
+        }
+    }
+
+    #[test]
+    fn huge_worker_counts_spawn_one_thread_per_rank_but_the_callers() {
+        for count in [1, 2, 7] {
+            let spawns = AtomicUsize::new(0);
+            let builder = || {
+                spawns.fetch_add(1, Ordering::Relaxed);
+                std::thread::Builder::new()
+            };
+            let ranks = fan_out_on(builder, count, 100_000, Ok);
+            assert_eq!(ranks, Ok((0..count).collect()));
+            assert_eq!(spawns.into_inner(), count - 1);
+        }
     }
 }

@@ -1,11 +1,12 @@
 //! The hybrid neuro-wavelet predictive model (paper §2.3 / Figure 6).
 
+use crate::campaign::{fan_out, threads_from_env};
 use crate::dataset::TraceSet;
 use crate::recovery::{CoeffRecovery, DegradationReport, RecoveryPolicy, RecoveryRung};
 use dynawave_neural::{
     FitContext, LinearModel, ModelError, Normalizer, RbfNetwork, RbfNetworkData, RbfParams,
 };
-use dynawave_numeric::Matrix;
+use dynawave_numeric::{fault, Matrix};
 use dynawave_sampling::DesignPoint;
 use dynawave_wavelet::{select, wavedec, waverec, Decomposition, Wavelet};
 
@@ -140,6 +141,12 @@ impl WaveletNeuralPredictor {
     /// With the default policy the per-coefficient stage is infallible:
     /// the mean rung always succeeds on a finite training set.
     ///
+    /// The coefficients are fitted on up to [`threads_from_env`] workers
+    /// (one when `DYNAWAVE_THREADS` is invalid), and on the calling thread
+    /// alone while a [`fault`] plan is installed: a plan is a per-thread
+    /// RNG consulted in call order. The trained model, the report and the
+    /// traced event stream are the same for every worker count.
+    ///
     /// # Errors
     ///
     /// Structural problems (empty set, ragged or non-power-of-two traces,
@@ -151,6 +158,22 @@ impl WaveletNeuralPredictor {
         train: &TraceSet,
         params: &PredictorParams,
         policy: &RecoveryPolicy,
+    ) -> Result<(Self, DegradationReport), ModelError> {
+        let workers = if fault::active() {
+            1
+        } else {
+            threads_from_env().unwrap_or(1)
+        };
+        Self::train_on(train, params, policy, workers)
+    }
+
+    /// [`WaveletNeuralPredictor::train_resilient`] on up to `workers`
+    /// workers.
+    pub(crate) fn train_on(
+        train: &TraceSet,
+        params: &PredictorParams,
+        policy: &RecoveryPolicy,
+        workers: usize,
     ) -> Result<(Self, DegradationReport), ModelError> {
         let _span = dynawave_obs::span("predictor.train");
         let (trace_len, dims) = match (train.traces.first(), train.points.first()) {
@@ -199,16 +222,15 @@ impl WaveletNeuralPredictor {
         // every coefficient's fit shares them.
         let ctx = FitContext::new(&x)?;
         // One regressor per selected coefficient; training is independent
-        // per coefficient, which is what keeps each sub-network simple —
-        // and what lets one coefficient degrade without touching the rest.
-        let mut models = Vec::with_capacity(indices.len());
-        let mut records = Vec::with_capacity(indices.len());
-        for (rank, &idx) in indices.iter().enumerate() {
+        // per coefficient, which is what keeps each sub-network simple,
+        // lets one coefficient degrade without touching the rest, and lets
+        // the fits run on several threads with the same bits.
+        let fitted = fan_out(indices.len(), workers, |rank| {
+            let idx = indices[rank];
             let y: Vec<f64> = coeff_rows.iter().map(|row| row[idx]).collect();
-            let (model, record) = fit_coefficient(&ctx, &y, rank, idx, params, policy)?;
-            models.push(model);
-            records.push(record);
-        }
+            fit_coefficient(&ctx, &y, rank, idx, params, policy)
+        })?;
+        let (models, records): (Vec<_>, Vec<_>) = fitted.into_iter().unzip();
         if dynawave_obs::is_enabled() {
             // Fraction of training-set coefficient energy the selected
             // subset carries (the paper's accuracy/complexity dial).
@@ -840,5 +862,142 @@ mod tests {
             WaveletNeuralPredictor::from_portable(p),
             Err(ModelError::NonFinite { .. })
         ));
+    }
+
+    /// Simulated gcc training sets for all three domains, at a scale
+    /// where a predictor keeps 16 coefficients and many RBF units.
+    fn simulated_sets() -> [TraceSet; 3] {
+        let cfg = crate::experiment::ExperimentConfig {
+            train_points: 24,
+            samples: 32,
+            interval_instructions: 64,
+            seed: 20261019,
+            ..crate::experiment::ExperimentConfig::default()
+        };
+        crate::collect_domain_traces(Benchmark::Gcc, &cfg.train_design(), &cfg.sim_options())
+    }
+
+    /// Every trained bit of `model`, folded FNV-style: indices, and the
+    /// bit pattern of every normalizer bound, centre, radius, weight and
+    /// constant.
+    fn bits_digest(model: &WaveletNeuralPredictor) -> u64 {
+        let fold = |d: u64, v: u64| (d ^ v).wrapping_mul(0x0100_0000_01b3);
+        let floats = |d: u64, vs: &[f64]| vs.iter().fold(d, |d, v| fold(d, v.to_bits()));
+        let portable = model.to_portable();
+        let mut d =
+            (portable.indices.iter()).fold(0xcbf2_9ce4_8422_2325, |d, &i| fold(d, i as u64));
+        for m in &portable.models {
+            d = match m {
+                PortableCoeffModel::Rbf(net) => {
+                    let mut d = floats(floats(d, &net.mins), &net.spans);
+                    for (c, r) in net.centers.iter().zip(&net.radii) {
+                        d = floats(floats(d, c), r);
+                    }
+                    fold(
+                        floats(d, &net.weights),
+                        net.bias.map_or(u64::MAX, f64::to_bits),
+                    )
+                }
+                PortableCoeffModel::Linear {
+                    mins,
+                    spans,
+                    weights,
+                    bias,
+                } => fold(
+                    floats(floats(floats(d, mins), spans), weights),
+                    bias.to_bits(),
+                ),
+                PortableCoeffModel::Constant(v) => fold(d, v.to_bits()),
+            };
+        }
+        d
+    }
+
+    #[test]
+    fn trained_bits_and_reports_match_at_any_worker_count() {
+        let policy = RecoveryPolicy::default();
+        for set in simulated_sets() {
+            for model in [ModelKind::TreeRbf, ModelKind::RandomRbf, ModelKind::Linear] {
+                let params = PredictorParams {
+                    model,
+                    ..PredictorParams::default()
+                };
+                let k = params.coefficients;
+                let (one, one_report) =
+                    WaveletNeuralPredictor::train_on(&set, &params, &policy, 1).unwrap();
+                for workers in [2, 3, 8, k + 5] {
+                    let (many, report) =
+                        WaveletNeuralPredictor::train_on(&set, &params, &policy, workers).unwrap();
+                    assert_eq!(
+                        bits_digest(&many),
+                        bits_digest(&one),
+                        "{} {model:?} at {workers} workers",
+                        set.metric
+                    );
+                    assert_eq!(report, one_report, "{} at {workers} workers", set.metric);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn failing_coefficients_give_the_one_worker_error_at_any_worker_count() {
+        // A (MAX, -MAX) sample pair overflows exactly one finest-level
+        // Haar detail to infinity and leaves every other coefficient
+        // finite: two pairs make coefficients 8 and 10 of 16 non-finite
+        // targets, which the strict policy cannot recover.
+        let mut set = synthetic_set(12, 16);
+        for i in [0, 4] {
+            set.traces[3][i] = f64::MAX;
+            set.traces[3][i + 1] = -f64::MAX;
+        }
+        let params = PredictorParams {
+            selection: CoefficientSelection::Order,
+            ..PredictorParams::default()
+        };
+        let strict = RecoveryPolicy::strict();
+        let one = WaveletNeuralPredictor::train_on(&set, &params, &strict, 1).unwrap_err();
+        for workers in [2, 3, 8, 21] {
+            let many = WaveletNeuralPredictor::train_on(&set, &params, &strict, workers);
+            assert_eq!(many.unwrap_err(), one, "{workers} workers");
+        }
+        // The default ladder recovers exactly those two coefficients.
+        let (_, report) =
+            WaveletNeuralPredictor::train_on(&set, &params, &RecoveryPolicy::default(), 3).unwrap();
+        let degraded: Vec<usize> = (report.records().iter())
+            .filter(|r| r.rung != RecoveryRung::Primary)
+            .map(|r| r.coefficient)
+            .collect();
+        assert_eq!(degraded, [8, 10]);
+    }
+
+    #[test]
+    fn traced_training_streams_match_at_one_and_four_workers() {
+        let set = &simulated_sets()[0];
+        let params = PredictorParams::default();
+        let policy = RecoveryPolicy::default();
+        let traced = |recorder: dynawave_obs::Recorder, workers: usize| {
+            let prior = dynawave_obs::install(recorder);
+            WaveletNeuralPredictor::train_on(set, &params, &policy, workers).unwrap();
+            let recorder = dynawave_obs::take().unwrap();
+            if let Some(prior) = prior {
+                dynawave_obs::install(prior);
+            }
+            let dropped = recorder.dropped();
+            (dynawave_obs::encode_lines(&recorder.finish()), dropped)
+        };
+        let (one, _) = traced(dynawave_obs::Recorder::with_tick_clock(), 1);
+        let (four, _) = traced(dynawave_obs::Recorder::with_tick_clock(), 4);
+        assert_eq!(four, one);
+        assert!(one.matches("neural.rbf_fit").count() >= 32, "{one}");
+        assert!(dynawave_obs::validate_stream(&one).is_clean());
+        // A ring smaller than the stream keeps the same last events.
+        let ring = || dynawave_obs::Recorder::flight_recorder(40);
+        let (one, dropped_one) = traced(ring(), 1);
+        let (four, dropped_four) = traced(ring(), 4);
+        assert_eq!(four, one);
+        assert!(dropped_one > 0);
+        assert_eq!(dropped_four, dropped_one);
+        assert!(dynawave_obs::validate_stream(&one).is_clean());
     }
 }

@@ -173,10 +173,21 @@ impl Recorder {
     }
 
     fn push(&mut self, kind: EventKind, name: &str) -> &mut Event {
+        let (seq, tick) = self.stamp();
+        self.store(Event::new(seq, tick, kind, name))
+    }
+
+    /// The next `seq` number and a fresh clock reading.
+    fn stamp(&mut self) -> (u64, u64) {
         let tick = self.clock.now();
         let seq = self.seq;
         self.seq += 1;
-        let event = Event::new(seq, tick, kind, name);
+        (seq, tick)
+    }
+
+    /// Keeps `event`, overwriting the oldest one while a flight-recorder
+    /// ring is full.
+    fn store(&mut self, event: Event) -> &mut Event {
         match self.ring {
             Some(capacity) if self.events.len() >= capacity => {
                 // Ring full: overwrite the oldest slot in place.
@@ -237,9 +248,10 @@ impl Recorder {
     ///
     /// Renumbering keeps the schema validator green: `seq` stays strictly
     /// increasing and `tick` non-decreasing (each appended event takes the
-    /// next tick from this recorder's clock). Span enter/exit pairs must
-    /// not cross a boundary marker, otherwise their `ticks` deltas are
-    /// recomputed from the merged clock. Worker metrics fold in through
+    /// next tick from this recorder's clock). Segments keep their own span
+    /// depths and pass through this recorder's flight-recorder ring. Span
+    /// enter/exit pairs must not cross a boundary marker, otherwise their
+    /// `ticks` deltas are recomputed from the merged clock. Worker metrics fold in through
     /// [`MetricSet::merge`] — counters sum, histograms with identical
     /// bounds sum, gauges take the value from the highest-ordered segment
     /// owner's set (sets merge in worker order).
@@ -271,25 +283,45 @@ impl Recorder {
         }
         segments.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
         for (_, _, segment) in segments {
-            let mut enter_ticks: Vec<u64> = Vec::new();
-            for mut event in segment {
-                event.seq = self.seq;
-                self.seq += 1;
-                event.tick = self.clock.now();
-                match event.kind {
-                    EventKind::SpanEnter => enter_ticks.push(event.tick),
-                    EventKind::SpanExit => {
-                        // Recompute the delta on the merged clock so exit
-                        // ticks stay consistent with their (renumbered)
-                        // enters. Unmatched exits keep the worker's delta.
-                        if let Some(enter) = enter_ticks.pop() {
-                            event.ticks = Some(event.tick.saturating_sub(enter));
-                        }
+            self.append_events(segment, 0);
+        }
+    }
+
+    /// Appends `segment`, a recorder that recorded a piece of this
+    /// recorder's work elsewhere (on a worker thread, say), as if its
+    /// events were recorded here now: they take this recorder's next
+    /// `seq`/`tick` numbers, nest under the spans open here, and pass
+    /// through its flight-recorder ring. Its metrics fold in through
+    /// [`MetricSet::merge`]. Appending the segments of a sequence of
+    /// tasks in task order gives the bytes of recording the tasks here
+    /// one after another, whichever threads ran them.
+    pub fn append(&mut self, mut segment: Recorder) {
+        segment.unwrap_ring();
+        self.metrics.merge(&segment.metrics);
+        let depth = self.depth;
+        self.append_events(segment.events, depth);
+    }
+
+    /// The one renumbering loop behind [`Recorder::absorb_workers`] and
+    /// [`Recorder::append`]: stores `events` with fresh `seq`/`tick`
+    /// numbers and their span depths raised by `depth`. Span `ticks`
+    /// deltas are recomputed on this clock so exits stay consistent
+    /// with their renumbered enters; an unmatched exit keeps its delta.
+    fn append_events(&mut self, events: Vec<Event>, depth: u64) {
+        let mut enter_ticks: Vec<u64> = Vec::new();
+        for mut event in events {
+            (event.seq, event.tick) = self.stamp();
+            event.depth = event.depth.map(|d| d + depth);
+            match event.kind {
+                EventKind::SpanEnter => enter_ticks.push(event.tick),
+                EventKind::SpanExit => {
+                    if let Some(enter) = enter_ticks.pop() {
+                        event.ticks = Some(event.tick.saturating_sub(enter));
                     }
-                    _ => {}
                 }
-                self.events.push(event);
+                _ => {}
             }
+            self.store(event);
         }
     }
 
@@ -436,6 +468,13 @@ where
     F: Fn(&str) -> u64,
 {
     with_recorder(|rec| rec.absorb_workers(workers, boundary, order));
+}
+
+/// Appends `segment` to this thread's active recorder via
+/// [`Recorder::append`]. A no-op (the segment is dropped) when no
+/// recorder is installed.
+pub fn append_segment(segment: Recorder) {
+    with_recorder(|rec| rec.append(segment));
 }
 
 /// Opens a span scoped to the rest of the enclosing block:
@@ -671,6 +710,57 @@ mod tests {
             let one = run_split(&[&["0", "1", "2", "3"]]);
             let two = run_split(&[&["1", "3"], &["0", "2"]]);
             assert_eq!(one, two);
+        });
+    }
+
+    /// One traced task: nested spans and a counter.
+    fn traced_task() {
+        let _fit = span("neural.rbf_fit");
+        let _tree = span("neural.tree_fit");
+        counter_add("neural.fits", 1);
+    }
+
+    /// Three tasks inside an open span, recorded in place on `recorder`
+    /// or each on a recorder of its own and appended in order; returns
+    /// the stream and the events the ring dropped.
+    fn three_tasks(recorder: Recorder, segmented: bool) -> (String, u64) {
+        install(recorder);
+        {
+            let _outer = span("predictor.train");
+            if segmented {
+                let outer = take().unwrap();
+                let segments: Vec<Recorder> = (0..3)
+                    .map(|_| {
+                        install(Recorder::with_tick_clock());
+                        traced_task();
+                        take().unwrap()
+                    })
+                    .collect();
+                install(outer);
+                for segment in segments {
+                    append_segment(segment);
+                }
+            } else {
+                (0..3).for_each(|_| traced_task());
+            }
+        }
+        let recorder = take().unwrap();
+        let dropped = recorder.dropped();
+        (encode_lines(&recorder.finish()), dropped)
+    }
+
+    #[test]
+    fn appended_segments_encode_like_recording_in_place() {
+        with_clean_slot(|| {
+            let in_place = three_tasks(Recorder::with_tick_clock(), false);
+            assert_eq!(three_tasks(Recorder::with_tick_clock(), true), in_place);
+            assert!(in_place.0.contains("\"depth\":2"), "{}", in_place.0);
+            assert!(validate_stream(&in_place.0).is_clean());
+            // The caller's flight-recorder ring applies to appended events.
+            let ring = three_tasks(Recorder::flight_recorder(5), false);
+            assert_eq!(three_tasks(Recorder::flight_recorder(5), true), ring);
+            assert_eq!(ring.1, 9, "14 events through a 5-event ring");
+            assert!(validate_stream(&ring.0).is_clean());
         });
     }
 

@@ -502,7 +502,8 @@ fn stress_randomized_schedules_match_the_sequential_oracle() {
 #[test]
 fn threads_from_env_parses_overrides_and_defaults() {
     // One test owns the env var: cargo may run tests concurrently in one
-    // process, and DYNAWAVE_THREADS is read nowhere else in this binary.
+    // process. The other tests here read DYNAWAVE_THREADS only through
+    // model training, whose results do not depend on the worker count.
     std::env::set_var("DYNAWAVE_THREADS", "3");
     assert_eq!(threads_from_env().unwrap(), 3);
     std::env::set_var("DYNAWAVE_THREADS", "0");

@@ -313,6 +313,82 @@ fn trained_predictor_bits_are_pinned() {
     );
 }
 
+/// The forecasts themselves are pinned: a digest over every sample that
+/// `predict` returns at the test points and the first training points
+/// (where a query sits exactly on some unit centres) for gcc's and
+/// mcf's CPI, power and AVF predictors at 16 and 128 coefficients, the
+/// same predictors rebuilt from their portable snapshots, a linear and
+/// a random-centre predictor, and a predictor whose coefficients landed
+/// on every recovery rung. A rewrite of the evaluation path that moves a
+/// single predicted bit fails here; one that only reorders independent
+/// work does not.
+#[test]
+fn predicted_trace_bits_are_pinned() {
+    use dynawave_core::ModelKind;
+    use dynawave_numeric::fault::{self, FaultKind, FaultPlan, FaultSite};
+    let cfg = ExperimentConfig {
+        train_points: 40,
+        test_points: 6,
+        samples: 128,
+        interval_instructions: 64,
+        seed: 20260806,
+        ..ExperimentConfig::default()
+    };
+    let opts = cfg.sim_options();
+    let design = cfg.train_design();
+    let queries: Vec<_> = (cfg.test_design().into_iter())
+        .chain(design.iter().take(4).cloned())
+        .collect();
+    let fold_predictions = |digest: u64, model: &WaveletNeuralPredictor| {
+        (queries.iter()).fold(digest, |d, q| fold_f64s(d, &model.predict(q)))
+    };
+    let train = |set: &dynawave_core::TraceSet, params: &PredictorParams| {
+        WaveletNeuralPredictor::train_resilient(set, params, &cfg.recovery)
+            .expect("resilient training")
+    };
+    let mut digest = 0u64;
+    let mut gcc_cpi = None;
+    for bench in [Benchmark::Gcc, Benchmark::Mcf] {
+        let sets = collect_domain_traces(bench, &design, &opts);
+        for k in [16, 128] {
+            let params = PredictorParams {
+                coefficients: k,
+                ..cfg.predictor.clone()
+            };
+            for set in &sets {
+                let (model, _) = train(set, &params);
+                digest = fold_predictions(digest, &model);
+                let rebuilt = WaveletNeuralPredictor::from_portable(model.to_portable())
+                    .expect("portable round trip");
+                digest = fold_predictions(digest, &rebuilt);
+            }
+        }
+        gcc_cpi.get_or_insert_with(|| sets[0].clone());
+    }
+    let gcc_cpi = gcc_cpi.expect("gcc was trained");
+    for model in [ModelKind::Linear, ModelKind::RandomRbf] {
+        let params = PredictorParams {
+            model,
+            ..cfg.predictor.clone()
+        };
+        digest = fold_predictions(digest, &train(&gcc_cpi, &params).0);
+    }
+    // Half of all weight fits and ridge solves fail: coefficients land on
+    // the primary, escalated, linear and mean rungs.
+    let plan = FaultPlan::new(0x5EED_0025)
+        .rate(0.5)
+        .targeting(&[FaultSite::RbfWeightFit, FaultSite::RidgeSolve])
+        .kinds(&[FaultKind::Singular]);
+    let ((degraded, report), _) = fault::with_plan(plan, || train(&gcc_cpi, &cfg.predictor));
+    let rungs = report.rung_counts();
+    assert!(rungs[0] > 0 && rungs[2] + rungs[3] > 0, "rungs {rungs:?}");
+    digest = fold_predictions(digest, &degraded);
+    assert_eq!(
+        digest, 0xcb90_8e44_9483_9664,
+        "predicted trace bits changed: digest {digest:#018x}"
+    );
+}
+
 /// Folds every field of one interval: counters as they are, integrals
 /// by their bit patterns. The destructuring is exhaustive, so a new
 /// field fails to compile here until it is folded too.

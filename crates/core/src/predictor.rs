@@ -4,11 +4,14 @@ use crate::campaign::{fan_out, threads_from_env};
 use crate::dataset::TraceSet;
 use crate::recovery::{CoeffRecovery, DegradationReport, RecoveryPolicy, RecoveryRung};
 use dynawave_neural::{
-    FitContext, LinearModel, ModelError, Normalizer, RbfNetwork, RbfNetworkData, RbfParams,
+    FitContext, GaussianBasis, LinearModel, ModelError, Normalizer, RbfNetwork, RbfNetworkData,
+    RbfParams,
 };
-use dynawave_numeric::{fault, Matrix};
+use dynawave_numeric::fault::{self, FaultSite};
+use dynawave_numeric::Matrix;
 use dynawave_sampling::DesignPoint;
 use dynawave_wavelet::{select, wavedec, waverec, Decomposition, Wavelet};
+use std::collections::BTreeMap;
 
 /// How the set of predicted wavelet coefficients is chosen (paper §3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -76,14 +79,6 @@ enum CoeffModel {
 }
 
 impl CoeffModel {
-    fn predict(&self, x: &[f64]) -> f64 {
-        match self {
-            CoeffModel::Rbf(m) => m.predict(x),
-            CoeffModel::Linear(m) => m.predict(x),
-            CoeffModel::Constant(v) => *v,
-        }
-    }
-
     /// `true` when every fitted parameter is finite (a non-finite model
     /// predicts NaN everywhere and must be escalated, not kept).
     fn parameters_are_finite(&self) -> bool {
@@ -92,6 +87,122 @@ impl CoeffModel {
             CoeffModel::Linear(m) => m.parameters_are_finite(),
             CoeffModel::Constant(v) => v.is_finite(),
         }
+    }
+}
+
+/// Every RBF coefficient network of one predictor, evaluated through one
+/// basis of distinct Gaussian units.
+///
+/// The networks are fitted on one design, and their trees share their
+/// upper splits, so many units recur from network to network. Two units
+/// are merged when their centres, radii and normalizers are equal bit for
+/// bit: they respond with the same bits at every query, so evaluating
+/// the merged unit once and reading its response wherever the old unit
+/// stood reproduces every network's output exactly.
+#[derive(Debug, Clone, Default)]
+struct SharedBasis {
+    /// Each distinct normalizer with the distinct units evaluated on its
+    /// output; their responses are laid end to end, group by group.
+    groups: Vec<(Normalizer, GaussianBasis)>,
+    /// Total unit count over all groups.
+    units: usize,
+    /// One entry per coefficient model, in order: an RBF network's bias
+    /// and its `(unit, weight)` terms in the network's unit order; no
+    /// terms for the other models.
+    networks: Vec<MergedNetwork>,
+}
+
+/// One RBF network's output layer over a [`SharedBasis`].
+#[derive(Debug, Clone, Default)]
+struct MergedNetwork {
+    bias: f64,
+    terms: Vec<(usize, f64)>,
+}
+
+impl SharedBasis {
+    /// Merges the units of every RBF network among `models`. Equal units
+    /// are found by the bit patterns of their parameters in ordered maps,
+    /// so the basis is the same on every run.
+    fn new(models: &[CoeffModel]) -> Self {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let mut normalizers: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+        let mut groups: Vec<(Normalizer, GaussianBasis, BTreeMap<Vec<u64>, usize>)> = Vec::new();
+        // Terms as (group, unit within the group, weight) until the group
+        // offsets are known.
+        let mut local: Vec<(f64, Vec<(usize, usize, f64)>)> = Vec::with_capacity(models.len());
+        for model in models {
+            let CoeffModel::Rbf(net) = model else {
+                local.push((0.0, Vec::new()));
+                continue;
+            };
+            let normalizer = net.normalizer();
+            let mut key = bits(normalizer.mins());
+            key.extend(bits(normalizer.spans()));
+            let group = *normalizers.entry(key).or_insert_with(|| {
+                let basis = GaussianBasis::new(normalizer.dims());
+                groups.push((normalizer.clone(), basis, BTreeMap::new()));
+                groups.len() - 1
+            });
+            let (_, basis, seen) = &mut groups[group];
+            let terms = (net.basis().units().zip(net.weights()))
+                .map(|((center, radius), &w)| {
+                    let mut key = bits(&center);
+                    key.extend(bits(&radius));
+                    let unit = *seen.entry(key).or_insert_with(|| {
+                        basis.push(&center, &radius);
+                        basis.len() - 1
+                    });
+                    (group, unit, w)
+                })
+                .collect();
+            local.push((net.bias().unwrap_or(0.0), terms));
+        }
+        let mut offsets = Vec::with_capacity(groups.len());
+        let mut units = 0;
+        for (_, basis, _) in &groups {
+            offsets.push(units);
+            units += basis.len();
+        }
+        let networks = (local.into_iter())
+            .map(|(bias, terms)| MergedNetwork {
+                bias,
+                terms: (terms.into_iter())
+                    .map(|(group, unit, w)| (offsets[group] + unit, w))
+                    .collect(),
+            })
+            .collect();
+        SharedBasis {
+            groups: (groups.into_iter())
+                .map(|(normalizer, basis, _)| (normalizer, basis))
+                .collect(),
+            units,
+            networks,
+        }
+    }
+
+    /// Every distinct unit's response at the raw input `x`: the input is
+    /// normalized once per group.
+    fn responses(&self, x: &[f64]) -> Vec<f64> {
+        let mut phi = vec![0.0; self.units];
+        let mut rest = phi.as_mut_slice();
+        for (normalizer, basis) in &self.groups {
+            let (head, tail) = rest.split_at_mut(basis.len());
+            basis.responses(&normalizer.transform(x), head);
+            rest = tail;
+        }
+        phi
+    }
+}
+
+impl MergedNetwork {
+    /// The network's output from the basis responses `phi`, with the
+    /// fault draw and the operations of [`RbfNetwork::predict`] in its
+    /// order.
+    fn predict(&self, phi: &[f64]) -> f64 {
+        if fault::inject(FaultSite::RbfPredict).is_some() {
+            return f64::NAN;
+        }
+        (self.terms.iter()).fold(self.bias, |out, &(unit, w)| out + w * phi[unit])
     }
 }
 
@@ -107,10 +218,30 @@ pub struct WaveletNeuralPredictor {
     trace_len: usize,
     indices: Vec<usize>,
     models: Vec<CoeffModel>,
+    /// The RBF networks among `models`, merged for prediction.
+    basis: SharedBasis,
     params: PredictorParams,
 }
 
 impl WaveletNeuralPredictor {
+    /// A predictor of `models`, parallel to `indices`, with their merged
+    /// basis.
+    fn assemble(
+        trace_len: usize,
+        indices: Vec<usize>,
+        models: Vec<CoeffModel>,
+        params: PredictorParams,
+    ) -> Self {
+        WaveletNeuralPredictor {
+            wavelet: params.wavelet,
+            trace_len,
+            indices,
+            basis: SharedBasis::new(&models),
+            models,
+            params,
+        }
+    }
+
     /// Trains the predictor on `train`.
     ///
     /// Every training trace is decomposed; the coefficient subset is
@@ -253,13 +384,7 @@ impl WaveletNeuralPredictor {
             }
         }
         Ok((
-            WaveletNeuralPredictor {
-                wavelet: params.wavelet,
-                trace_len,
-                indices,
-                models,
-                params: params.clone(),
-            },
+            Self::assemble(trace_len, indices, models, params.clone()),
             DegradationReport::from_records(records),
         ))
     }
@@ -269,14 +394,28 @@ impl WaveletNeuralPredictor {
     /// Unselected coefficients are approximated with zero, exactly as in
     /// the paper's reconstruction step.
     ///
+    /// Every distinct Gaussian unit of the RBF coefficient networks is
+    /// evaluated once, on the point normalized once per distinct
+    /// normalizer. Each coefficient then sums its own terms in its own
+    /// order and draws its [`FaultSite::RbfPredict`] fault like
+    /// [`RbfNetwork::predict`], so the forecast has the bits of one
+    /// `networks()[i].predict` call per coefficient.
+    ///
     /// # Panics
     ///
     /// Panics if the point's dimensionality differs from training.
     pub fn predict(&self, point: &DesignPoint) -> Vec<f64> {
         let _span = dynawave_obs::span("predictor.predict");
+        let x = point.values();
+        let phi = self.basis.responses(x);
         let mut coeffs = vec![0.0; self.trace_len];
-        for (&idx, model) in self.indices.iter().zip(&self.models) {
-            let v = model.predict(point.values());
+        let coefficients = self.indices.iter().zip(&self.models);
+        for ((&idx, model), merged) in coefficients.zip(&self.basis.networks) {
+            let v = match model {
+                CoeffModel::Rbf(_) => merged.predict(&phi),
+                CoeffModel::Linear(m) => m.predict(x),
+                CoeffModel::Constant(v) => *v,
+            };
             // Sanitize at the crate boundary: a non-finite coefficient
             // (e.g. from a degraded or faulted sub-model) would poison the
             // whole reconstruction; approximate it with zero like an
@@ -391,16 +530,16 @@ impl WaveletNeuralPredictor {
                 }
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(WaveletNeuralPredictor {
+        let params = PredictorParams {
             wavelet: portable.wavelet,
-            trace_len: portable.trace_len,
-            indices: portable.indices,
+            ..PredictorParams::default()
+        };
+        Ok(Self::assemble(
+            portable.trace_len,
+            portable.indices,
             models,
-            params: PredictorParams {
-                wavelet: portable.wavelet,
-                ..PredictorParams::default()
-            },
-        })
+            params,
+        ))
     }
 }
 
@@ -911,6 +1050,144 @@ mod tests {
             };
         }
         d
+    }
+
+    /// `model`'s forecast at `point` the unmerged way: one
+    /// `networks()[i].predict` call per RBF coefficient, in coefficient
+    /// order, and the linear and constant models rebuilt from the
+    /// portable snapshot.
+    fn reference_predict(model: &WaveletNeuralPredictor, point: &DesignPoint) -> Vec<f64> {
+        let x = point.values();
+        let portable = model.to_portable();
+        let mut networks = model.networks().into_iter();
+        let mut coeffs = vec![0.0; model.trace_len()];
+        for (&idx, m) in portable.indices.iter().zip(&portable.models) {
+            let v = match m {
+                PortableCoeffModel::Rbf(_) => networks.next().unwrap().predict(x),
+                PortableCoeffModel::Linear {
+                    mins,
+                    spans,
+                    weights,
+                    bias,
+                } => {
+                    let normalizer = Normalizer::from_parts(mins.clone(), spans.clone());
+                    (LinearModel::from_parts(normalizer, weights.clone(), *bias).unwrap())
+                        .predict(x)
+                }
+                PortableCoeffModel::Constant(v) => *v,
+            };
+            coeffs[idx] = if v.is_finite() { v } else { 0.0 };
+        }
+        waverec(&Decomposition::from_coeffs(coeffs, model.wavelet)).unwrap()
+    }
+
+    /// Asserts that `model` forecasts `points` with the reference's bits,
+    /// without a fault plan and under one that makes some networks emit
+    /// NaN, with the same faults drawn.
+    fn assert_merged_matches_reference(model: &WaveletNeuralPredictor, points: &[DesignPoint]) {
+        use dynawave_numeric::fault::{with_plan, FaultPlan};
+        let bits = |traces: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            (traces.iter())
+                .map(|t| t.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let merged = || bits(points.iter().map(|p| model.predict(p)).collect());
+        let reference = || bits(points.iter().map(|p| reference_predict(model, p)).collect());
+        assert_eq!(merged(), reference());
+        let plan = || {
+            FaultPlan::new(0x0DD5)
+                .rate(0.3)
+                .targeting(&[FaultSite::RbfPredict])
+        };
+        let (faulted, report) = with_plan(plan(), merged);
+        assert_eq!((faulted, report), with_plan(plan(), reference));
+        if !model.networks().is_empty() {
+            assert!(report.fired > 0, "{report:?}");
+        }
+    }
+
+    /// Probe points: the training design and points between and beyond
+    /// its levels.
+    fn probes(set: &TraceSet) -> Vec<DesignPoint> {
+        let mut points = set.points.clone();
+        points.extend((0..6).map(|i| {
+            let values = set.points[i]
+                .values()
+                .iter()
+                .map(|v| v * (0.5 + 0.3 * i as f64));
+            DesignPoint::new(values.collect())
+        }));
+        points
+    }
+
+    #[test]
+    fn merged_basis_predicts_like_each_network_in_turn() {
+        use dynawave_numeric::fault::{with_plan, FaultKind, FaultPlan};
+        let policy = RecoveryPolicy::default();
+        for set in simulated_sets() {
+            for model in [ModelKind::TreeRbf, ModelKind::RandomRbf, ModelKind::Linear] {
+                let params = PredictorParams {
+                    model,
+                    ..PredictorParams::default()
+                };
+                let (trained, _) = WaveletNeuralPredictor::train_on(&set, &params, &policy, 1)
+                    .expect("resilient training");
+                let total: usize = trained.networks().iter().map(|n| n.unit_count()).sum();
+                if model == ModelKind::TreeRbf {
+                    // Every tree starts from the same root: units recur.
+                    assert!(trained.basis.units < total, "{} {total}", set.metric);
+                }
+                assert!(trained.basis.groups.len() <= 1);
+                assert_merged_matches_reference(&trained, &probes(&set));
+            }
+            // A predictor whose coefficients landed on every rung.
+            let plan = FaultPlan::new(0x2BAD)
+                .rate(0.5)
+                .targeting(&[FaultSite::RbfWeightFit, FaultSite::RidgeSolve])
+                .kinds(&[FaultKind::Singular]);
+            let ((degraded, report), _) = with_plan(plan, || {
+                WaveletNeuralPredictor::train_resilient(&set, &PredictorParams::default(), &policy)
+                    .unwrap()
+            });
+            let rungs = report.rung_counts();
+            assert!(rungs[0] > 0 && rungs[2] + rungs[3] > 0, "{rungs:?}");
+            assert_merged_matches_reference(&degraded, &probes(&set));
+        }
+    }
+
+    #[test]
+    fn networks_with_bitwise_different_normalizers_are_not_merged() {
+        let set = &simulated_sets()[0];
+        let model = WaveletNeuralPredictor::train(set, &PredictorParams::default()).unwrap();
+        let distinct = model.basis.units;
+        let mut portable = model.to_portable();
+        // Coefficient 1's network sees a normalizer one ulp away on one
+        // bound, coefficient 2's a negated zero span: neither may share a
+        // unit with the others, though their centres and radii do.
+        let PortableCoeffModel::Rbf(net) = &mut portable.models[1] else {
+            panic!("coefficient 1 is not an RBF network");
+        };
+        net.mins[0] = f64::from_bits(net.mins[0].to_bits() + 1);
+        let PortableCoeffModel::Rbf(net) = &mut portable.models[2] else {
+            panic!("coefficient 2 is not an RBF network");
+        };
+        net.spans[0] = 0.0;
+        net.spans[1] = -0.0;
+        let units = |i: usize| match &portable.models[i] {
+            PortableCoeffModel::Rbf(net) => net.centers.len(),
+            _ => 0,
+        };
+        let rebuilt = WaveletNeuralPredictor::from_portable(portable.clone()).unwrap();
+        let group_sizes: Vec<usize> = (rebuilt.basis.groups.iter())
+            .map(|(_, basis)| basis.len())
+            .collect();
+        assert_eq!(group_sizes[1..], [units(1), units(2)]);
+        assert!(group_sizes[0] <= distinct);
+        assert_merged_matches_reference(&rebuilt, &probes(set));
+        // The unchanged snapshot rebuilds the trained predictor's basis.
+        let same = WaveletNeuralPredictor::from_portable(model.to_portable()).unwrap();
+        assert_eq!(same.basis.units, distinct);
+        assert_eq!(same.basis.groups.len(), 1);
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! 2. [`RbfNetwork`] places those units, then fits the output weights with
 //!    ridge-regularized least squares.
 //!
+//! Every unit response — a row of the design matrix, a network's
+//! prediction, a whole predictor's merged basis — comes from one kernel,
+//! [`GaussianBasis::responses`].
+//!
 //! The tree also exposes the *split order* and *split frequency*
 //! introspection used for the paper's Figure 11 star plots
 //! ([`RegressionTree::split_order_scores`] /
@@ -46,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod basis;
 mod context;
 mod error;
 mod linear;
@@ -53,6 +58,7 @@ mod normalize;
 mod rbf;
 mod tree;
 
+pub use basis::GaussianBasis;
 pub use context::FitContext;
 pub use error::ModelError;
 pub use linear::LinearModel;

@@ -1,5 +1,6 @@
 //! Gaussian RBF networks with tree-derived or random centers.
 
+use crate::basis::GaussianBasis;
 use crate::context::{check_targets, FitContext};
 use crate::normalize::Normalizer;
 use crate::tree::{RegressionTree, TreeParams};
@@ -36,27 +37,6 @@ impl Default for RbfParams {
     }
 }
 
-/// One Gaussian unit: `phi(x) = exp(-sum_j ((x_j - mu_j) / theta_j)^2)`.
-///
-/// This is the paper's basis function with center vector `mu` and radius
-/// vector `theta` (§2.2), evaluated on normalized inputs.
-#[derive(Debug, Clone, PartialEq)]
-struct RbfUnit {
-    center: Vec<f64>,
-    radius: Vec<f64>,
-}
-
-impl RbfUnit {
-    fn response(&self, x: &[f64]) -> f64 {
-        let mut s = 0.0;
-        for ((&xi, &mu), &th) in x.iter().zip(&self.center).zip(&self.radius) {
-            let z = (xi - mu) / th;
-            s += z * z;
-        }
-        (-s).exp()
-    }
-}
-
 /// Portable snapshot of a trained [`RbfNetwork`]: everything needed to
 /// reproduce its predictions (the regression tree used for center
 /// placement is *not* included — introspection is lost on a round-trip).
@@ -84,7 +64,7 @@ pub struct RbfNetworkData {
 #[derive(Debug, Clone)]
 pub struct RbfNetwork {
     normalizer: Normalizer,
-    units: Vec<RbfUnit>,
+    units: GaussianBasis,
     weights: Vec<f64>,
     bias_weight: Option<f64>,
     tree: Option<RegressionTree>,
@@ -120,18 +100,13 @@ impl RbfNetwork {
         let _span = dynawave_obs::span("neural.rbf_fit");
         check_targets(ctx.x(), y)?;
         let tree = RegressionTree::fit_ranked(ctx.x(), ctx.ranks(), y, &params.tree);
-        let units: Vec<RbfUnit> = tree
-            .nodes()
-            .iter()
-            .map(|node| RbfUnit {
-                center: node.center.clone(),
-                radius: node
-                    .extent
-                    .iter()
-                    .map(|&e| (e * params.radius_scale).max(params.min_radius))
-                    .collect(),
-            })
-            .collect();
+        let mut units = GaussianBasis::with_capacity(ctx.x().cols(), tree.nodes().len());
+        for node in tree.nodes() {
+            let radius: Vec<f64> = (node.extent.iter())
+                .map(|&e| (e * params.radius_scale).max(params.min_radius))
+                .collect();
+            units.push(&node.center, &radius);
+        }
         let (weights, bias_weight) = fit_weights(ctx.x(), y, &units, params)?;
         Ok(RbfNetwork {
             normalizer: ctx.normalizer().clone(),
@@ -182,15 +157,11 @@ impl RbfNetwork {
         let offset = (dynawave_numeric::rng::splitmix64(seed) as usize) % n;
         let radius = (1.0 / (k as f64).powf(1.0 / xn.cols() as f64)).max(params.min_radius)
             * params.radius_scale;
-        let units: Vec<RbfUnit> = (0..k)
-            .map(|i| {
-                let row = (offset + i * n / k) % n;
-                RbfUnit {
-                    center: xn.row(row).to_vec(),
-                    radius: vec![radius; xn.cols()],
-                }
-            })
-            .collect();
+        let mut units = GaussianBasis::with_capacity(xn.cols(), k);
+        let radius = vec![radius; xn.cols()];
+        for i in 0..k {
+            units.push(xn.row((offset + i * n / k) % n), &radius);
+        }
         let (weights, bias_weight) = fit_weights(xn, y, &units, params)?;
         Ok(RbfNetwork {
             normalizer: ctx.normalizer().clone(),
@@ -215,7 +186,33 @@ impl RbfNetwork {
         self.tree.as_ref()
     }
 
-    /// Predicts the target for one raw (unnormalized) input vector.
+    /// The Gaussian units, in the order of [`RbfNetwork::weights`].
+    pub fn basis(&self) -> &GaussianBasis {
+        &self.units
+    }
+
+    /// The input normalizer learned from the training design.
+    pub fn normalizer(&self) -> &Normalizer {
+        &self.normalizer
+    }
+
+    /// Output weights, one per unit.
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// Bias weight, if the network was trained with one.
+    pub fn bias(&self) -> Option<f64> {
+        self.bias_weight
+    }
+
+    /// Predicts the target for one raw (unnormalized) input vector:
+    /// `bias + sum_u w_u * phi_u(xn)` at the normalized input `xn`, with
+    /// the unit responses from [`GaussianBasis::responses`] and the terms
+    /// added in unit order.
+    ///
+    /// Each call first draws [`FaultSite::RbfPredict`] from the installed
+    /// fault plan, if any; a fault makes it return NaN.
     ///
     /// # Panics
     ///
@@ -226,12 +223,11 @@ impl RbfNetwork {
         if fault::inject(FaultSite::RbfPredict).is_some() {
             return f64::NAN;
         }
-        let xn = self.normalizer.transform(x);
-        let mut out = self.bias_weight.unwrap_or(0.0);
-        for (unit, &w) in self.units.iter().zip(&self.weights) {
-            out += w * unit.response(&xn);
-        }
-        out
+        let mut phi = vec![0.0; self.units.len()];
+        self.units
+            .responses(&self.normalizer.transform(x), &mut phi);
+        (self.weights.iter().zip(&phi))
+            .fold(self.bias_weight.unwrap_or(0.0), |out, (w, r)| out + w * r)
     }
 
     /// `true` when every fitted parameter (weights and bias) is finite.
@@ -252,8 +248,8 @@ impl RbfNetwork {
         RbfNetworkData {
             mins: self.normalizer.mins().to_vec(),
             spans: self.normalizer.spans().to_vec(),
-            centers: self.units.iter().map(|u| u.center.clone()).collect(),
-            radii: self.units.iter().map(|u| u.radius.clone()).collect(),
+            centers: self.units.units().map(|(center, _)| center).collect(),
+            radii: self.units.units().map(|(_, radius)| radius).collect(),
             weights: self.weights.clone(),
             bias: self.bias_weight,
         }
@@ -293,12 +289,10 @@ impl RbfNetwork {
                 });
             }
         }
-        let units = data
-            .centers
-            .into_iter()
-            .zip(data.radii)
-            .map(|(center, radius)| RbfUnit { center, radius })
-            .collect();
+        let mut units = GaussianBasis::with_capacity(dims, data.centers.len());
+        for (center, radius) in data.centers.iter().zip(&data.radii) {
+            units.push(center, radius);
+        }
         Ok(RbfNetwork {
             normalizer: Normalizer::from_parts(data.mins, data.spans),
             units,
@@ -312,7 +306,7 @@ impl RbfNetwork {
 fn fit_weights(
     xn: &Matrix,
     y: &[f64],
-    units: &[RbfUnit],
+    units: &GaussianBasis,
     params: &RbfParams,
 ) -> Result<(Vec<f64>, Option<f64>), ModelError> {
     // Chaos-test hook: force the output-weight fit to fail (or to return
@@ -330,15 +324,11 @@ fn fit_weights(
     }
     let n = xn.rows();
     let cols = units.len() + usize::from(params.bias);
-    let mut design = Vec::with_capacity(n * cols);
-    for r in 0..n {
-        let row = xn.row(r);
-        for unit in units {
-            design.push(unit.response(row));
-        }
-        if params.bias {
-            design.push(1.0);
-        }
+    // Each row of the design matrix holds the unit responses at one
+    // training point, then the bias column's 1.
+    let mut design = vec![1.0; n * cols];
+    for (r, row) in design.chunks_exact_mut(cols.max(1)).enumerate() {
+        units.responses(xn.row(r), row);
     }
     let phi = Matrix::from_vec(n, cols, design)?;
     let mut w = solve::ridge_regression(&phi, y, params.ridge_lambda)?;
@@ -545,13 +535,16 @@ mod tests {
 
     #[test]
     fn unit_response_peaks_at_center() {
-        let u = RbfUnit {
-            center: vec![0.5, 0.5],
-            radius: vec![0.2, 0.2],
+        let mut basis = GaussianBasis::new(2);
+        basis.push(&[0.5, 0.5], &[0.2, 0.2]);
+        let response = |x: [f64; 2]| {
+            let mut out = [0.0];
+            basis.responses(&x, &mut out);
+            out[0]
         };
-        let at_center = u.response(&[0.5, 0.5]);
+        let at_center = response([0.5, 0.5]);
         assert!((at_center - 1.0).abs() < 1e-12);
-        assert!(u.response(&[0.9, 0.5]) < at_center);
-        assert!(u.response(&[0.9, 0.9]) < u.response(&[0.9, 0.5]));
+        assert!(response([0.9, 0.5]) < at_center);
+        assert!(response([0.9, 0.9]) < response([0.9, 0.5]));
     }
 }

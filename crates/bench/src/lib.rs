@@ -81,13 +81,11 @@ pub fn start(figure: &str, description: &str) -> (ExperimentConfig, Instant) {
     (cfg, Instant::now())
 }
 
-/// Prints the closing footer with elapsed wall-clock time.
+/// Prints the closing footer, and the elapsed wall-clock time to stderr:
+/// stdout stays the same bytes on every run of the same figure.
 pub fn finish(started: Instant) {
-    println!(
-        "----------------------------------------------------------------\n\
-         done in {:.1}s",
-        started.elapsed().as_secs_f64()
-    );
+    println!("----------------------------------------------------------------");
+    eprintln!("done in {:.1}s", started.elapsed().as_secs_f64());
 }
 
 /// Prints a fixed-width table: a header row then data rows, all columns

@@ -80,4 +80,10 @@ export DYNAWAVE_TRAIN=40 DYNAWAVE_TEST=10 DYNAWAVE_SAMPLES=64 DYNAWAVE_INTERVAL=
 for fig in table1 table2 fig01_variation fig02_haar_example fig04_reconstruction; do
   cargo run --release -p dynawave-bench --bin $fig > results/$fig.txt 2> results/$fig.log && echo OK || echo FAIL
 done
+# Simulator-only figures at the scales their headers name.
+for run in "fig16_dvm_demo 64 1024" "casestudy_dtm 128 2048" "ablation_features 32 1024"; do
+  set -- $run
+  DYNAWAVE_TRAIN=200 DYNAWAVE_TEST=50 DYNAWAVE_SAMPLES=$2 DYNAWAVE_INTERVAL=$3 \
+    cargo run --release -p dynawave-bench --bin $1 > results/$1.txt 2> results/$1.log && echo OK || echo FAIL
+done
 echo ALL_DONE

@@ -11,7 +11,6 @@ use dynawave_numeric::fault::{self, FaultSite};
 use dynawave_numeric::Matrix;
 use dynawave_sampling::DesignPoint;
 use dynawave_wavelet::{select, wavedec, waverec, Decomposition, Wavelet};
-use std::collections::BTreeMap;
 
 /// How the set of predicted wavelet coefficients is chosen (paper §3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -120,61 +119,80 @@ struct MergedNetwork {
 }
 
 impl SharedBasis {
-    /// Merges the units of every RBF network among `models`. Equal units
-    /// are found by the bit patterns of their parameters in ordered maps,
-    /// so the basis is the same on every run.
+    /// Merges the units of every RBF network among `models`. The units
+    /// under one normalizer are sorted by a fingerprint of their bits,
+    /// and each is merged with an earlier unit of its fingerprint whose
+    /// bits are all equal. Sorting `(fingerprint, network, unit)` triples
+    /// gives the same basis on every run.
     fn new(models: &[CoeffModel]) -> Self {
-        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-        let mut normalizers: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
-        let mut groups: Vec<(Normalizer, GaussianBasis, BTreeMap<Vec<u64>, usize>)> = Vec::new();
-        // Terms as (group, unit within the group, weight) until the group
-        // offsets are known.
-        let mut local: Vec<(f64, Vec<(usize, usize, f64)>)> = Vec::with_capacity(models.len());
-        for model in models {
-            let CoeffModel::Rbf(net) = model else {
-                local.push((0.0, Vec::new()));
-                continue;
-            };
-            let normalizer = net.normalizer();
-            let mut key = bits(normalizer.mins());
-            key.extend(bits(normalizer.spans()));
-            let group = *normalizers.entry(key).or_insert_with(|| {
-                let basis = GaussianBasis::new(normalizer.dims());
-                groups.push((normalizer.clone(), basis, BTreeMap::new()));
-                groups.len() - 1
-            });
-            let (_, basis, seen) = &mut groups[group];
-            let terms = (net.basis().units().zip(net.weights()))
-                .map(|((center, radius), &w)| {
-                    let mut key = bits(&center);
-                    key.extend(bits(&radius));
-                    let unit = *seen.entry(key).or_insert_with(|| {
-                        basis.push(&center, &radius);
-                        basis.len() - 1
-                    });
-                    (group, unit, w)
-                })
-                .collect();
-            local.push((net.bias().unwrap_or(0.0), terms));
-        }
-        let mut offsets = Vec::with_capacity(groups.len());
-        let mut units = 0;
-        for (_, basis, _) in &groups {
-            offsets.push(units);
-            units += basis.len();
-        }
-        let networks = (local.into_iter())
-            .map(|(bias, terms)| MergedNetwork {
-                bias,
-                terms: (terms.into_iter())
-                    .map(|(group, unit, w)| (offsets[group] + unit, w))
-                    .collect(),
+        let rbf: Vec<(usize, &RbfNetwork)> = (models.iter().enumerate())
+            .filter_map(|(i, m)| match m {
+                CoeffModel::Rbf(net) => Some((i, net)),
+                CoeffModel::Linear(_) | CoeffModel::Constant(_) => None,
             })
             .collect();
+        let same_normalizer = |a: &Normalizer, b: &Normalizer| {
+            same_bits(a.mins(), b.mins()) && same_bits(a.spans(), b.spans())
+        };
+        let mut normalizers: Vec<&Normalizer> = Vec::new();
+        for (_, net) in &rbf {
+            if !(normalizers.iter()).any(|n| same_normalizer(n, net.normalizer())) {
+                normalizers.push(net.normalizer());
+            }
+        }
+        // Each network's unit ids in the concatenated basis.
+        let mut ids: Vec<Vec<usize>> = vec![Vec::new(); rbf.len()];
+        let mut groups = Vec::with_capacity(normalizers.len());
+        let mut units = 0;
+        for normalizer in normalizers {
+            let mut keyed = Vec::new();
+            for (r, (_, net)) in rbf.iter().enumerate() {
+                if same_normalizer(net.normalizer(), normalizer) {
+                    let own = net.basis();
+                    keyed.extend((0..own.len()).map(|u| (fingerprint(own, u), r, u)));
+                    ids[r] = vec![0; own.len()];
+                }
+            }
+            keyed.sort_unstable();
+            let mut basis = GaussianBasis::new(normalizer.dims());
+            // The distinct units of the current fingerprint: (network,
+            // unit, id).
+            let mut run: Vec<(usize, usize, usize)> = Vec::new();
+            let (mut center, mut radius) = (Vec::new(), Vec::new());
+            for (k, &(print, r, u)) in keyed.iter().enumerate() {
+                if k > 0 && keyed[k - 1].0 != print {
+                    run.clear();
+                }
+                let own = rbf[r].1.basis();
+                let equal = |&&(q, v, _): &&(usize, usize, usize)| {
+                    unit_bits(rbf[q].1.basis(), v).eq(unit_bits(own, u))
+                };
+                ids[r][u] = units
+                    + match run.iter().find(equal) {
+                        Some(&(_, _, id)) => id,
+                        None => {
+                            center.clear();
+                            center.extend(own.centers().iter().map(|c| c[u]));
+                            radius.clear();
+                            radius.extend(own.radii().iter().map(|c| c[u]));
+                            basis.push(&center, &radius);
+                            run.push((r, u, basis.len() - 1));
+                            basis.len() - 1
+                        }
+                    };
+            }
+            units += basis.len();
+            groups.push((normalizer.clone(), basis));
+        }
+        let mut networks = vec![MergedNetwork::default(); models.len()];
+        for ((i, net), ids) in rbf.iter().zip(ids) {
+            networks[*i] = MergedNetwork {
+                bias: net.bias().unwrap_or(0.0),
+                terms: ids.into_iter().zip(net.weights().iter().copied()).collect(),
+            };
+        }
         SharedBasis {
-            groups: (groups.into_iter())
-                .map(|(normalizer, basis, _)| (normalizer, basis))
-                .collect(),
+            groups,
             units,
             networks,
         }
@@ -192,6 +210,23 @@ impl SharedBasis {
         }
         phi
     }
+}
+
+/// `true` when `a` and `b` hold the same bit patterns.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// A 64-bit FNV-1a-style fold of the bit patterns of unit `u` of `basis`.
+fn fingerprint(basis: &GaussianBasis, u: usize) -> u64 {
+    unit_bits(basis, u).fold(0xcbf2_9ce4_8422_2325, |d, b| {
+        (d ^ b).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The bit patterns of unit `u` of `basis`: its centre, then its radius.
+fn unit_bits(basis: &GaussianBasis, u: usize) -> impl Iterator<Item = u64> + '_ {
+    (basis.centers().iter().chain(basis.radii())).map(move |column| column[u].to_bits())
 }
 
 impl MergedNetwork {

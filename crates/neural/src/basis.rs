@@ -73,6 +73,18 @@ impl GaussianBasis {
         self.centers.len()
     }
 
+    /// The centres, dim-major: `centers()[j][u]` is coordinate `j` of
+    /// unit `u`'s centre.
+    pub fn centers(&self) -> &[Vec<f64>] {
+        &self.centers
+    }
+
+    /// The radii, dim-major: `radii()[j][u]` is unit `u`'s radius along
+    /// dimension `j`.
+    pub fn radii(&self) -> &[Vec<f64>] {
+        &self.radii
+    }
+
     /// Every unit's centre and radius vectors, in unit order.
     pub fn units(&self) -> impl Iterator<Item = (Vec<f64>, Vec<f64>)> + '_ {
         (0..self.units).map(|u| {

@@ -105,17 +105,10 @@ struct SharedBasis {
     groups: Vec<(Normalizer, GaussianBasis)>,
     /// Total unit count over all groups.
     units: usize,
-    /// One entry per coefficient model, in order: an RBF network's bias
-    /// and its `(unit, weight)` terms in the network's unit order; no
-    /// terms for the other models.
-    networks: Vec<MergedNetwork>,
-}
-
-/// One RBF network's output layer over a [`SharedBasis`].
-#[derive(Debug, Clone, Default)]
-struct MergedNetwork {
-    bias: f64,
-    terms: Vec<(usize, f64)>,
+    /// One entry per coefficient model, in order: the ids of an RBF
+    /// network's units in the concatenated basis, in the network's unit
+    /// order; empty for the other models.
+    unit_ids: Vec<Vec<usize>>,
 }
 
 impl SharedBasis {
@@ -154,47 +147,47 @@ impl SharedBasis {
                 }
             }
             keyed.sort_unstable();
-            let mut basis = GaussianBasis::new(normalizer.dims());
-            // The distinct units of the current fingerprint: (network,
-            // unit, id).
-            let mut run: Vec<(usize, usize, usize)> = Vec::new();
-            let (mut center, mut radius) = (Vec::new(), Vec::new());
+            // The distinct units in id order, as (network, unit), and the
+            // ids of those with the current fingerprint.
+            let mut distinct: Vec<(usize, usize)> = Vec::new();
+            let mut run: Vec<usize> = Vec::new();
             for (k, &(print, r, u)) in keyed.iter().enumerate() {
                 if k > 0 && keyed[k - 1].0 != print {
                     run.clear();
                 }
                 let own = rbf[r].1.basis();
-                let equal = |&&(q, v, _): &&(usize, usize, usize)| {
+                let found = run.iter().copied().find(|&id| {
+                    let (q, v) = distinct[id];
                     unit_bits(rbf[q].1.basis(), v).eq(unit_bits(own, u))
-                };
-                ids[r][u] = units
-                    + match run.iter().find(equal) {
-                        Some(&(_, _, id)) => id,
-                        None => {
-                            center.clear();
-                            center.extend(own.centers().iter().map(|c| c[u]));
-                            radius.clear();
-                            radius.extend(own.radii().iter().map(|c| c[u]));
-                            basis.push(&center, &radius);
-                            run.push((r, u, basis.len() - 1));
-                            basis.len() - 1
-                        }
-                    };
+                });
+                let id = found.unwrap_or_else(|| {
+                    distinct.push((r, u));
+                    run.push(distinct.len() - 1);
+                    distinct.len() - 1
+                });
+                ids[r][u] = units + id;
+            }
+            let mut basis = GaussianBasis::with_capacity(normalizer.dims(), distinct.len());
+            let (mut center, mut radius) = (Vec::new(), Vec::new());
+            for (r, u) in distinct {
+                let own = rbf[r].1.basis();
+                center.clear();
+                center.extend(own.centers().iter().map(|c| c[u]));
+                radius.clear();
+                radius.extend(own.radii().iter().map(|c| c[u]));
+                basis.push(&center, &radius);
             }
             units += basis.len();
             groups.push((normalizer.clone(), basis));
         }
-        let mut networks = vec![MergedNetwork::default(); models.len()];
-        for ((i, net), ids) in rbf.iter().zip(ids) {
-            networks[*i] = MergedNetwork {
-                bias: net.bias().unwrap_or(0.0),
-                terms: ids.into_iter().zip(net.weights().iter().copied()).collect(),
-            };
+        let mut unit_ids = vec![Vec::new(); models.len()];
+        for ((i, _), ids) in rbf.iter().zip(ids) {
+            unit_ids[*i] = ids;
         }
         SharedBasis {
             groups,
             units,
-            networks,
+            unit_ids,
         }
     }
 
@@ -229,16 +222,15 @@ fn unit_bits(basis: &GaussianBasis, u: usize) -> impl Iterator<Item = u64> + '_ 
     (basis.centers().iter().chain(basis.radii())).map(move |column| column[u].to_bits())
 }
 
-impl MergedNetwork {
-    /// The network's output from the basis responses `phi`, with the
-    /// fault draw and the operations of [`RbfNetwork::predict`] in its
-    /// order.
-    fn predict(&self, phi: &[f64]) -> f64 {
-        if fault::inject(FaultSite::RbfPredict).is_some() {
-            return f64::NAN;
-        }
-        (self.terms.iter()).fold(self.bias, |out, &(unit, w)| out + w * phi[unit])
+/// `net`'s output from the responses `phi` of the merged basis, where
+/// its units have the ids `unit_ids`: the fault draw and the operations
+/// of [`RbfNetwork::predict`], in its order.
+fn merged_predict(net: &RbfNetwork, unit_ids: &[usize], phi: &[f64]) -> f64 {
+    if fault::inject(FaultSite::RbfPredict).is_some() {
+        return f64::NAN;
     }
+    (unit_ids.iter().zip(net.weights()))
+        .fold(net.bias().unwrap_or(0.0), |out, (&id, w)| out + w * phi[id])
 }
 
 /// The paper's hybrid scheme: wavelet decomposition, one neural network
@@ -445,9 +437,9 @@ impl WaveletNeuralPredictor {
         let phi = self.basis.responses(x);
         let mut coeffs = vec![0.0; self.trace_len];
         let coefficients = self.indices.iter().zip(&self.models);
-        for ((&idx, model), merged) in coefficients.zip(&self.basis.networks) {
+        for ((&idx, model), unit_ids) in coefficients.zip(&self.basis.unit_ids) {
             let v = match model {
-                CoeffModel::Rbf(_) => merged.predict(&phi),
+                CoeffModel::Rbf(net) => merged_predict(net, unit_ids, &phi),
                 CoeffModel::Linear(m) => m.predict(x),
                 CoeffModel::Constant(v) => *v,
             };

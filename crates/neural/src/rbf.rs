@@ -64,7 +64,7 @@ pub struct RbfNetworkData {
 #[derive(Debug, Clone)]
 pub struct RbfNetwork {
     normalizer: Normalizer,
-    units: GaussianBasis,
+    basis: GaussianBasis,
     weights: Vec<f64>,
     bias_weight: Option<f64>,
     tree: Option<RegressionTree>,
@@ -100,17 +100,17 @@ impl RbfNetwork {
         let _span = dynawave_obs::span("neural.rbf_fit");
         check_targets(ctx.x(), y)?;
         let tree = RegressionTree::fit_ranked(ctx.x(), ctx.ranks(), y, &params.tree);
-        let mut units = GaussianBasis::with_capacity(ctx.x().cols(), tree.nodes().len());
+        let mut basis = GaussianBasis::with_capacity(ctx.x().cols(), tree.nodes().len());
         for node in tree.nodes() {
             let radius: Vec<f64> = (node.extent.iter())
                 .map(|&e| (e * params.radius_scale).max(params.min_radius))
                 .collect();
-            units.push(&node.center, &radius);
+            basis.push(&node.center, &radius);
         }
-        let (weights, bias_weight) = fit_weights(ctx.x(), y, &units, params)?;
+        let (weights, bias_weight) = fit_weights(ctx.x(), y, &basis, params)?;
         Ok(RbfNetwork {
             normalizer: ctx.normalizer().clone(),
-            units,
+            basis,
             weights,
             bias_weight,
             tree: Some(tree),
@@ -157,15 +157,15 @@ impl RbfNetwork {
         let offset = (dynawave_numeric::rng::splitmix64(seed) as usize) % n;
         let radius = (1.0 / (k as f64).powf(1.0 / xn.cols() as f64)).max(params.min_radius)
             * params.radius_scale;
-        let mut units = GaussianBasis::with_capacity(xn.cols(), k);
+        let mut basis = GaussianBasis::with_capacity(xn.cols(), k);
         let radius = vec![radius; xn.cols()];
         for i in 0..k {
-            units.push(xn.row((offset + i * n / k) % n), &radius);
+            basis.push(xn.row((offset + i * n / k) % n), &radius);
         }
-        let (weights, bias_weight) = fit_weights(xn, y, &units, params)?;
+        let (weights, bias_weight) = fit_weights(xn, y, &basis, params)?;
         Ok(RbfNetwork {
             normalizer: ctx.normalizer().clone(),
-            units,
+            basis,
             weights,
             bias_weight,
             tree: None,
@@ -174,7 +174,7 @@ impl RbfNetwork {
 
     /// Number of Gaussian units.
     pub fn unit_count(&self) -> usize {
-        self.units.len()
+        self.basis.len()
     }
 
     /// The regression tree used for center selection, if any.
@@ -188,7 +188,7 @@ impl RbfNetwork {
 
     /// The Gaussian units, in the order of [`RbfNetwork::weights`].
     pub fn basis(&self) -> &GaussianBasis {
-        &self.units
+        &self.basis
     }
 
     /// The input normalizer learned from the training design.
@@ -223,8 +223,8 @@ impl RbfNetwork {
         if fault::inject(FaultSite::RbfPredict).is_some() {
             return f64::NAN;
         }
-        let mut phi = vec![0.0; self.units.len()];
-        self.units
+        let mut phi = vec![0.0; self.basis.len()];
+        self.basis
             .responses(&self.normalizer.transform(x), &mut phi);
         (self.weights.iter().zip(&phi))
             .fold(self.bias_weight.unwrap_or(0.0), |out, (w, r)| out + w * r)
@@ -248,8 +248,8 @@ impl RbfNetwork {
         RbfNetworkData {
             mins: self.normalizer.mins().to_vec(),
             spans: self.normalizer.spans().to_vec(),
-            centers: self.units.units().map(|(center, _)| center).collect(),
-            radii: self.units.units().map(|(_, radius)| radius).collect(),
+            centers: self.basis.units().map(|(center, _)| center).collect(),
+            radii: self.basis.units().map(|(_, radius)| radius).collect(),
             weights: self.weights.clone(),
             bias: self.bias_weight,
         }
@@ -289,13 +289,13 @@ impl RbfNetwork {
                 });
             }
         }
-        let mut units = GaussianBasis::with_capacity(dims, data.centers.len());
+        let mut basis = GaussianBasis::with_capacity(dims, data.centers.len());
         for (center, radius) in data.centers.iter().zip(&data.radii) {
-            units.push(center, radius);
+            basis.push(center, radius);
         }
         Ok(RbfNetwork {
             normalizer: Normalizer::from_parts(data.mins, data.spans),
-            units,
+            basis,
             weights: data.weights,
             bias_weight: data.bias,
             tree: None,
@@ -306,7 +306,7 @@ impl RbfNetwork {
 fn fit_weights(
     xn: &Matrix,
     y: &[f64],
-    units: &GaussianBasis,
+    basis: &GaussianBasis,
     params: &RbfParams,
 ) -> Result<(Vec<f64>, Option<f64>), ModelError> {
     // Chaos-test hook: force the output-weight fit to fail (or to return
@@ -318,17 +318,17 @@ fn fit_weights(
                 "injected early termination of the weight fit",
             )),
             FaultKind::NonFinite => {
-                Ok((vec![f64::NAN; units.len()], params.bias.then_some(f64::NAN)))
+                Ok((vec![f64::NAN; basis.len()], params.bias.then_some(f64::NAN)))
             }
         };
     }
     let n = xn.rows();
-    let cols = units.len() + usize::from(params.bias);
+    let cols = basis.len() + usize::from(params.bias);
     // Each row of the design matrix holds the unit responses at one
     // training point, then the bias column's 1.
     let mut design = vec![1.0; n * cols];
     for (r, row) in design.chunks_exact_mut(cols.max(1)).enumerate() {
-        units.responses(xn.row(r), row);
+        basis.responses(xn.row(r), row);
     }
     let phi = Matrix::from_vec(n, cols, design)?;
     let mut w = solve::ridge_regression(&phi, y, params.ridge_lambda)?;

@@ -98,7 +98,7 @@ impl CoeffModel {
 /// bit: they respond with the same bits at every query, so evaluating
 /// the merged unit once and reading its response wherever the old unit
 /// stood reproduces every network's output exactly.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct SharedBasis {
     /// Each distinct normalizer with the distinct units evaluated on its
     /// output; their responses are laid end to end, group by group.

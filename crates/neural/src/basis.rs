@@ -11,7 +11,7 @@
 /// per-unit loop in the same order — `z = (x_j - mu_uj) / theta_uj`,
 /// `s_u += z * z` for `j = 0..d` from `s_u = 0`, then `exp(-s_u)` — so its
 /// response is bit-identical to that loop's.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone)]
 pub struct GaussianBasis {
     units: usize,
     /// `centers[j][u]`: coordinate `j` of unit `u`'s centre.
@@ -21,11 +21,6 @@ pub struct GaussianBasis {
 }
 
 impl GaussianBasis {
-    /// An empty basis over `dims` input dimensions.
-    pub fn new(dims: usize) -> Self {
-        Self::with_capacity(dims, 0)
-    }
-
     /// An empty basis over `dims` input dimensions with room for `units`
     /// units.
     pub fn with_capacity(dims: usize, units: usize) -> Self {
@@ -151,7 +146,7 @@ mod tests {
     fn responses_match_the_scalar_formula_bitwise() {
         let mut rng = Rng::new(0x6A05_5BA5);
         for dims in [1, 2, 9, 10] {
-            let mut basis = GaussianBasis::new(dims);
+            let mut basis = GaussianBasis::with_capacity(dims, 67);
             for u in 0..67 {
                 let center: Vec<f64> = (0..dims).map(|_| rng.next_f64() * 1.4 - 0.2).collect();
                 // Every third unit sits at the 0.7 radius floor in some
@@ -180,7 +175,7 @@ mod tests {
 
     #[test]
     fn far_inputs_underflow_to_zero_like_the_scalar_formula() {
-        let mut basis = GaussianBasis::new(3);
+        let mut basis = GaussianBasis::with_capacity(3, 3);
         basis.push(&[0.0, 0.0, 0.0], &[0.7, 0.7, 0.7]);
         basis.push(&[0.5, 0.5, 0.5], &[1e-3, 2.0, 0.7]);
         basis.push(&[1.0, -1.0, 0.25], &[1e-9, 1e-9, 1e-9]);
@@ -194,13 +189,13 @@ mod tests {
 
     #[test]
     fn empty_and_zero_dimensional_bases() {
-        let empty = GaussianBasis::new(4);
+        let empty = GaussianBasis::with_capacity(4, 0);
         assert!(empty.is_empty());
         let mut out = [7.0];
         empty.responses(&[0.0; 4], &mut out);
         assert_eq!(out, [7.0]);
         // A unit over no dimensions has s = 0 and responds exp(-0) = 1.
-        let mut flat = GaussianBasis::new(0);
+        let mut flat = GaussianBasis::with_capacity(0, 2);
         flat.push(&[], &[]);
         flat.push(&[], &[]);
         let mut out = [0.0; 2];
@@ -211,7 +206,7 @@ mod tests {
 
     #[test]
     fn units_round_trip_in_order() {
-        let mut basis = GaussianBasis::new(2);
+        let mut basis = GaussianBasis::with_capacity(2, 2);
         basis.push(&[0.1, 0.2], &[1.0, 2.0]);
         basis.push(&[0.3, 0.4], &[3.0, 4.0]);
         let units: Vec<_> = basis.units().collect();

@@ -535,7 +535,7 @@ mod tests {
 
     #[test]
     fn unit_response_peaks_at_center() {
-        let mut basis = GaussianBasis::new(2);
+        let mut basis = GaussianBasis::with_capacity(2, 1);
         basis.push(&[0.5, 0.5], &[0.2, 0.2]);
         let response = |x: [f64; 2]| {
             let mut out = [0.0];

@@ -23,7 +23,8 @@ cd "$(dirname "$0")"
 # journal temp file or shard sidecar is left behind, and a demo start-up
 # with DYNAWAVE_SAMPLES=0 that must exit 2 naming the variable.
 # --perf adds the perf-trajectory ratchet: a quick microbench subset
-# (wavelet, simulator/run, rbf and predictor/predict lines) diffed
+# (wavelet, simulator/run, rbf and predictor/predict lines, the last
+# filter also matching predictor/predict_mean) diffed
 # against the committed BENCH_seed.json baseline with
 # compare_bench. Soft by default (regressions warn, like the lint
 # baseline); --strict-perf turns flagged regressions into failures.
@@ -289,7 +290,9 @@ if [ "$PERF" = 1 ]; then
   # A quick microbench subset (the wavelet stage, the simulator's runs
   # of gcc and mcf, the RBF kernels, which fit one network on one
   # thread, so a kernel regression cannot hide behind the training
-  # fan-out, and one predictor's forecast through its merged basis) at
+  # fan-out, and one predictor's forecast through its merged basis and
+  # its mean-only forecast, both matched by the predictor/predict
+  # substring) at
   # reduced sampling, diffed against the committed seed baseline. Only
   # noise-aware flags count: a delta must beat the relative threshold
   # AND escape the baseline's min/max band.

@@ -193,7 +193,8 @@ fn gaussian_design(x: &Matrix, units: usize) -> Matrix {
 
 /// One predictor's training: wavedec, selection and 128 coefficient fits
 /// on a simulated 200-point gcc CPI training set of 128 samples; then
-/// its prediction of one unsimulated point's 128-sample trace. The fits
+/// its prediction of one unsimulated point's 128-sample trace, and of
+/// that trace's mean from the approximation coefficient alone. The fits
 /// run on `DYNAWAVE_THREADS` workers, by default the machine's available
 /// parallelism, so `predictor/train` scales with the host; the `rbf/`
 /// lines time one fit on one thread.
@@ -222,6 +223,9 @@ fn bench_predictor(h: &Harness) {
     let (model, _) = WaveletNeuralPredictor::train_resilient(&train, &params, &policy).unwrap();
     let query = &lhs::sample(&DesignSpace::micro2007(), 1, 2)[0];
     h.bench("predictor/predict", 128, || model.predict(black_box(query)));
+    h.bench("predictor/predict_mean", 1, || {
+        model.predict_mean(black_box(query))
+    });
 }
 
 fn bench_simulator(h: &Harness) {

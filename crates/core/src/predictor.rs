@@ -456,6 +456,48 @@ impl WaveletNeuralPredictor {
         waverec(&dec).unwrap_or_else(|_| vec![0.0; self.trace_len])
     }
 
+    /// Forecasts the mean of the workload-dynamics trace at a design
+    /// point from the approximation coefficient alone.
+    ///
+    /// Every detail basis function of a full decomposition sums to zero,
+    /// so the mean of the trace [`WaveletNeuralPredictor::predict`]
+    /// reconstructs is coefficient 0 under Haar's average convention
+    /// (paper §2.1) and coefficient 0 / √N under db4, whose orthonormal
+    /// filters scale each level's sum by 1/√2. Only coefficient 0's
+    /// model is evaluated: an RBF network through [`RbfNetwork::predict`],
+    /// with its one [`FaultSite::RbfPredict`] draw. A non-finite value
+    /// becomes 0, as in `predict`, and an unselected coefficient 0 gives
+    /// exactly 0.
+    ///
+    /// The value equals the mean of `predict`'s trace up to rounding:
+    /// `waverec` and the sum over its samples round on their way, so the
+    /// two may differ in the last digits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the point's dimensionality differs from training and
+    /// coefficient 0 has an RBF or linear model.
+    pub fn predict_mean(&self, point: &DesignPoint) -> f64 {
+        let _span = dynawave_obs::span("predictor.predict_mean");
+        let mut coefficients = self.indices.iter().zip(&self.models);
+        let Some((_, model)) = coefficients.find(|(&idx, _)| idx == 0) else {
+            return 0.0;
+        };
+        let x = point.values();
+        let c0 = match model {
+            CoeffModel::Rbf(net) => net.predict(x),
+            CoeffModel::Linear(m) => m.predict(x),
+            CoeffModel::Constant(v) => *v,
+        };
+        if !c0.is_finite() {
+            return 0.0;
+        }
+        match self.wavelet {
+            Wavelet::Haar => c0,
+            Wavelet::Daubechies4 => c0 / (self.trace_len as f64).sqrt(),
+        }
+    }
+
     /// Indices of the predicted coefficients, most significant first.
     pub fn coefficient_indices(&self) -> &[usize] {
         &self.indices
@@ -1215,6 +1257,161 @@ mod tests {
         let same = WaveletNeuralPredictor::from_portable(model.to_portable()).unwrap();
         assert_eq!(same.basis.units, distinct);
         assert_eq!(same.basis.groups.len(), 1);
+    }
+
+    /// Asserts that `model`'s `predict_mean` is within 1e-13 relative of
+    /// the mean of its `predict` trace at every point of `points`, and
+    /// that its snapshot rebuild returns the same bits.
+    fn assert_mean_matches_trace_mean(
+        model: &WaveletNeuralPredictor,
+        points: &[DesignPoint],
+        label: &str,
+    ) {
+        assert!(model.coefficient_indices().contains(&0), "{label}");
+        let rebuilt = WaveletNeuralPredictor::from_portable(model.to_portable()).unwrap();
+        for p in points {
+            let trace = model.predict(p);
+            let want = trace.iter().sum::<f64>() / trace.len() as f64;
+            let got = model.predict_mean(p);
+            assert!(
+                (got - want).abs() <= 1e-13 * want.abs(),
+                "{label} at {p}: {got:e} vs {want:e}"
+            );
+            assert_eq!(rebuilt.predict_mean(p).to_bits(), got.to_bits(), "{label}");
+        }
+    }
+
+    #[test]
+    fn predict_mean_is_the_mean_of_the_forecast_trace() {
+        use dynawave_numeric::fault::{with_plan, FaultKind, FaultPlan};
+        let cfg = crate::experiment::ExperimentConfig {
+            train_points: 24,
+            samples: 128,
+            interval_instructions: 64,
+            seed: 20261020,
+            ..crate::experiment::ExperimentConfig::default()
+        };
+        let policy = RecoveryPolicy::default();
+        let train = |set: &TraceSet, params: &PredictorParams| {
+            WaveletNeuralPredictor::train_resilient(set, params, &policy).unwrap()
+        };
+        for bench in [Benchmark::Gcc, Benchmark::Mcf] {
+            let sets = crate::collect_domain_traces(bench, &cfg.train_design(), &cfg.sim_options());
+            for set in &sets {
+                let points = probes(set);
+                for wavelet in [Wavelet::Haar, Wavelet::Daubechies4] {
+                    for coefficients in [16, 128] {
+                        let params = PredictorParams {
+                            wavelet,
+                            coefficients,
+                            ..PredictorParams::default()
+                        };
+                        let label = format!("{bench} {} {wavelet} k={coefficients}", set.metric);
+                        assert_mean_matches_trace_mean(&train(set, &params).0, &points, &label);
+                    }
+                }
+            }
+            let cpi = &sets[0];
+            let points = probes(cpi);
+            for model in [ModelKind::RandomRbf, ModelKind::Linear] {
+                let params = PredictorParams {
+                    model,
+                    ..PredictorParams::default()
+                };
+                let label = format!("{bench} {model:?}");
+                assert_mean_matches_trace_mean(&train(cpi, &params).0, &points, &label);
+            }
+            // Every weight fit fails: the linear rung. Every ridge solve
+            // fails too: the mean rung.
+            for (sites, rungs) in [
+                (&[FaultSite::RbfWeightFit][..], [0, 0, 16, 0]),
+                (
+                    &[FaultSite::RbfWeightFit, FaultSite::RidgeSolve],
+                    [0, 0, 0, 16],
+                ),
+            ] {
+                let plan = FaultPlan::new(0x3EA5)
+                    .rate(1.0)
+                    .targeting(sites)
+                    .kinds(&[FaultKind::Singular]);
+                let params = PredictorParams::default();
+                let ((degraded, report), _) = with_plan(plan, || train(cpi, &params));
+                assert_eq!(report.rung_counts(), rungs);
+                let label = format!("{bench} rungs {rungs:?}");
+                assert_mean_matches_trace_mean(&degraded, &points, &label);
+            }
+        }
+    }
+
+    #[test]
+    fn predict_mean_is_zero_when_the_approximation_is_unselected() {
+        // Every trace alternates sample by sample and in blocks of four:
+        // its mean, and so its coefficient 0, is exactly zero, while 24
+        // of its 32 Haar details are not.
+        let mut set = synthetic_set(25, 32);
+        for (p, trace) in set.points.iter().zip(&mut set.traces) {
+            let (a, b) = (p.values()[0], p.values()[1]);
+            for (s, v) in trace.iter_mut().enumerate() {
+                let fine = if s % 2 == 0 { 1.0 } else { -1.0 };
+                let block = if s % 4 < 2 { 1.0 } else { -1.0 };
+                *v = (1.0 + 0.5 * a) * fine + 0.3 * (b + 1.0) * block;
+            }
+        }
+        for wavelet in [Wavelet::Haar, Wavelet::Daubechies4] {
+            let params = PredictorParams {
+                wavelet,
+                ..PredictorParams::default()
+            };
+            let model = WaveletNeuralPredictor::train(&set, &params).unwrap();
+            assert!(!model.coefficient_indices().contains(&0), "{wavelet}");
+            let rebuilt = WaveletNeuralPredictor::from_portable(model.to_portable()).unwrap();
+            for p in &set.points {
+                assert_eq!(model.predict_mean(p).to_bits(), 0.0f64.to_bits());
+                assert_eq!(rebuilt.predict_mean(p).to_bits(), 0.0f64.to_bits());
+                let trace = model.predict(p);
+                let scale = trace.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                let mean = trace.iter().sum::<f64>() / trace.len() as f64;
+                assert!(mean.abs() <= 1e-13 * scale, "{wavelet}: {mean:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn predict_mean_draws_one_rbf_fault_per_call_and_zeroes_a_faulted_one() {
+        use dynawave_numeric::fault::{with_plan, FaultPlan};
+        let set = &simulated_sets()[0];
+        let points = probes(set);
+        let plan = || {
+            FaultPlan::new(0x0DD5)
+                .rate(0.3)
+                .targeting(&[FaultSite::RbfPredict])
+        };
+        let means = |model: &WaveletNeuralPredictor| -> Vec<f64> {
+            points.iter().map(|p| model.predict_mean(p)).collect()
+        };
+        let model = WaveletNeuralPredictor::train(set, &PredictorParams::default()).unwrap();
+        let clean = means(&model);
+        assert!(clean.iter().all(|v| v.abs() > 0.0));
+        let (faulted, report) = with_plan(plan(), || means(&model));
+        // Coefficient 0 is an RBF network: one draw per call.
+        assert_eq!(report.armed, points.len() as u64);
+        assert!(report.fired > 0, "{report:?}");
+        let mut zeroed = 0;
+        for (f, c) in faulted.iter().zip(&clean) {
+            if f.to_bits() != c.to_bits() {
+                assert_eq!(f.to_bits(), 0.0f64.to_bits());
+                zeroed += 1;
+            }
+        }
+        assert_eq!(zeroed, report.fired);
+        // A linear coefficient 0 draws nothing.
+        let params = PredictorParams {
+            model: ModelKind::Linear,
+            ..PredictorParams::default()
+        };
+        let linear = WaveletNeuralPredictor::train(set, &params).unwrap();
+        let (_, report) = with_plan(plan(), || means(&linear));
+        assert_eq!(report.armed, 0);
     }
 
     #[test]

@@ -1228,7 +1228,7 @@ impl ServeEngine {
                     if let Some(slot) = knobs.get_mut(*axis) {
                         *slot = *v;
                     }
-                    let mean = trace_mean(&model.predict(&DesignPoint::new(knobs)));
+                    let mean = model.predict_mean(&DesignPoint::new(knobs));
                     out.push_str("{\"value\":");
                     push_json_number(&mut out, *v);
                     out.push_str(",\"mean\":");
@@ -1255,7 +1255,10 @@ impl ServeEngine {
     }
 
     /// Mean of each metric's predicted trace per point, point-major and
-    /// metric-minor (the order the chaos fault draws follow).
+    /// metric-minor, read from the approximation coefficient
+    /// ([`WaveletNeuralPredictor::predict_mean`]): one model evaluation
+    /// and at most one chaos fault draw per (point, metric), in that
+    /// order.
     fn means(
         &self,
         benchmark: Benchmark,
@@ -1268,7 +1271,7 @@ impl ServeEngine {
             .collect::<Result<_, _>>()?;
         Ok(points
             .iter()
-            .map(|p| models.iter().map(|m| trace_mean(&m.predict(p))).collect())
+            .map(|p| models.iter().map(|m| m.predict_mean(p)).collect())
             .collect())
     }
 

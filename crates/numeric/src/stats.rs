@@ -254,11 +254,6 @@ impl Welford {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

@@ -137,11 +137,6 @@ impl IntervalStats {
         ratio(self.dl1_misses, self.dl1_accesses)
     }
 
-    /// L2 miss rate in `[0, 1]`.
-    pub fn l2_miss_rate(&self) -> f64 {
-        ratio(self.l2_misses, self.l2_accesses)
-    }
-
     /// Branch misprediction rate in `[0, 1]`.
     pub fn mispredict_rate(&self) -> f64 {
         ratio(self.mispredicts, self.branches)

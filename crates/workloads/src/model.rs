@@ -288,24 +288,6 @@ impl ProfileBuilder {
         self
     }
 
-    /// Sets the ILP phase signal.
-    pub fn ilp_signal(mut self, signal: PhaseSignal) -> Self {
-        self.profile.signals.ilp = signal;
-        self
-    }
-
-    /// Sets the branch-noise phase signal.
-    pub fn branch_signal(mut self, signal: PhaseSignal) -> Self {
-        self.profile.signals.branch = signal;
-        self
-    }
-
-    /// Sets the dead-fraction phase signal.
-    pub fn deadness_signal(mut self, signal: PhaseSignal) -> Self {
-        self.profile.signals.deadness = signal;
-        self
-    }
-
     /// Finalizes the profile.
     pub fn build(self) -> BenchmarkProfile {
         self.profile

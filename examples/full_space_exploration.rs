@@ -55,7 +55,7 @@ fn main() {
             continue;
         }
         feasible += 1;
-        let cpi = mean(&cpi_model.predict(&point));
+        let cpi = cpi_model.predict_mean(&point);
         if best.as_ref().is_none_or(|(c, _, _)| cpi < *c) {
             best = Some((cpi, power, point));
         }

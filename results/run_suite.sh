@@ -1,6 +1,7 @@
 #!/bin/bash
-# Paper-scale runs for the main accuracy figures
-cd /root/repo
+# Paper-scale runs for the main accuracy figures, from the repository
+# root whatever the caller's working directory.
+cd "$(dirname "$0")/.."
 # Tier-1 gate first: hermetic build + tests + static analysis +
 # formatting, plus the chaos (fault-injection + checkpoint/resume) pass —
 # a long campaign must be provably resumable and degradation-tolerant

@@ -661,6 +661,110 @@ fn cpi_snapshot_loads_and_power_and_avf_train_from_one_simulation() {
     assert_eq!(resp, fresh.handle_line(&pareto_request("p", "gcc")));
 }
 
+/// The `results` array of an `ok` response line.
+fn results_of(resp: &str) -> Vec<BTreeMap<String, json::Value>> {
+    assert_ok(&[resp.to_string()]);
+    parse_object(resp)["results"]
+        .as_array()
+        .expect("results array")
+        .iter()
+        .map(|r| r.as_object().cloned().expect("result object"))
+        .collect()
+}
+
+/// The bits of the number `field` of `row`.
+fn bits_of(row: &BTreeMap<String, json::Value>, field: &str) -> u64 {
+    row[field].as_f64().expect("a number").to_bits()
+}
+
+#[test]
+fn mean_only_kinds_answer_with_predict_mean_and_predict_keeps_trace_stats() {
+    let cfg = tiny_config();
+    let models: Vec<WaveletNeuralPredictor> = (Metric::DOMAINS.iter())
+        .map(|&metric| oracle_model(&cfg.config, metric))
+        .collect();
+    let bases = [2.0, 3.0, 4.5, 5.0, 6.5, 8.0];
+    let points: Vec<DesignPoint> = (bases.iter())
+        .map(|&base| DesignPoint::new((0..dims()).map(|i| base + i as f64).collect()))
+        .collect();
+    let points_json: Vec<String> = bases.iter().map(|&base| point_json(base)).collect();
+    let points_field = format!(",\"points\":[{}]", points_json.join(","));
+    // Rows [cpi, power, avf] per point.
+    let means: Vec<Vec<f64>> = (points.iter())
+        .map(|p| models.iter().map(|m| m.predict_mean(p)).collect())
+        .collect();
+    let mut engine = ServeEngine::new(cfg);
+
+    // pareto: every returned number is the oracle's predict_mean, and the
+    // rows are exactly the non-dominated points.
+    let rows = results_of(&engine.handle_line(&request("p", "pareto", "gcc", &points_field)));
+    let dominated = |a: &Vec<f64>| {
+        (means.iter())
+            .any(|b| b.iter().zip(a).all(|(x, y)| x <= y) && b.iter().zip(a).any(|(x, y)| x < y))
+    };
+    let frontier: Vec<usize> = (0..points.len())
+        .filter(|&i| !dominated(&means[i]))
+        .collect();
+    let indices: Vec<usize> = (rows.iter())
+        .map(|r| r["index"].as_f64().expect("index") as usize)
+        .collect();
+    assert_eq!(indices, frontier);
+    for (row, &i) in rows.iter().zip(&indices) {
+        for (metric, mean) in Metric::DOMAINS.iter().zip(&means[i]) {
+            assert_eq!(
+                bits_of(row, metric.name()),
+                mean.to_bits(),
+                "pareto {metric}"
+            );
+        }
+    }
+
+    // topk: CPI ascending under a budget that excludes some points.
+    let mut powers: Vec<f64> = means.iter().map(|m| m[1]).collect();
+    powers.sort_by(f64::total_cmp);
+    let budget = powers[powers.len() / 2];
+    let fields = format!(",\"k\":2,\"power_budget\":{budget}{points_field}");
+    let rows = results_of(&engine.handle_line(&request("t", "topk", "gcc", &fields)));
+    let mut ranked: Vec<usize> = (0..points.len())
+        .filter(|&i| means[i][1] <= budget)
+        .collect();
+    ranked.sort_by(|&i, &j| means[i][0].total_cmp(&means[j][0]).then(i.cmp(&j)));
+    ranked.truncate(2);
+    assert_eq!(rows.len(), ranked.len());
+    for (row, &i) in rows.iter().zip(&ranked) {
+        assert_eq!(row["index"].as_f64(), Some(i as f64));
+        assert_eq!(bits_of(row, "cpi"), means[i][0].to_bits(), "topk cpi");
+        assert_eq!(bits_of(row, "power"), means[i][1].to_bits(), "topk power");
+    }
+
+    // sweep: one predict_mean per value along the axis.
+    let fields = format!(
+        ",\"metric\":\"avf\",\"base\":{},\"axis\":2,\"values\":[1,3.5,6]",
+        points_json[0]
+    );
+    let rows = results_of(&engine.handle_line(&request("s", "sweep", "gcc", &fields)));
+    assert_eq!(rows.len(), 3);
+    for (row, v) in rows.iter().zip([1.0, 3.5, 6.0]) {
+        let mut knobs = points[0].values().to_vec();
+        knobs[2] = v;
+        let want = models[2].predict_mean(&DesignPoint::new(knobs));
+        assert_eq!(bits_of(row, "mean"), want.to_bits(), "sweep at {v}");
+    }
+
+    // predict: mean, min and max still describe the returned trace.
+    let fields = format!(",\"metric\":\"power\"{points_field}");
+    let rows = results_of(&engine.handle_line(&request("q", "predict", "gcc", &fields)));
+    for (row, p) in rows.iter().zip(&points) {
+        let trace = models[1].predict(p);
+        let mean = trace.iter().sum::<f64>() / trace.len() as f64;
+        let lo = trace.iter().cloned().fold(f64::INFINITY, f64::min);
+        let hi = trace.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(bits_of(row, "mean"), mean.to_bits(), "predict mean");
+        assert_eq!(bits_of(row, "min"), lo.to_bits(), "predict min");
+        assert_eq!(bits_of(row, "max"), hi.to_bits(), "predict max");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Daemon binary: the same guarantees end-to-end over stdin/stdout.
 // ---------------------------------------------------------------------

@@ -389,6 +389,51 @@ fn predicted_trace_bits_are_pinned() {
     );
 }
 
+/// What `collect_domain_traces` returns and what it records are pinned:
+/// a digest over every trace bit and every byte of the traced event
+/// stream for gcc and mcf on a mixed 12-point design (training levels,
+/// test levels, and points with a 10th DVM value, some of them on). A
+/// change to how the points are simulated that moves one trace bit or
+/// one traced byte fails here; one that only reorders independent runs
+/// does not.
+#[test]
+fn collected_trace_and_stream_bits_are_pinned() {
+    use dynawave_sampling::DesignPoint;
+    let opts = SimOptions {
+        samples: 16,
+        interval_instructions: 256,
+        seed: 20260806,
+    };
+    let plain = DesignSpace::micro2007();
+    let dvm = DesignSpace::micro2007_with_dvm();
+    let design: Vec<DesignPoint> = (lhs::sample(&plain, 4, 28).into_iter())
+        .chain(random::sample(&plain, 4, Split::Test, 28))
+        .chain(lhs::sample(&dvm, 4, 28))
+        .collect();
+    assert!(design
+        .iter()
+        .any(|p| p.values().len() == 10 && p.value(9) > 0.0));
+    let mut digest = 0u64;
+    for bench in [Benchmark::Gcc, Benchmark::Mcf] {
+        let prior = dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
+        let sets = collect_domain_traces(bench, &design, &opts);
+        let events = dynawave_obs::drain().expect("recorder was installed");
+        if let Some(prior) = prior {
+            dynawave_obs::install(prior);
+        }
+        for set in &sets {
+            digest = set.traces.iter().fold(digest, |d, t| fold_f64s(d, t));
+        }
+        let stream = dynawave_obs::encode_lines(&events);
+        assert!(stream.contains("sim.run_trace"), "{stream}");
+        digest = stream.bytes().fold(digest, |d, b| fold(d, u64::from(b)));
+    }
+    assert_eq!(
+        digest, 0x2806_f9ef_395d_c8eb,
+        "collected trace or stream bits changed: digest {digest:#018x}"
+    );
+}
+
 /// Folds every field of one interval: counters as they are, integrals
 /// by their bit patterns. The destructuring is exhaustive, so a new
 /// field fails to compile here until it is folded too.

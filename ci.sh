@@ -14,7 +14,8 @@ cd "$(dirname "$0")"
 # --obs adds the observability pass: a traced quickstart run whose
 # JSON-lines event stream must validate with zero invalid lines and
 # cover all five pipeline stages, and whose derived `obs_report` render
-# must be byte-identical at 1 and 4 worker threads; the same stream with
+# must be byte-identical at 1 and 4 worker threads, as must the raw
+# streams themselves; the same stream with
 # one histogram's overflow bucket cut off must make `obs_report` exit 2.
 # --par adds the parallel-determinism pass: the concurrency test battery
 # plus a byte-for-byte comparison of the full-space demo's report at 1,
@@ -111,6 +112,10 @@ if [ "$OBS" = 1 ]; then
     < "$CI_TMP/obs_t4.jsonl" > "$CI_TMP/obs_report_t4.md"
   cmp "$CI_TMP/obs_report_t1.md" "$CI_TMP/obs_report_t4.md"
   echo "obs_report byte-identical across thread counts"
+  # The raw streams too: trace collection, scoring and training fan out
+  # over the worker threads, and place every event by rank.
+  cmp "$CI_TMP/obs_t1.jsonl" "$CI_TMP/obs_t4.jsonl"
+  echo "traced quickstart stream byte-identical across thread counts"
   # The analyzer reads lines through the validator's decoders: a stream
   # whose first histogram lost its last count (counts no longer one
   # longer than bounds) is refused with exit 2 and no report.

@@ -47,16 +47,19 @@
 //! file-backed driver: [`run_journaled`] and [`advance_journaled`] are
 //! its one-thread cases.
 //!
-//! # Training fan-out
+//! # Fan-out
 //!
 //! This module is the workspace's one home of concurrency (lint rule
-//! D012), so it also holds the training fan-out: `fan_out` fits a
-//! predictor's coefficient networks on up to [`threads_from_env`]
-//! workers, the calling thread and scoped threads spawned for the call,
-//! which take coefficient ranks from one shared counter. Results, the
-//! first error and traced events come back in rank order, so a trained
-//! model, its degradation report and its event stream are the same at
-//! any worker count (see [`WaveletNeuralPredictor::train_resilient`]).
+//! D012), so it also holds `fan_out`, which runs independent ranks on up
+//! to [`threads_from_env`] workers, the calling thread and scoped
+//! threads spawned for the call, which take ranks from one shared
+//! counter. It fits a predictor's coefficient networks
+//! ([`WaveletNeuralPredictor::train_resilient`]), simulates the design
+//! points of a trace collection ([`crate::collect_domain_traces`] and
+//! its siblings) and predicts the test points of
+//! [`score_model`]. Results, the first error or panic and traced events
+//! come back in rank order, so models, traces, scores and event streams
+//! are the same at any worker count.
 //!
 //! # Examples
 //!
@@ -79,13 +82,15 @@ use crate::experiment::{score_model, BenchmarkEvaluation, EnvConfigError, Experi
 use crate::journal::{self, Appender, HeaderError};
 use crate::predictor::WaveletNeuralPredictor;
 use dynawave_neural::ModelError;
+use dynawave_numeric::fault;
 use dynawave_sampling::DesignPoint;
 use dynawave_sim::{FrontEndOutcomes, SimOptions};
 use dynawave_workloads::{Benchmark, Instruction};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::error::Error;
-use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::fmt::{self, Write as _};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -755,8 +760,8 @@ fn journal_line(unit: &WorkUnit, trace: &[f64]) -> String {
     let mut line = String::from("unit ");
     line.push_str(&unit.key());
     for v in trace {
-        line.push(' ');
-        line.push_str(&format!("{v}"));
+        // Writing into a String cannot fail.
+        let _ = write!(line, " {v}");
     }
     line.push('\n');
     line
@@ -949,40 +954,70 @@ fn run_shard(
     }
 }
 
+/// Worker count for a [`fan_out`] from the calling thread: up to
+/// [`threads_from_env`] (one when `DYNAWAVE_THREADS` is invalid), and
+/// one while a [`fault`] plan is installed, because a plan is a
+/// per-thread RNG consulted in call order.
+pub(crate) fn fan_out_workers() -> usize {
+    if fault::active() {
+        1
+    } else {
+        threads_from_env().unwrap_or(1)
+    }
+}
+
 /// Runs `task` on every rank in `0..count` across up to `workers`
-/// workers and returns the results in rank order: the training fan-out
-/// behind [`WaveletNeuralPredictor::train_resilient`]. The calling thread
-/// is worker 0; the others are at most `count - 1` scoped threads spawned
+/// workers and returns the results in rank order: the fan-out behind
+/// trace collection, test-point scoring and
+/// [`WaveletNeuralPredictor::train_resilient`]. The calling thread is
+/// worker 0; the others are at most `count - 1` scoped threads spawned
 /// for this call. Workers take ranks from one shared counter, so a slow
 /// rank holds up only its own worker. A spawn the OS refuses leaves the
 /// remaining ranks to the workers already running.
 ///
-/// Once a rank fails no higher rank starts, and the lowest failing
-/// rank's error is returned: what a loop over the ranks in order
-/// returns. With tracing on, each rank records to a recorder of its own,
-/// and the calling thread appends the ranks' events in rank order, up to
-/// the failing rank ([`dynawave_obs::append_segment`]), so the stream is
-/// the one-worker stream for every worker count.
-///
-/// # Errors
-///
-/// The lowest failing rank's error, or [`ModelError::Internal`] when a
-/// task panicked.
-pub(crate) fn fan_out<T: Send>(
+/// A rank fails when its task returns an error or panics. Once a rank
+/// fails no higher rank starts, and the lowest failing rank decides the
+/// outcome: `Ok(Err(e))` for its error, `Err(payload)` for its panic.
+/// That is what a loop over the ranks in order returns, a panic caught
+/// at the loop. With tracing on, each rank records to a recorder of its
+/// own, and the calling thread appends the ranks' events in rank order
+/// ([`dynawave_obs::append_segment`]), so the stream is the one-worker
+/// stream for every worker count: up to the failing rank after an error,
+/// none of the call's events after a panic.
+pub(crate) fn fan_out<T: Send, E: Send>(
     count: usize,
     workers: usize,
-    task: impl Fn(usize) -> Result<T, ModelError> + Sync,
-) -> Result<Vec<T>, ModelError> {
+    task: impl Fn(usize) -> Result<T, E> + Sync,
+) -> std::thread::Result<Result<Vec<T>, E>> {
     fan_out_on(std::thread::Builder::new, count, workers, task)
 }
 
+/// [`fan_out`] of a task that cannot fail over `items`: rank `r` maps
+/// item `r`. Returns the mapped items in order, or resumes the lowest
+/// panicking rank's panic on the calling thread.
+pub(crate) fn fan_out_map<I: Sync, T: Send>(
+    items: &[I],
+    workers: usize,
+    task: impl Fn(&I) -> T + Sync,
+) -> Vec<T> {
+    let mapped = fan_out(items.len(), workers, |rank| {
+        Ok::<_, Infallible>(items.get(rank).map(&task))
+    });
+    match mapped {
+        // Every rank is below `items.len()`, so no entry is `None`.
+        Ok(Ok(results)) => results.into_iter().flatten().collect(),
+        Ok(Err(never)) => match never {},
+        Err(payload) => resume_unwind(payload),
+    }
+}
+
 /// [`fan_out`], spawning its threads from `builder`'s builders.
-fn fan_out_on<T: Send>(
+fn fan_out_on<T: Send, E: Send>(
     builder: impl Fn() -> std::thread::Builder,
     count: usize,
     workers: usize,
-    task: impl Fn(usize) -> Result<T, ModelError> + Sync,
-) -> Result<Vec<T>, ModelError> {
+    task: impl Fn(usize) -> Result<T, E> + Sync,
+) -> std::thread::Result<Result<Vec<T>, E>> {
     // Worker 0 records its ranks apart too; the caller's recorder waits.
     let outer = dynawave_obs::take();
     let traced = outer.is_some();
@@ -1000,40 +1035,51 @@ fn fan_out_on<T: Send>(
             if traced {
                 dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
             }
-            let result = task(rank);
-            if result.is_err() {
+            let result = catch_unwind(AssertUnwindSafe(|| task(rank)));
+            if !matches!(result, Ok(Ok(_))) {
                 lowest_failed.fetch_min(rank, Ordering::Relaxed);
             }
             done.push((rank, result, dynawave_obs::take()));
         }
     };
-    let finished = std::thread::scope(|scope| {
+    let mut ranked = std::thread::scope(|scope| {
         let work = &work;
         let handles: Vec<_> = (1..workers.min(count))
             .map_while(|_| builder().spawn_scoped(scope, work).ok())
             .collect();
-        let mut finished = vec![catch_unwind(AssertUnwindSafe(work))];
-        finished.extend(handles.into_iter().map(|handle| handle.join()));
-        finished
+        let mut ranked = work();
+        for handle in handles {
+            // Every task runs under `catch_unwind`, so a worker panics
+            // only if the recorder hand-off itself does.
+            ranked.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload)),
+            );
+        }
+        ranked
     });
-    // A rank that panicked here leaves its own recorder installed.
-    drop(dynawave_obs::take());
     if let Some(outer) = outer {
         dynawave_obs::install(outer);
     }
-    let mut ranked = Vec::with_capacity(count);
-    for done in finished {
-        ranked.extend(done.map_err(|_| ModelError::Internal("a training worker panicked"))?);
-    }
     ranked.sort_by_key(|&(rank, ..)| rank);
     let mut results = Vec::with_capacity(ranked.len());
+    let mut segments = Vec::with_capacity(ranked.len());
+    let mut error = None;
     for (_, result, segment) in ranked {
-        if let Some(segment) = segment {
-            dynawave_obs::append_segment(segment);
+        segments.extend(segment);
+        match result {
+            Ok(Ok(value)) => results.push(value),
+            Ok(Err(e)) => {
+                error = Some(e);
+                break;
+            }
+            // The call's events are dropped with the panic.
+            Err(payload) => return Err(payload),
         }
-        results.push(result?);
     }
-    Ok(results)
+    segments.into_iter().for_each(dynawave_obs::append_segment);
+    Ok(error.map_or(Ok(results), Err))
 }
 
 /// Best-effort stringification of a worker panic payload.
@@ -1245,6 +1291,29 @@ mod tests {
         assert_ne!(base, other.fingerprint());
     }
 
+    #[test]
+    fn journal_lines_write_shortest_round_trip_floats() {
+        let unit = WorkUnit {
+            benchmark: Benchmark::Gcc,
+            metric: Metric::Power,
+            role: UnitRole::Test,
+            point_index: 17,
+        };
+        let trace = [
+            0.1,
+            1e-7,
+            1.0,
+            -0.0,
+            123456789.125,
+            1e300,
+            f64::MIN_POSITIVE,
+        ];
+        let expected: String = trace.iter().map(|v| format!(" {v}")).collect();
+        let line = journal_line(&unit, &trace);
+        assert_eq!(line, format!("unit gcc power test 17{expected}\n"));
+        assert!(line.starts_with("unit gcc power test 17 0.1 0.0000001 1 -0 123456789.125 "));
+    }
+
     /// A fan-out task that fails at ranks 3 and 6 with errors naming the
     /// rank, and counts the ranks it ran.
     fn failing_at_3_and_6(
@@ -1260,21 +1329,92 @@ mod tests {
         }
     }
 
+    /// The message of a fan-out panic payload.
+    fn payload_text(payload: Box<dyn std::any::Any + Send>) -> String {
+        panic_message(payload.as_ref())
+    }
+
     #[test]
     fn fan_out_returns_ranks_in_order_or_the_lowest_failing_rank() {
         for workers in [1, 2, 3, 8, 100] {
-            let squares = fan_out(9, workers, |rank| Ok(rank * rank));
-            assert_eq!(squares, Ok((0..9).map(|r| r * r).collect()), "{workers}");
+            let squares = fan_out(9, workers, |rank| Ok::<_, ModelError>(rank * rank));
+            assert_eq!(squares.ok(), Some(Ok((0..9).map(|r| r * r).collect())));
             let ran = AtomicUsize::new(0);
             let failed = fan_out(9, workers, failing_at_3_and_6(&ran));
-            assert_eq!(failed, Err(ModelError::Internal("rank 3")), "{workers}");
+            assert_eq!(
+                failed.ok(),
+                Some(Err(ModelError::Internal("rank 3"))),
+                "{workers}"
+            );
         }
         // One worker stops at the first failure, as a loop over the ranks
         // in order does.
         let ran = AtomicUsize::new(0);
-        assert!(fan_out(9, 1, failing_at_3_and_6(&ran)).is_err());
+        assert!(matches!(
+            fan_out(9, 1, failing_at_3_and_6(&ran)),
+            Ok(Err(_))
+        ));
         assert_eq!(ran.into_inner(), 4);
-        assert_eq!(fan_out(0, 4, Ok), Ok(Vec::new()));
+        assert_eq!(
+            fan_out(0, 4, Ok::<_, ModelError>).ok(),
+            Some(Ok(Vec::new()))
+        );
+    }
+
+    /// A fan-out task that panics at the ranks in `panics`, fails at the
+    /// ranks in `errors`, and counts the ranks it ran.
+    fn failing_task<'a>(
+        panics: &'a [usize],
+        errors: &'a [usize],
+        ran: &'a AtomicUsize,
+    ) -> impl Fn(usize) -> Result<usize, ModelError> + Sync + 'a {
+        move |rank| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            if panics.contains(&rank) {
+                panic!("rank {rank} panicked");
+            }
+            if errors.contains(&rank) {
+                return Err(ModelError::Internal("a rank failed"));
+            }
+            Ok(rank)
+        }
+    }
+
+    #[test]
+    fn the_lowest_failing_rank_decides_between_an_error_and_a_panic() {
+        for workers in [1, 2, 3, 8] {
+            let ran = AtomicUsize::new(0);
+            let out = fan_out(9, workers, failing_task(&[3, 5], &[6], &ran));
+            let payload = out.err().map(payload_text);
+            assert_eq!(payload.as_deref(), Some("rank 3 panicked"), "{workers}");
+            let ran = AtomicUsize::new(0);
+            let out = fan_out(9, workers, failing_task(&[6], &[3], &ran));
+            let error = Some(Err(ModelError::Internal("a rank failed")));
+            assert_eq!(out.ok(), error, "{workers}");
+        }
+        // One worker stops at the first panic, as a loop over the ranks
+        // in order does.
+        let ran = AtomicUsize::new(0);
+        assert!(fan_out(9, 1, failing_task(&[3], &[], &ran)).is_err());
+        assert_eq!(ran.into_inner(), 4);
+    }
+
+    #[test]
+    fn a_fan_out_map_resumes_the_lowest_panic_on_the_caller() {
+        let items: Vec<usize> = (0..9).collect();
+        for workers in [1, 3] {
+            let ran = AtomicUsize::new(0);
+            let task = failing_task(&[2, 7], &[], &ran);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                fan_out_map(&items, workers, |&rank| task(rank).ok())
+            }));
+            let payload = caught.err().map(payload_text);
+            assert_eq!(payload.as_deref(), Some("rank 2 panicked"), "{workers}");
+            assert_eq!(
+                fan_out_map(&items, workers, |i| i + 1),
+                (1..10).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
@@ -1283,13 +1423,14 @@ mod tests {
         // workers, and each worker then holds a run of later ranks.
         for workers in [2, 3] {
             let barrier = std::sync::Barrier::new(2);
-            let ranks = fan_out(9, workers, |rank| {
+            let items: Vec<usize> = (0..9).collect();
+            let ranks = fan_out_map(&items, workers, |&rank| {
                 if rank < 2 {
                     barrier.wait();
                 }
-                Ok(rank)
+                rank
             });
-            assert_eq!(ranks, Ok((0..9).collect()), "{workers}");
+            assert_eq!(ranks, items, "{workers}");
         }
     }
 
@@ -1302,13 +1443,13 @@ mod tests {
             0 => std::thread::Builder::new(),
             _ => std::thread::Builder::new().stack_size(1 << 62),
         };
-        let squares = fan_out_on(builder, 12, 4, |rank| Ok(rank * rank));
-        assert_eq!(squares, Ok((0..12).map(|r| r * r).collect()));
+        let squares = fan_out_on(builder, 12, 4, |rank| Ok::<_, ModelError>(rank * rank));
+        assert_eq!(squares.ok(), Some(Ok((0..12).map(|r| r * r).collect())));
         assert_eq!(spawns.into_inner(), 2, "the first refusal stops spawning");
     }
 
     #[test]
-    fn a_panicking_worker_is_an_internal_error_and_keeps_the_recorder() {
+    fn a_panicking_rank_returns_its_payload_and_keeps_the_recorder() {
         let prior = dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
         dynawave_obs::counter_add("campaign.units_done", 1);
         for workers in [1, 4] {
@@ -1317,13 +1458,10 @@ mod tests {
                 if rank == 5 {
                     panic!("fit {rank} panicked");
                 }
-                Ok(rank)
+                Ok::<_, ModelError>(rank)
             });
-            assert_eq!(
-                out,
-                Err(ModelError::Internal("a training worker panicked")),
-                "{workers}"
-            );
+            let payload = out.err().map(payload_text);
+            assert_eq!(payload.as_deref(), Some("fit 5 panicked"), "{workers}");
         }
         // The caller's recorder is back in place and holds none of the
         // aborted call's events.
@@ -1343,8 +1481,8 @@ mod tests {
                 spawns.fetch_add(1, Ordering::Relaxed);
                 std::thread::Builder::new()
             };
-            let ranks = fan_out_on(builder, count, 100_000, Ok);
-            assert_eq!(ranks, Ok((0..count).collect()));
+            let ranks = fan_out_on(builder, count, 100_000, Ok::<_, ModelError>);
+            assert_eq!(ranks.ok(), Some(Ok((0..count).collect())));
             assert_eq!(spawns.into_inner(), count - 1);
         }
     }

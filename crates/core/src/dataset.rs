@@ -1,5 +1,6 @@
 //! Simulation-backed dataset collection: design points → dynamics traces.
 
+use crate::campaign::{fan_out_map, fan_out_workers};
 use dynawave_avf::{AvfModel, Structure};
 use dynawave_power::PowerModel;
 use dynawave_sampling::DesignPoint;
@@ -144,15 +145,42 @@ pub fn metric_traces(run: &RunResult, metrics: &[Metric]) -> Vec<Vec<f64>> {
 /// Simulates every design point **once** and derives the trace of each
 /// of `metrics` from the same runs: one [`TraceSet`] per metric, in
 /// order. The benchmark's instruction stream and its front-end outcomes
-/// are computed once and replayed into every point; both are dropped on
-/// return. The trace-set collector behind [`collect_traces`],
-/// [`collect_domain_traces`] and the serve model cache.
+/// are computed once on the calling thread and replayed into every
+/// point; both are dropped on return. The points run on up to
+/// [`threads_from_env`](crate::threads_from_env) workers (see
+/// [`fan_out_workers`]); each is a pure function of its configuration
+/// and of the shared stream and outcomes, and its traces and traced
+/// events are placed by point, so the sets and the event stream are
+/// the same bits at any worker count. The trace-set collector behind
+/// [`collect_traces`], [`collect_domain_traces`] and the serve model
+/// cache.
+///
+/// # Panics
+///
+/// As the lowest-ranked point whose simulation panics (see
+/// [`MachineConfig::from_design_values`]), with its payload.
 pub(crate) fn collect_metric_traces(
     benchmark: Benchmark,
     points: &[DesignPoint],
     metrics: &[Metric],
     opts: &SimOptions,
 ) -> Vec<TraceSet> {
+    collect_metric_traces_on(benchmark, points, metrics, opts, fan_out_workers())
+}
+
+/// [`collect_metric_traces`] on up to `workers` workers.
+pub(crate) fn collect_metric_traces_on(
+    benchmark: Benchmark,
+    points: &[DesignPoint],
+    metrics: &[Metric],
+    opts: &SimOptions,
+    workers: usize,
+) -> Vec<TraceSet> {
+    let stream = opts.stream(benchmark);
+    let outcomes = front_end_outcomes(&stream);
+    let runs = fan_out_map(points, workers, |point| {
+        simulate_metrics(&stream, &outcomes, point, metrics, opts)
+    });
     let mut sets: Vec<TraceSet> = metrics
         .iter()
         .map(|&metric| TraceSet {
@@ -162,10 +190,7 @@ pub(crate) fn collect_metric_traces(
             traces: Vec::with_capacity(points.len()),
         })
         .collect();
-    let stream = opts.stream(benchmark);
-    let outcomes = front_end_outcomes(&stream);
-    for point in points {
-        let traces = simulate_metrics(&stream, &outcomes, point, metrics, opts);
+    for traces in runs {
         for (set, trace) in sets.iter_mut().zip(traces) {
             set.traces.push(trace);
         }
@@ -206,7 +231,7 @@ pub fn collect_traces(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynawave_sampling::{lhs, DesignSpace};
+    use dynawave_sampling::{lhs, random, DesignSpace, Split};
 
     fn opts() -> SimOptions {
         SimOptions {
@@ -242,6 +267,80 @@ mod tests {
             assert_eq!(set.points, alone.points);
             assert_eq!(set.traces, alone.traces, "{metric}");
         }
+    }
+
+    /// `2 * n` points of the DVM space: training and test levels, DVM
+    /// on and off.
+    fn mixed_design(n: usize) -> Vec<DesignPoint> {
+        let space = DesignSpace::micro2007_with_dvm();
+        let mut design = lhs::sample(&space, n, 8);
+        design.extend(random::sample(&space, n, Split::Test, 8));
+        design
+    }
+
+    /// Every trace bit of `sets`, set by set.
+    fn trace_bits(sets: &[TraceSet]) -> Vec<u64> {
+        (sets.iter().flat_map(|s| s.traces.iter().flatten()))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn traces_are_the_same_bits_at_any_worker_count() {
+        let design = mixed_design(3);
+        let metrics = [Metric::Cpi, Metric::Power, Metric::Avf, Metric::IqAvf];
+        let collect =
+            |workers| collect_metric_traces_on(Benchmark::Gcc, &design, &metrics, &opts(), workers);
+        let one = collect(1);
+        assert_eq!(one.len(), metrics.len());
+        assert!(one.iter().all(|s| s.points == design && s.len() == 6));
+        for workers in [2, 3, 8] {
+            assert_eq!(trace_bits(&collect(workers)), trace_bits(&one), "{workers}");
+        }
+    }
+
+    #[test]
+    fn traced_streams_are_the_same_bytes_at_any_worker_count() {
+        // Two span events per point overflow a 40-event ring.
+        let design = mixed_design(12);
+        let traced = |recorder: dynawave_obs::Recorder, workers| {
+            let prior = dynawave_obs::install(recorder);
+            let sets = collect_metric_traces_on(
+                Benchmark::Mcf,
+                &design,
+                &Metric::DOMAINS,
+                &opts(),
+                workers,
+            );
+            let recorder = dynawave_obs::take().expect("recorder was installed");
+            if let Some(prior) = prior {
+                dynawave_obs::install(prior);
+            }
+            let dropped = recorder.dropped();
+            let stream = dynawave_obs::encode_lines(&recorder.finish());
+            (trace_bits(&sets), stream, dropped)
+        };
+        let plain = traced(dynawave_obs::Recorder::with_tick_clock(), 1);
+        assert_eq!(
+            plain.1.matches("\"sim.run_trace\"").count(),
+            2 * design.len()
+        );
+        assert_eq!(traced(dynawave_obs::Recorder::with_tick_clock(), 4), plain);
+        let ring = traced(dynawave_obs::Recorder::flight_recorder(40), 1);
+        assert!(ring.2 > 0, "the ring must wrap for this test to mean much");
+        assert_eq!(traced(dynawave_obs::Recorder::flight_recorder(40), 4), ring);
+        assert_eq!(ring.0, plain.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache smaller than one way")]
+    fn a_bad_point_panics_with_its_own_message_on_workers() {
+        let mut design = mixed_design(3);
+        // An L2 knob of 0.5 truncates to a 0 KB cache.
+        let mut values = design[4].values().to_vec();
+        values[4] = 0.5;
+        design[4] = DesignPoint::new(values);
+        collect_metric_traces_on(Benchmark::Gcc, &design, &[Metric::Cpi], &opts(), 3);
     }
 
     #[test]

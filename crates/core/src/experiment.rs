@@ -12,6 +12,7 @@
 //! `DYNAWAVE_INTERVAL`, `DYNAWAVE_SEED`.
 
 use crate::accuracy::ScenarioClassification;
+use crate::campaign::{fan_out_map, fan_out_workers};
 use crate::dataset::{collect_traces, Metric, TraceSet};
 use crate::predictor::{PredictorParams, WaveletNeuralPredictor};
 use crate::recovery::{DegradationReport, RecoveryPolicy};
@@ -280,13 +281,30 @@ pub fn evaluate_benchmark(
 ///
 /// The returned evaluation carries a pristine [`DegradationReport`]
 /// (callers that trained resiliently overwrite it with the real one).
+///
+/// The test points are predicted on up to
+/// [`threads_from_env`](crate::threads_from_env) workers, and on the
+/// calling thread alone while a fault plan is installed, so its
+/// `RbfPredict` draws keep their order. The evaluation is the same bits
+/// at any worker count.
 pub fn score_model(
     benchmark: Benchmark,
     metric: Metric,
     model: WaveletNeuralPredictor,
     test: TraceSet,
 ) -> BenchmarkEvaluation {
-    let predictions: Vec<Vec<f64>> = test.points.iter().map(|p| model.predict(p)).collect();
+    score_model_on(benchmark, metric, model, test, fan_out_workers())
+}
+
+/// [`score_model`] on up to `workers` workers.
+pub(crate) fn score_model_on(
+    benchmark: Benchmark,
+    metric: Metric,
+    model: WaveletNeuralPredictor,
+    test: TraceSet,
+    workers: usize,
+) -> BenchmarkEvaluation {
+    let predictions = fan_out_map(&test.points, workers, |point| model.predict(point));
     let nmse_per_test: Vec<f64> = test
         .traces
         .iter()
@@ -357,6 +375,67 @@ mod tests {
         };
         assert_eq!(cfg.space().dims(), 10);
         assert_eq!(cfg.train_design()[0].values().len(), 10);
+    }
+
+    /// Every bit `score_model` derives: predictions, NMSE and scenarios.
+    fn score_bits(eval: &BenchmarkEvaluation) -> Vec<u64> {
+        let scenarios = eval.scenarios.iter();
+        (eval.predictions.iter().flatten())
+            .chain(&eval.nmse_per_test)
+            .chain(scenarios.flat_map(|s| [&s.q1_asymmetry, &s.q2_asymmetry, &s.q3_asymmetry]))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn scores_are_the_same_bits_at_any_worker_count() {
+        let cfg = tiny_config();
+        let opts = cfg.sim_options();
+        let train = collect_traces(Benchmark::Gcc, &cfg.train_design(), Metric::Power, &opts);
+        let test = collect_traces(Benchmark::Gcc, &cfg.test_design(), Metric::Power, &opts);
+        let (model, _) =
+            WaveletNeuralPredictor::train_resilient(&train, &cfg.predictor, &cfg.recovery).unwrap();
+        let score = |workers| {
+            score_model_on(
+                Benchmark::Gcc,
+                Metric::Power,
+                model.clone(),
+                test.clone(),
+                workers,
+            )
+        };
+        let one = score(1);
+        assert_eq!(one.predictions.len(), cfg.test_points);
+        for workers in [2, 3, 8] {
+            assert_eq!(score_bits(&score(workers)), score_bits(&one), "{workers}");
+        }
+        // Under a fault plan the points are predicted on the calling
+        // thread in order, so the `RbfPredict` draws are a loop's.
+        use dynawave_numeric::fault::{self, FaultPlan, FaultSite};
+        let faulted = |score: &dyn Fn() -> Vec<u64>| {
+            let plan = FaultPlan::new(0x5C02E)
+                .rate(0.3)
+                .targeting(&[FaultSite::RbfPredict]);
+            let (bits, report) = fault::with_plan(plan, score);
+            assert!(report.fired > 0, "the plan must actually inject");
+            bits
+        };
+        let scored = faulted(&|| {
+            score_bits(&score_model(
+                Benchmark::Gcc,
+                Metric::Power,
+                model.clone(),
+                test.clone(),
+            ))
+        });
+        let in_order = faulted(&|| {
+            (test.points.iter().flat_map(|p| model.predict(p)))
+                .map(f64::to_bits)
+                .collect()
+        });
+        assert_eq!(scored[..in_order.len()], in_order[..]);
+        assert_eq!(scored, faulted(&|| score_bits(&score(1))));
+        assert_ne!(scored, score_bits(&one));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The hybrid neuro-wavelet predictive model (paper §2.3 / Figure 6).
 
-use crate::campaign::{fan_out, threads_from_env};
+use crate::campaign::{fan_out, fan_out_workers};
 use crate::dataset::TraceSet;
 use crate::recovery::{CoeffRecovery, DegradationReport, RecoveryPolicy, RecoveryRung};
 use dynawave_neural::{
@@ -299,10 +299,11 @@ impl WaveletNeuralPredictor {
     /// With the default policy the per-coefficient stage is infallible:
     /// the mean rung always succeeds on a finite training set.
     ///
-    /// The coefficients are fitted on up to [`threads_from_env`] workers
-    /// (one when `DYNAWAVE_THREADS` is invalid), and on the calling thread
-    /// alone while a [`fault`] plan is installed: a plan is a per-thread
-    /// RNG consulted in call order. The trained model, the report and the
+    /// The coefficients are fitted on up to
+    /// [`threads_from_env`](crate::threads_from_env) workers (one when
+    /// `DYNAWAVE_THREADS` is invalid), and on the calling thread alone
+    /// while a [`fault`] plan is installed: a plan is a per-thread RNG
+    /// consulted in call order. The trained model, the report and the
     /// traced event stream are the same for every worker count.
     ///
     /// # Errors
@@ -317,12 +318,7 @@ impl WaveletNeuralPredictor {
         params: &PredictorParams,
         policy: &RecoveryPolicy,
     ) -> Result<(Self, DegradationReport), ModelError> {
-        let workers = if fault::active() {
-            1
-        } else {
-            threads_from_env().unwrap_or(1)
-        };
-        Self::train_on(train, params, policy, workers)
+        Self::train_on(train, params, policy, fan_out_workers())
     }
 
     /// [`WaveletNeuralPredictor::train_resilient`] on up to `workers`
@@ -387,7 +383,8 @@ impl WaveletNeuralPredictor {
             let idx = indices[rank];
             let y: Vec<f64> = coeff_rows.iter().map(|row| row[idx]).collect();
             fit_coefficient(&ctx, &y, rank, idx, params, policy)
-        })?;
+        })
+        .unwrap_or(Err(ModelError::Internal("a training worker panicked")))?;
         let (models, records): (Vec<_>, Vec<_>) = fitted.into_iter().unzip();
         if dynawave_obs::is_enabled() {
             // Fraction of training-set coefficient energy the selected

@@ -10,7 +10,7 @@
 //! cargo run --release -p dynawave-core --example full_space_exploration
 //! ```
 
-use dynawave_core::{collect_traces, trace_for, Metric, PredictorParams, WaveletNeuralPredictor};
+use dynawave_core::{collect_domain_traces, PredictorParams, WaveletNeuralPredictor};
 use dynawave_numeric::stats::mean;
 use dynawave_sampling::{grid, lhs, DesignSpace, Split};
 use dynawave_sim::SimOptions;
@@ -28,13 +28,13 @@ fn main() {
         seed: 42,
     };
 
-    // 1. Simulate a 60-point LHS training design (the expensive part).
+    // 1. Simulate a 60-point LHS training design (the expensive part),
+    //    once for both domains.
     println!("simulating 60 training configurations of {bench} ...");
     // dynalint:allow(D007) -- progress display for a long example run; no result depends on it
     let t0 = Instant::now();
     let train_points = lhs::sample(&space, 60, 7);
-    let cpi_train = collect_traces(bench, &train_points, Metric::Cpi, &opts);
-    let power_train = collect_traces(bench, &train_points, Metric::Power, &opts);
+    let [cpi_train, power_train, _] = collect_domain_traces(bench, &train_points, &opts);
     let sim_time = t0.elapsed();
 
     // 2. Train one model per domain.
@@ -50,7 +50,7 @@ fn main() {
     let mut total = 0usize;
     for point in grid::full_factorial(&space, Split::Test) {
         total += 1;
-        let power = cpi_model_peak(&power_model, &point);
+        let power = predicted_peak_power(&power_model, &point);
         if power > POWER_BUDGET_WATTS {
             continue;
         }
@@ -74,11 +74,9 @@ fn main() {
     println!("  predicted mean CPI {cpi:.3}, predicted peak power {power:.1} W");
 
     // 4. Validate the winner with one detailed simulation.
-    let actual_cpi = mean(&trace_for(bench, &point, Metric::Cpi, &opts));
-    let actual_power = trace_for(bench, &point, Metric::Power, &opts)
-        .iter()
-        .cloned()
-        .fold(0.0f64, f64::max);
+    let [cpi_sim, power_sim, _] = collect_domain_traces(bench, std::slice::from_ref(&point), &opts);
+    let actual_cpi = mean(&cpi_sim.traces[0]);
+    let actual_power = power_sim.traces[0].iter().cloned().fold(0.0f64, f64::max);
     println!("  simulated  mean CPI {actual_cpi:.3}, simulated  peak power {actual_power:.1} W");
     println!(
         "  budget {}: {}",
@@ -92,6 +90,9 @@ fn main() {
 }
 
 /// Predicted worst-case (peak) power at a design point.
-fn cpi_model_peak(model: &WaveletNeuralPredictor, point: &dynawave_sampling::DesignPoint) -> f64 {
+fn predicted_peak_power(
+    model: &WaveletNeuralPredictor,
+    point: &dynawave_sampling::DesignPoint,
+) -> f64 {
     model.predict(point).iter().cloned().fold(0.0f64, f64::max)
 }
